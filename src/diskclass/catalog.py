@@ -1,13 +1,15 @@
 """Named disk functions, Schwarz-bounded generators, and certified builders.
 
 Every function handled by the toolkit is normalized (f(0) = 0, f'(0) = 1)
-and analytic on the open unit disk.  Internally each one is carried in two
-forms at once:
+and analytic on the open unit disk, and is handled through its reciprocal
+quotient h = z/f:
 
-* closed-form evaluators for the reciprocal quotient h = z/f and its first
-  two derivatives (f, f', f'' are derived from these), which drive boundary
-  scans, and
-* a truncated Taylor series, which drives coefficient work.
+* closed-form evaluators for h and its first two derivatives (f, f', f''
+  are derived from these) drive boundary scans;
+* one truncated Taylor series drives coefficient work.  A DiskFunction
+  keeps the series its constructor knows exactly (h for functions defined
+  by their quotient, f for functions defined by their expansion) and
+  derives the other one by a single series inversion on first use.
 
 The quotient always admits the normal form h(z) = 1 - a2 z - z omega1(z)
 where a2 is the second Taylor coefficient of f and omega1 is analytic with
@@ -72,6 +74,13 @@ def _polyder(c):
     return d if d.size else np.zeros(1, dtype=np.complex128)
 
 
+def _omega_coeffs(h):
+    """Coefficients of omega1 in h = 1 - a2 z - z omega1: omega1_k = -h_{k+1}."""
+    om = np.zeros(max(h.size - 1, 1), dtype=np.complex128)
+    om[1:] = -h[2:]
+    return om
+
+
 # ---------------------------------------------------------------------------
 # kernels: vectorized closed forms for h, h', h'' and the omega data
 # ---------------------------------------------------------------------------
@@ -81,83 +90,51 @@ class _Kernel:
     Subclasses must provide vectorized ``h``, ``h1``, ``h2`` on 1-d complex
     arrays plus an ``a2`` attribute.  The omega accessors default to
     algebraic rearrangements of h; those divide by powers of z, so for
-    |z| below ``mask_radius`` they fall back to series evaluation (the
-    subclass supplies ``series_h`` for that purpose).
+    |z| below ``mask_radius`` they fall back to the polynomial kernel of
+    the quotient series of ``owner``, the DiskFunction the kernel belongs
+    to.
     """
 
     mask_radius = 1e-3
     direct_f = None  # optional (f, f1, f2) closed forms
-
-    # -- series fallbacks built lazily from series_h ---------------------
-    def _omega_series(self):
-        try:
-            return self._om_cache
-        except AttributeError:
-            pass
-        h = self.series_h.coeffs
-        om = np.zeros(max(h.size - 1, 1), dtype=np.complex128)
-        om[1:] = -h[2:]
-        s0 = ComplexSeries(om)
-        s1 = s0.derivative()
-        self._om_cache = (s0, s1, s1.derivative())
-        return self._om_cache
+    owner = None
+    _near_origin = None
 
     def _masked(self, z, closed, which):
         out = np.empty(z.shape, dtype=np.complex128)
         near = np.abs(z) < self.mask_radius
         if near.any():
-            out[near] = self._omega_series()[which](z[near])
+            if self._near_origin is None:
+                self._near_origin = _PolyKernel(self.owner.quotient.coeffs)
+            out[near] = getattr(self._near_origin, which)(z[near])
         far = ~near
         if far.any():
             out[far] = closed(z[far])
         return out
 
     def omega1(self, z):
-        return self._masked(z, lambda w: (1.0 - self.a2 * w - self.h(w)) / w, 0)
+        return self._masked(z, lambda w: (1.0 - self.a2 * w - self.h(w)) / w, "omega1")
 
     def psi(self, z):
         return self._masked(
-            z, lambda w: (self.h(w) - 1.0 - w * self.h1(w)) / w ** 2, 1)
+            z, lambda w: (self.h(w) - 1.0 - w * self.h1(w)) / w ** 2, "psi")
 
     def psi1(self, z):
         def closed(w):
             return (-w ** 2 * self.h2(w) - 2.0 * (self.h(w) - 1.0)
                     + 2.0 * w * self.h1(w)) / w ** 3
-        return self._masked(z, closed, 2)
+        return self._masked(z, closed, "psi1")
 
 
 class _PolyKernel(_Kernel):
-    """h is an explicit polynomial; every accessor is exact."""
+    """h is an explicit polynomial (or a truncated quotient series); every
+    accessor is the matching polynomial, exact in the first case."""
 
     def __init__(self, h_coeffs):
-        h = np.asarray(h_coeffs, dtype=np.complex128)
-        self.h_poly = h
-        self.h1_poly = _polyder(h)
-        self.h2_poly = _polyder(self.h1_poly)
-        self.a2 = -complex(h[1]) if h.size > 1 else 0j
-        om = np.zeros(max(h.size - 1, 1), dtype=np.complex128)
-        om[1:] = -h[2:]
-        self.om_poly = om
-        self.psi_poly = _polyder(om)
-        self.psi1_poly = _polyder(self.psi_poly)
-
-    def h(self, z):
-        return npp.polyval(z, self.h_poly)
-
-    def h1(self, z):
-        return npp.polyval(z, self.h1_poly)
-
-    def h2(self, z):
-        return npp.polyval(z, self.h2_poly)
-
-    def omega1(self, z):
-        return npp.polyval(z, self.om_poly)
-
-    def psi(self, z):
-        return npp.polyval(z, self.psi_poly)
-
-    def psi1(self, z):
-        return npp.polyval(z, self.psi1_poly)
+        h = ComplexSeries(h_coeffs)
+        om = ComplexSeries(_omega_coeffs(h.coeffs))
+        self.h, self.h1, self.h2 = h, h.derivative(), h.derivative().derivative()
+        self.omega1, self.psi, self.psi1 = om, om.derivative(), om.derivative().derivative()
 
 
 class _BlaschkeKernel(_Kernel):
@@ -214,44 +191,26 @@ class _LogQuotientKernel(_Kernel):
     """Kernel for f(z) = -log(1 - z), the convex-but-not-bounded witness."""
 
     a2 = 0.5
-
-    def __init__(self, order):
-        f = np.zeros(order + 1, dtype=np.complex128)
-        f[1:] = 1.0 / np.arange(1, order + 1)
-        self.series_f = ComplexSeries(f)
-        self.series_h = self.series_f.div_z().reciprocal()
-        self._h1_series = self.series_h.derivative()
-        self._h2_series = self._h1_series.derivative()
-        self.direct_f = (
-            lambda z: -np.log(1.0 - z),
-            lambda z: 1.0 / (1.0 - z),
-            lambda z: (1.0 - z) ** -2.0,
-        )
-
-    def _split(self, z, closed, small_series):
-        out = np.empty(z.shape, dtype=np.complex128)
-        near = np.abs(z) < self.mask_radius
-        if near.any():
-            out[near] = small_series(z[near])
-        far = ~near
-        if far.any():
-            out[far] = closed(z[far])
-        return out
+    direct_f = (
+        lambda z: -np.log(1.0 - z),
+        lambda z: 1.0 / (1.0 - z),
+        lambda z: (1.0 - z) ** -2.0,
+    )
 
     def h(self, z):
-        return self._split(z, lambda w: w / self.direct_f[0](w), self.series_h)
+        return self._masked(z, lambda w: w / self.direct_f[0](w), "h")
 
     def h1(self, z):
         def closed(w):
             fv = self.direct_f[0](w)
             return (fv - w * self.direct_f[1](w)) / fv ** 2
-        return self._split(z, closed, self._h1_series)
+        return self._masked(z, closed, "h1")
 
     def h2(self, z):
         def closed(w):
             fv, f1v, f2v = (g(w) for g in self.direct_f)
             return (-w * f2v * fv - 2.0 * f1v * (fv - w * f1v)) / fv ** 3
-        return self._split(z, closed, self._h2_series)
+        return self._masked(z, closed, "h2")
 
 
 class _GTransformKernel(_Kernel):
@@ -261,11 +220,10 @@ class _GTransformKernel(_Kernel):
     which is smooth at the origin, so no masking is needed for h itself.
     """
 
-    def __init__(self, parent, parent_a2, series_g):
+    def __init__(self, parent, parent_a2, a2):
         self.parent = parent
         self.parent_a2 = complex(parent_a2)
-        self.series_h = series_g.div_z().reciprocal()
-        self.a2 = complex(series_g.coefficient(2))
+        self.a2 = complex(a2)
 
     def _den(self, z):
         den = self.parent_a2 + self.parent.omega1(z)
@@ -290,21 +248,50 @@ class _GTransformKernel(_Kernel):
 class DiskFunction:
     """A normalized analytic function on the unit disk.
 
-    Combines a closed-form kernel for the quotient h = z/f with a truncated
-    Taylor series of f.  ``eval_f``/``eval_f1``/``eval_f2`` accept scalars or
-    ndarrays and evaluate through the kernel (f = z/h and derivatives),
-    except for entries that carry direct closed forms.
+    Combines a closed-form kernel for the quotient h = z/f with the Taylor
+    series of h (``quotient``) and of f (``series``).  The constructor takes
+    the one series its caller knows exactly; h and f/z are reciprocal
+    series, so the other one is derived by a single inversion on first use
+    and cached.  Without a kernel the closed forms are the truncated
+    polynomial of the quotient.  ``eval_f``/``eval_f1``/``eval_f2`` accept
+    scalars or ndarrays and evaluate through the kernel (f = z/h and
+    derivatives), except for entries that carry direct closed forms.
     """
 
-    def __init__(self, fid, params, kernel, series, check_normalized=True):
+    def __init__(self, fid, params, kernel=None, *, series=None, quotient=None):
         self.id = fid
         self.params = params
-        self.kernel = kernel
-        self.series = series
-        if check_normalized:
-            if abs(series.coefficient(0)) > 1e-9 or abs(series.coefficient(1) - 1.0) > 1e-9:
-                raise ValueError(f"series of {fid!r} is not normalized")
-        self.a2 = complex(series.coefficient(2))
+        self._f, self._h = series, quotient
+        if quotient is not None:
+            self.a2 = complex(quotient.coefficient(1)) * -1.0
+        elif abs(series.coefficient(0)) > 1e-9 or abs(series.coefficient(1) - 1.0) > 1e-9:
+            raise ParamOutOfRange(f"series of {fid!r} is not normalized")
+        else:
+            self.a2 = complex(series.coefficient(2))
+        self.kernel = kernel or _PolyKernel(self.quotient.coeffs)
+        self.kernel.owner = self
+
+    @property
+    def series(self) -> ComplexSeries:
+        """Taylor series of f."""
+        if self._f is None:
+            self._derive()
+        return self._f
+
+    @property
+    def quotient(self) -> ComplexSeries:
+        """Taylor series of h = z/f."""
+        if self._h is None:
+            self._derive()
+        return self._h
+
+    def _derive(self):
+        known = self._f.div_z() if self._h is None else self._h
+        other = known.reciprocal()
+        if self._h is None:
+            self._h = other
+        else:
+            self._f = other.mul_z()
 
     def __repr__(self):
         return f"DiskFunction(id={self.id!r}, params={self.params!r}, a2={self.a2:.6g})"
@@ -345,21 +332,9 @@ class DiskFunction:
         zz, scalar = _as_1d(z)
         return _unwrap(self.kernel.h1(zz), scalar)
 
-    def h2(self, z):
-        zz, scalar = _as_1d(z)
-        return _unwrap(self.kernel.h2(zz), scalar)
-
     def omega1(self, z):
         zz, scalar = _as_1d(z)
         return _unwrap(self.kernel.omega1(zz), scalar)
-
-    def psi(self, z):
-        zz, scalar = _as_1d(z)
-        return _unwrap(self.kernel.psi(zz), scalar)
-
-    def psi_prime(self, z):
-        zz, scalar = _as_1d(z)
-        return _unwrap(self.kernel.psi1(zz), scalar)
 
     # -- serialization ----------------------------------------------------
     def to_spec(self) -> dict:
@@ -404,16 +379,15 @@ class DiskFunction:
         underlying analytic function, so results degrade near |z| = 1 when
         the coefficients decay slowly.
         """
-        h = series.div_z().reciprocal()
-        return cls("series", {}, _PolyKernel(h.coeffs), series)
+        return cls("series", {}, series=series)
 
 
 # ---------------------------------------------------------------------------
 # named catalog
 # ---------------------------------------------------------------------------
-def _series_from_h(h_coeffs, order):
-    h = ComplexSeries(np.asarray(h_coeffs, dtype=np.complex128)).pad_to(order)
-    return h.reciprocal().mul_z()
+def _polynomial_quotient(cid, params, h_coeffs, order):
+    return DiskFunction(cid, params, _PolyKernel(h_coeffs),
+                        quotient=ComplexSeries(h_coeffs).pad_to(order))
 
 
 # id -> polynomial coefficients of h = z/f (low to high)
@@ -445,16 +419,15 @@ def make_catalog(cid: str, params=None, order: int = DEFAULT_ORDER) -> DiskFunct
         b = float(b)
         if not 0.0 < b <= 2.0:
             raise ParamOutOfRange(f"fb parameter b = {b} outside (0, 2]")
-        hc = [1.0, b, 1.0]
-        return DiskFunction("fb", {"b": b}, _PolyKernel(hc), _series_from_h(hc, order))
+        return _polynomial_quotient("fb", {"b": b}, [1.0, b, 1.0], order)
     if params:
         raise ParamOutOfRange(f"catalog id {cid!r} takes no parameters")
     if cid == "log_map":
-        kernel = _LogQuotientKernel(order)
-        return DiskFunction("log_map", {}, kernel, kernel.series_f)
+        f = np.zeros(order + 1, dtype=np.complex128)
+        f[1:] = 1.0 / np.arange(1, order + 1)
+        return DiskFunction("log_map", {}, _LogQuotientKernel(), series=ComplexSeries(f))
     if cid in _RATIONAL_H:
-        hc = _RATIONAL_H[cid]
-        return DiskFunction(cid, {}, _PolyKernel(hc), _series_from_h(hc, order))
+        return _polynomial_quotient(cid, {}, _RATIONAL_H[cid], order)
     raise UnknownId(f"unknown catalog id {cid!r}")
 
 
@@ -561,10 +534,15 @@ class SchwarzGenerator:
         return num * den.reciprocal()
 
     def c_coefficients(self):
-        """First three Taylor coefficients of omega1 (c1, c2, c3)."""
-        p = self.psi_series.coeffs
-        c = [complex(p[k - 1]) / k if k - 1 < p.size else 0j for k in (1, 2, 3)]
-        return tuple(c)
+        """First three Taylor coefficients of omega1 (c1, c2, c3).
+
+        omega1_k = psi_{k-1}/k, divided as build_member divides, so these
+        equal the c of a built member exactly.
+        """
+        p = self.psi_series.coeffs[:3]
+        c = np.zeros(3, dtype=np.complex128)
+        c[:p.size] = p / np.arange(1, p.size + 1)
+        return tuple(complex(ck) for ck in c)
 
     # -- serialization ------------------------------------------------------
     def to_dict(self):
@@ -644,16 +622,17 @@ def build_member(a2, generator: SchwarzGenerator,
     a2 = complex(a2)
     if abs(a2) > 2.0 + 1e-12:
         raise ParamOutOfRange(f"|a2| = {abs(a2):.6g} exceeds the admissible bound 2")
-    if generator.kind == "blaschke_product":
+    blaschke = generator.kind == "blaschke_product"
+    psi = generator.psi_taylor(order).coeffs if blaschke else generator._coeffs
+    h = np.zeros(psi.size + 2, dtype=np.complex128)
+    h[0] = 1.0
+    h[1] = -a2
+    h[2:] = -psi / np.arange(1, psi.size + 1)
+    if blaschke:
         kernel = _BlaschkeKernel(a2, generator._alphas, generator._rho,
                                  generator._theta)
     else:
-        psi_c = generator._coeffs
-        h_exact = np.zeros(psi_c.size + 2, dtype=np.complex128)
-        h_exact[0] = 1.0
-        h_exact[1] = -a2
-        h_exact[2:] = -psi_c / np.arange(1, psi_c.size + 1)
-        kernel = _PolyKernel(h_exact)
+        kernel = _PolyKernel(h)
     try:
         winding = count_zeros_on_disk(kernel.h)
     except BoundaryTooClose as exc:
@@ -661,14 +640,6 @@ def build_member(a2, generator: SchwarzGenerator,
     if winding != 0:
         raise DenominatorVanishes(
             f"quotient has {winding} zero(s) inside |z| < {CERT_RADIUS:.6f}")
-
-    psi_s = generator.psi_taylor(order).coeffs
-    h_coeffs = np.zeros(order + 1, dtype=np.complex128)
-    h_coeffs[0] = 1.0
-    h_coeffs[1] = -a2
-    upto = min(order - 1, psi_s.size)
-    h_coeffs[2 : 2 + upto] = -psi_s[:upto] / np.arange(1, upto + 1)
-    series = ComplexSeries(h_coeffs).reciprocal().mul_z()
     return DiskFunction("sampled",
                         {"a2": a2, "generator": generator, "order": order},
-                        kernel, series)
+                        kernel, quotient=ComplexSeries(h).pad_to(order).truncate(order))

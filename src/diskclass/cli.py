@@ -24,13 +24,9 @@ from .explorer import (
 from .hankel import hankel_det
 from .membership import CLASS_TAGS, ScanPolicy, radius_of, test_class
 from .operators import decompose, g_transform, u_operator
-from .serialize import canonical_json
+from .serialize import _canon, canonical_json
 
 VERDICT_EXIT = {"IN": 0, "OUT": 3, "BOUNDARY": 4}
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
 
 
 def _emit(payload: dict, args) -> None:
@@ -41,24 +37,13 @@ def _emit(payload: dict, args) -> None:
     if getattr(args, "json", False):
         print(canonical_json(payload))
     else:
-        print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+        print(json.dumps(_canon(payload), indent=2, sort_keys=True))
 
 
-def _jsonable(obj):
-    from .serialize import _canon
-
-    return _canon(obj)
-
-
-def _policy_from(args) -> ScanPolicy:
-    kw = {}
-    if getattr(args, "r_max", None) is not None:
-        kw["r_max"] = args.r_max
-    if getattr(args, "grid", None) is not None:
-        kw["grid"] = args.grid
-    if getattr(args, "delta", None) is not None:
-        kw["delta"] = args.delta
-    return ScanPolicy(**kw)
+def _policy_overrides(args) -> dict:
+    """The scan policy fields given on the command line."""
+    return {key: getattr(args, key) for key in ("r_max", "grid", "delta")
+            if getattr(args, key, None) is not None}
 
 
 def _function_from(args) -> DiskFunction:
@@ -188,7 +173,7 @@ def _echo_function(args) -> dict:
 
 def cmd_membership(args) -> int:
     f = _function_from(args)
-    policy = _policy_from(args)
+    policy = ScanPolicy(**_policy_overrides(args))
     report = test_class(f, args.class_tag, policy, alpha=args.alpha)
     payload = {"config": {"function": _echo_function(args),
                           "class": args.class_tag, "alpha": args.alpha,
@@ -210,7 +195,7 @@ def cmd_hankel(args) -> int:
 
 def cmd_radius(args) -> int:
     f = _function_from(args)
-    policy = _policy_from(args)
+    policy = ScanPolicy(**_policy_overrides(args))
     res = radius_of(f, args.class_tag, tol=args.tol, policy=policy,
                     alpha=args.alpha)
     payload = {"config": {"function": _echo_function(args),
@@ -236,11 +221,7 @@ def cmd_campaign(args) -> int:
     base.update({k: v for k, v in overrides.items() if v is not None})
     if args.a2:
         base["a2_range"] = _parse_range(args.a2)
-    policy_kw = dict(base.get("policy") or {})
-    for name, key in (("r_max", "r_max"), ("grid", "grid"), ("delta", "delta")):
-        val = getattr(args, name, None)
-        if val is not None:
-            policy_kw[key] = val
+    policy_kw = {**(base.get("policy") or {}), **_policy_overrides(args)}
     if policy_kw:
         base["policy"] = policy_kw
     if "campaign" not in base:

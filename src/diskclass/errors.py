@@ -9,10 +9,6 @@ class NearZeroConstantTerm(DiskClassError):
     """Reciprocal requested for a series whose constant term is numerically zero."""
 
 
-class NonzeroInnerConstant(DiskClassError):
-    """Composition requires an inner series that vanishes at the origin."""
-
-
 class UnknownId(DiskClassError):
     """Catalog id not recognised."""
 

@@ -1,9 +1,13 @@
 """Seeded randomized campaigns over certified members of the deviation class.
 
-Four campaign kinds share one pipeline: draw (a2, generator) pairs from a
-per-index RNG stream, build certified members, evaluate the campaign's
-quantities, and aggregate worst cases, violations, and a histogram into a
-report whose canonical JSON is independent of the worker thread count.
+Every campaign draws (a2, generator) pairs from a per-index RNG stream,
+builds certified members, evaluates its quantities, and aggregates worst
+cases, violations, and a histogram into a report whose canonical JSON is
+independent of the worker thread count.  What differs between the kinds
+lives in one spec per kind (``_SPECS``): the evaluator, the tracked
+quantities with their bounds, the histogram, the status words and any extra
+report sections.  Replay re-runs the same evaluator, so a certificate is
+checked by exactly the code that produced it.
 
 Campaign kinds:
 
@@ -24,8 +28,9 @@ status to "counterexample-candidate".
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -46,11 +51,11 @@ from .errors import (
     SecondCoefficientVanishes,
 )
 from .hankel import h3_profile_bound, hankel_det, prokhorov_szynal_check, reduced_h2, reduced_h3
-from .membership import ScanPolicy, extremal_on_circle, test_class, theorem3_check
+from .membership import (ScanPolicy, Theorem2Record, extremal_on_circle, test_class,
+                         theorem3_check)
 from .operators import decompose, g_transform, phi_profile, u_operator
 from .serialize import canonical_json, complex_pair
 
-CAMPAIGNS = ("theorem1", "theorem2", "theorem3", "conjecture")
 LADDER = (0.1, 0.01, 0.001)
 ALPHA_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
 FB_GRID = tuple(0.25 * k for k in range(1, 9))
@@ -108,17 +113,7 @@ class CampaignConfig:
                            tuple(float(a) for a in self.alpha_grid))
 
     def to_dict(self):
-        return {
-            "campaign": self.campaign,
-            "samples": self.samples,
-            "seed": self.seed,
-            "order": self.order,
-            "policy": self.policy.to_dict(),
-            "a2_range": list(self.a2_range),
-            "shrink": self.shrink,
-            "ladder": list(self.ladder),
-            "alpha_grid": list(self.alpha_grid),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data) -> "CampaignConfig":
@@ -135,10 +130,7 @@ def catalog_prepends(campaign: str):
     """(id, params) rows force-included ahead of the random samples."""
     rows = [("koebe", None), ("f1", None), ("f2", None)]
     rows += [("fb", {"b": b}) for b in FB_GRID]
-    if campaign == "theorem2":
-        rows += [("identity", None), ("half_plane", None), ("log_map", None),
-                 ("example_sec1", None)]
-    return rows
+    return rows + [(cid, None) for cid in _SPECS[campaign].extra_prepends]
 
 
 def _materialize(cfg: CampaignConfig, prepends, index: int):
@@ -196,16 +188,15 @@ def _eval_theorem2(f: DiskFunction, cfg: CampaignConfig) -> dict:
     u_rep = test_class(f, "U", cfg.policy)
     rows = []
     for alpha in cfg.alpha_grid:
-        m_rep = test_class(f, "mocanu", cfg.policy, alpha=alpha)
-        violated = (alpha <= -1.0 and m_rep.verdict == "IN"
-                    and u_rep.verdict == "OUT")
+        rec = Theorem2Record(alpha, test_class(f, "mocanu", cfg.policy, alpha=alpha),
+                             u_rep)
         rows.append({
-            "alpha": alpha,
-            "m_verdict": m_rep.verdict,
-            "m_extremal": m_rep.extremal_value,
-            "u_verdict": u_rep.verdict,
-            "u_estimate": u_rep.boundary_estimate,
-            "implication_respected": not violated,
+            "alpha": rec.alpha,
+            "m_verdict": rec.m_alpha.verdict,
+            "m_extremal": rec.m_alpha.extremal_value,
+            "u_verdict": rec.u.verdict,
+            "u_estimate": rec.u.boundary_estimate,
+            "implication_respected": rec.implication_respected,
         })
     return {
         "rows": rows,
@@ -248,14 +239,6 @@ def _eval_conjecture(f: DiskFunction, cfg: CampaignConfig) -> dict:
     return {"rungs": rungs}
 
 
-_EVALUATORS = {
-    "theorem1": _eval_theorem1,
-    "theorem2": _eval_theorem2,
-    "theorem3": _eval_theorem3,
-    "conjecture": _eval_conjecture,
-}
-
-
 def _run_one(cfg: CampaignConfig, prepends, index: int) -> dict:
     try:
         source, f = _materialize(cfg, prepends, index)
@@ -263,7 +246,7 @@ def _run_one(cfg: CampaignConfig, prepends, index: int) -> dict:
         return {"index": index, "source": "sampled", "status": "rejected",
                 "error": type(exc).__name__}
     try:
-        record = _EVALUATORS[cfg.campaign](f, cfg)
+        record = _SPECS[cfg.campaign].evaluate(f, cfg)
     except (SecondCoefficientVanishes, PartCPrecondition) as exc:
         return {"index": index, "source": source, "status": "inapplicable",
                 "error": type(exc).__name__}
@@ -275,39 +258,127 @@ def _run_one(cfg: CampaignConfig, prepends, index: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# campaign specs
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Tracked:
+    """One quantity of one sample.  The report keeps the certificate of its
+    largest (smallest if not ``largest``) value, and certifies every value
+    past ``limit`` as a violation; margins are measured from ``threshold``."""
+
+    name: str
+    value: float | None
+    threshold: float | None = None
+    limit: float | None = None
+    largest: bool = True
+    witness: list | None = None
+    radius: float | None = None
+    alpha: float | None = None
+
+
+@dataclass(frozen=True)
+class _CampaignSpec:
+    evaluate: Callable  # (f, cfg) -> per-sample record
+    tracked: Callable  # (record, cfg) -> iterable of _Tracked
+    histogram: tuple  # (quantity name, record -> value, lo, hi, bins)
+    status: tuple = ("ok", "violation")  # without / with violations
+    extra_prepends: tuple = ()  # catalog ids added ahead of the samples
+    extras: Callable | None = None  # (cfg, accepted rows) -> (sections, violations)
+
+
+def _theorem1_tracked(rec, cfg):
+    delta = cfg.policy.delta
+    return (_Tracked("h2_modulus", rec["h2_modulus"], 1.0, 1.0 + delta),
+            _Tracked("h3_modulus", rec["h3_modulus"], 0.25, 0.25 + delta),
+            _Tracked("reduction_gap", rec["reduction_gap"], None, 1e-8),
+            _Tracked("ps_slack_min", rec["ps_slack_min"], 0.0, -delta, largest=False),
+            _Tracked("h3_profile_slack", rec["h3_profile_slack"], 0.0, -delta,
+                     largest=False))
+
+
+def _theorem2_tracked(rec, cfg):
+    return (_Tracked("u_boundary_estimate", rec["u_estimate"],
+                     witness=rec["u_witness"]),)
+
+
+def _theorem2_extras(cfg, rows):
+    """Catalog rows, separating exhibits (M_alpha IN, U OUT), per-alpha
+    verdict counts of the sampled rows, and the implication violations."""
+    extra = {"rows": [], "exhibits": [], "alpha_summary": {
+        f"{a:g}": {"IN": 0, "OUT": 0, "BOUNDARY": 0} for a in cfg.alpha_grid}}
+    violations = []
+    for row in rows:
+        rec = row["record"]
+        for r in rec["rows"]:
+            full = {"index": row["index"], "source": row["source"], **r}
+            if row["source"].startswith("catalog:"):
+                extra["rows"].append(full)
+            else:
+                extra["alpha_summary"][f"{r['alpha']:g}"][r["m_verdict"]] += 1
+            if r["m_verdict"] == "IN" and r["u_verdict"] == "OUT":
+                extra["exhibits"].append({**full, "function": row["function"]})
+            if not r["implication_respected"]:
+                violations.append(_certificate(cfg, row, _Tracked(
+                    "u_boundary_estimate", rec["u_estimate"], 1.0,
+                    witness=rec["u_witness"], alpha=r["alpha"])))
+    return extra, violations
+
+
+def _theorem3_tracked(rec, cfg):
+    limit = 1.0 + cfg.policy.delta
+    out = [_Tracked(f"part_{part}_sup", rec[f"part_{part}_sup"], 1.0, limit,
+                    witness=rec[f"part_{part}_witness"], radius=rec["radius"])
+           for part in ("a", "b", "c")]
+    out.append(_Tracked("phi_min_step", rec["phi_min_step"], 0.0, -1e-12,
+                        largest=False, radius=rec["radius"]))
+    return out
+
+
+def _conjecture_tracked(rec, cfg):
+    return [_Tracked(f"ug_sup@{rung['eps']:g}", rung["sup"], 1.0, 1.0 + cfg.policy.delta,
+                     witness=rung["witness"], radius=rung["radius"])
+            for rung in rec["rungs"]]
+
+
+_SPECS = {
+    "theorem1": _CampaignSpec(
+        _eval_theorem1, _theorem1_tracked,
+        ("h3_modulus", lambda rec: rec["h3_modulus"], 0.0, 0.3, 30)),
+    "theorem2": _CampaignSpec(
+        _eval_theorem2, _theorem2_tracked,
+        ("u_boundary_estimate", lambda rec: rec["u_estimate"], 0.0, 4.0, 40),
+        extra_prepends=("identity", "half_plane", "log_map", "example_sec1"),
+        extras=_theorem2_extras),
+    "theorem3": _CampaignSpec(
+        _eval_theorem3, _theorem3_tracked,
+        ("max_part_sup", lambda rec: max(
+            v for v in (rec["part_a_sup"], rec["part_b_sup"], rec["part_c_sup"])
+            if v is not None), 0.0, 1.2, 30)),
+    "conjecture": _CampaignSpec(
+        _eval_conjecture, _conjecture_tracked,
+        ("ug_sup_tightest", lambda rec: rec["rungs"][-1]["sup"], 0.0, 1.1, 22),
+        status=("evidence", "counterexample-candidate")),
+}
+CAMPAIGNS = tuple(_SPECS)
+
+
+# ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------
-def _certificate(cfg, row, quantity, value, threshold=None, witness=None,
-                 radius=None, alpha=None):
+def _certificate(cfg, row, q: _Tracked):
     return {
         "index": row["index"],
         "source": row["source"],
         "seed": cfg.seed,
-        "quantity": quantity,
-        "value": float(value),
-        "margin": None if threshold is None else float(value - threshold),
-        "witness": witness,
-        "radius": radius,
-        "alpha": alpha,
+        "quantity": q.name,
+        "value": float(q.value),
+        "margin": None if q.threshold is None else float(q.value - q.threshold),
+        "witness": q.witness,
+        "radius": q.radius,
+        "alpha": q.alpha,
         "function": row["function"],
         "config": cfg.to_dict(),
     }
-
-
-class _Extremum:
-    """Keeps the extremal certificate for one quantity; first index wins ties."""
-
-    def __init__(self, largest: bool):
-        self.largest = largest
-        self.cert = None
-
-    def offer(self, value, make_cert):
-        if value is None:
-            return
-        value = float(value)
-        if self.cert is None or (value > self.cert["value"] if self.largest
-                                 else value < self.cert["value"]):
-            self.cert = make_cert()
 
 
 def _histogram(values, lo, hi, bins):
@@ -317,118 +388,31 @@ def _histogram(values, lo, hi, bins):
     return {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
 
 
-def _aggregate(cfg: CampaignConfig, prepends, results) -> dict:
-    delta = cfg.policy.delta
+def _aggregate(cfg: CampaignConfig, results) -> dict:
+    spec = _SPECS[cfg.campaign]
     counts = {"ok": 0, "rejected": 0, "inapplicable": 0}
-    violations = []
-    worst = {}
-    hist_values = []
-    extra = {}
-
-    def track(name, largest=True):
-        if name not in worst:
-            worst[name] = _Extremum(largest)
-        return worst[name]
-
-    if cfg.campaign == "theorem2":
-        extra["rows"] = []
-        extra["exhibits"] = []
-        extra["alpha_summary"] = {
-            f"{a:g}": {"IN": 0, "OUT": 0, "BOUNDARY": 0} for a in cfg.alpha_grid}
-
+    accepted, violations, worst, hist_values = [], [], {}, []
+    hq, hist_value, lo, hi, bins = spec.histogram
     for row in results:
         counts[row["status"]] += 1
         if row["status"] != "ok":
             continue
-        rec = row["record"]
-
-        if cfg.campaign == "theorem1":
-            for name, largest, threshold in (
-                    ("h2_modulus", True, 1.0),
-                    ("h3_modulus", True, 0.25),
-                    ("reduction_gap", True, None),
-                    ("ps_slack_min", False, 0.0),
-                    ("h3_profile_slack", False, 0.0)):
-                value = rec[name]
-                track(name, largest).offer(
-                    value, partial(_certificate, cfg, row, name, value, threshold))
-                exceeded = (value > threshold + delta if largest and threshold is not None
-                            else value < -delta if not largest else False)
-                if name == "reduction_gap":
-                    exceeded = value > 1e-8
-                if exceeded:
-                    violations.append(_certificate(cfg, row, name, value, threshold))
-            hist_values.append(rec["h3_modulus"])
-
-        elif cfg.campaign == "theorem2":
-            track("u_boundary_estimate").offer(
-                rec["u_estimate"],
-                partial(_certificate, cfg, row, "u_boundary_estimate",
-                        rec["u_estimate"], None, rec["u_witness"]))
-            hist_values.append(rec["u_estimate"])
-            for r in rec["rows"]:
-                full = {"index": row["index"], "source": row["source"], **r}
-                if row["source"].startswith("catalog:"):
-                    extra["rows"].append(full)
-                else:
-                    extra["alpha_summary"][f"{r['alpha']:g}"][r["m_verdict"]] += 1
-                if r["m_verdict"] == "IN" and r["u_verdict"] == "OUT":
-                    extra["exhibits"].append({**full, "function": row["function"]})
-                if not r["implication_respected"]:
-                    violations.append(_certificate(
-                        cfg, row, "u_boundary_estimate", rec["u_estimate"],
-                        1.0, rec["u_witness"], alpha=r["alpha"]))
-
-        elif cfg.campaign == "theorem3":
-            for part in ("a", "b", "c"):
-                value = rec[f"part_{part}_sup"]
-                if value is None:
-                    continue
-                name = f"part_{part}_sup"
-                track(name).offer(value, partial(
-                    _certificate, cfg, row, name, value, 1.0,
-                    rec[f"part_{part}_witness"], rec["radius"]))
-                if value > 1.0 + delta:
-                    violations.append(_certificate(
-                        cfg, row, name, value, 1.0,
-                        rec[f"part_{part}_witness"], rec["radius"]))
-            if rec["phi_min_step"] is not None:
-                track("phi_min_step", largest=False).offer(
-                    rec["phi_min_step"], partial(
-                        _certificate, cfg, row, "phi_min_step",
-                        rec["phi_min_step"], 0.0, None, rec["radius"]))
-                if rec["phi_min_step"] < -1e-12:
-                    violations.append(_certificate(
-                        cfg, row, "phi_min_step", rec["phi_min_step"], 0.0,
-                        None, rec["radius"]))
-            hist_values.append(max(v for v in
-                                   (rec["part_a_sup"], rec["part_b_sup"],
-                                    rec["part_c_sup"]) if v is not None))
-
-        else:  # conjecture
-            for rung in rec["rungs"]:
-                name = f"ug_sup@{rung['eps']:g}"
-                track(name).offer(rung["sup"], partial(
-                    _certificate, cfg, row, name, rung["sup"], 1.0,
-                    rung["witness"], rung["radius"]))
-                if rung["sup"] > 1.0 + delta:
-                    violations.append(_certificate(
-                        cfg, row, name, rung["sup"], 1.0,
-                        rung["witness"], rung["radius"]))
-            hist_values.append(rec["rungs"][-1]["sup"])
-
-    hist_ranges = {
-        "theorem1": ("h3_modulus", 0.0, 0.3, 30),
-        "theorem2": ("u_boundary_estimate", 0.0, 4.0, 40),
-        "theorem3": ("max_part_sup", 0.0, 1.2, 30),
-        "conjecture": ("ug_sup_tightest", 0.0, 1.1, 22),
-    }
-    hq, lo, hi, bins = hist_ranges[cfg.campaign]
-
-    if cfg.campaign == "conjecture":
-        status = "counterexample-candidate" if violations else "evidence"
-    else:
-        status = "violation" if violations else "ok"
+        accepted.append(row)
+        for q in spec.tracked(row["record"], cfg):
+            if q.value is None:
+                continue
+            best = worst.get(q.name)  # the first index wins ties
+            if best is None or (q.value > best["value"] if q.largest
+                                else q.value < best["value"]):
+                worst[q.name] = _certificate(cfg, row, q)
+            if q.limit is not None and (q.value > q.limit if q.largest
+                                        else q.value < q.limit):
+                violations.append(_certificate(cfg, row, q))
+        hist_values.append(hist_value(row["record"]))
+    extra = {}
+    if spec.extras is not None:
+        extra, more = spec.extras(cfg, accepted)
+        violations += more
 
     report = {
         "campaign": cfg.campaign,
@@ -439,11 +423,10 @@ def _aggregate(cfg: CampaignConfig, prepends, results) -> dict:
         "accepted": counts["ok"],
         "rejected": counts["rejected"],
         "inapplicable": counts["inapplicable"],
-        "worst_case": {name: ext.cert for name, ext in sorted(worst.items())
-                       if ext.cert is not None},
+        "worst_case": dict(sorted(worst.items())),
         "violations": violations,
         "histogram": {"quantity": hq, **_histogram(hist_values, lo, hi, bins)},
-        "status": status,
+        "status": spec.status[bool(violations)],
     }
     report.update(extra)
     return report
@@ -467,7 +450,7 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1,
     else:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             results = list(pool.map(worker, indices))
-    report = _aggregate(cfg, prepends, results)
+    report = _aggregate(cfg, results)
     if keep_rows:
         report["per_sample"] = results
     return report
@@ -476,58 +459,23 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1,
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
-def _scan_functional(f, quantity):
-    from .operators import g_deviation, g_starlike_deviation
-
-    if quantity == "part_a_sup":
-        return g_deviation(f)
-    if quantity == "part_b_sup":
-        return g_starlike_deviation(f)
-    return u_operator(g_transform(f))[0]
-
-
-def _evaluate_quantity(f: DiskFunction, cert: dict) -> float:
-    quantity = cert["quantity"]
-    policy = ScanPolicy(**cert["config"]["policy"])
-    if quantity == "h2_modulus":
-        return hankel_det(f, 2, 2).modulus
-    if quantity == "h3_modulus":
-        return hankel_det(f, 3, 1).modulus
-    if quantity == "reduction_gap":
-        dec = decompose(f)
-        return max(abs(hankel_det(f, 2, 2).value - reduced_h2(dec.a2, dec.c)),
-                   abs(hankel_det(f, 3, 1).value - reduced_h3(dec.c)))
-    if quantity == "ps_slack_min":
-        ps = prokhorov_szynal_check(*decompose(f).c)
-        return min(ps.slack1, ps.slack2, ps.slack3)
-    if quantity == "h3_profile_slack":
-        dec = decompose(f)
-        return h3_profile_bound(abs(dec.c[0])) - abs(reduced_h3(dec.c))
-    if quantity == "u_boundary_estimate":
-        return test_class(f, "U", policy).boundary_estimate
-    if quantity == "phi_min_step":
-        ts = np.linspace(0.0, cert["radius"], 33)
-        vals = np.array([phi_profile(t, cert["radius"], abs(f.a2)) for t in ts])
-        return float(np.diff(vals).min())
-    if quantity.startswith(("part_", "ug_sup")):
-        value, _ = extremal_on_circle(
-            _scan_functional(f, quantity), "sup_modulus", cert["radius"],
-            policy.grid, policy.refine_iters)
-        return value
-    raise ReplayMismatch(f"certificate carries unknown quantity {quantity!r}")
-
-
 def replay(cert: dict) -> dict:
     """Rebuild the certified function and re-evaluate its quantity.
 
     The reconstruction goes through the stored generator parameters, not
-    the RNG, so it survives RNG implementation changes.  A mismatch beyond
-    1e-9 raises ReplayMismatch: that signals a determinism bug and must
-    fail the suite.
+    the RNG, so it survives RNG implementation changes.  The campaign's own
+    evaluator runs again on the rebuilt function and the certified quantity
+    is read from its record.  A mismatch beyond 1e-9 raises ReplayMismatch:
+    that signals a determinism bug and must fail the suite.
     """
-    f = DiskFunction.from_spec(cert["function"],
-                               order=cert["config"]["order"])
-    value = _evaluate_quantity(f, cert)
+    cfg = CampaignConfig.from_dict(cert["config"])
+    spec = _SPECS[cfg.campaign]
+    f = DiskFunction.from_spec(cert["function"], order=cfg.order)
+    values = {q.name: q.value for q in spec.tracked(spec.evaluate(f, cfg), cfg)}
+    value = values.get(cert["quantity"])
+    if value is None:
+        raise ReplayMismatch(
+            f"{cfg.campaign} campaign yields no {cert['quantity']!r} for this function")
     if abs(value - cert["value"]) > REPLAY_TOL:
         raise ReplayMismatch(
             f"{cert['quantity']} replayed to {value!r}, certificate says "

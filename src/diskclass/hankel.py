@@ -120,10 +120,6 @@ class PSRecord:
     def ok(self) -> bool:
         return min(self.slack1, self.slack2, self.slack3) >= -1e-9
 
-    def to_dict(self):
-        return {"slack1": self.slack1, "slack2": self.slack2,
-                "slack3": self.slack3, "ok": self.ok}
-
 
 def prokhorov_szynal_check(c1, c2, c3) -> PSRecord:
     """Prokhorov-Szynal constraints on (c1, c2, c3) as slack values.

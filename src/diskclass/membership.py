@@ -11,12 +11,12 @@ from sup = 1, and pretending otherwise would be false precision.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .catalog import DiskFunction
-from .errors import PartCPrecondition
+from .errors import ParamOutOfRange, PartCPrecondition
 from .operators import (
     convex_quotient,
     g_deviation,
@@ -60,9 +60,19 @@ class ScanPolicy:
     delta: float = 1e-6
     refine_iters: int = 48
 
+    def __post_init__(self):
+        if not self.grid >= 1:
+            raise ParamOutOfRange(f"grid must be at least 1, got {self.grid}")
+        if not 0.0 < self.r_max < 1.0:
+            raise ParamOutOfRange(f"r_max must lie in (0, 1), got {self.r_max}")
+        if not self.delta >= 0.0:
+            raise ParamOutOfRange(f"delta must be nonnegative, got {self.delta}")
+        if not self.refine_iters >= 0:
+            raise ParamOutOfRange(
+                f"refine_iters must be nonnegative, got {self.refine_iters}")
+
     def to_dict(self):
-        return {"r_max": self.r_max, "grid": self.grid, "delta": self.delta,
-                "refine_iters": self.refine_iters}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -176,36 +186,28 @@ CLASS_TAGS = ("U", "starlike", "convex", "mocanu", "bounded_turning")
 
 
 def class_functional(f: DiskFunction, class_tag: str, alpha=None):
-    """(functional, mode, threshold, kind) for a class tag."""
+    """(functional, mode, threshold) for a class tag."""
     if class_tag == "U":
-        return u_operator(f)[0], "sup_modulus", 1.0, "sup"
+        return u_operator(f)[0], "sup_modulus", 1.0
     if class_tag == "starlike":
-        return starlike_quotient(f), "inf_real", 0.0, "inf"
+        return starlike_quotient(f), "inf_real", 0.0
     if class_tag == "convex":
-        return convex_quotient(f), "inf_real", 0.0, "inf"
+        return convex_quotient(f), "inf_real", 0.0
     if class_tag == "mocanu":
         if alpha is None:
             raise ValueError("mocanu test requires alpha")
-        return mocanu_functional(f, alpha), "inf_real", 0.0, "inf"
+        return mocanu_functional(f, alpha), "inf_real", 0.0
     if class_tag == "bounded_turning":
-        return turning_derivative(f), "inf_real", 0.0, "inf"
+        return turning_derivative(f), "inf_real", 0.0
     raise ValueError(f"unknown class tag {class_tag!r}; expected one of {CLASS_TAGS}")
 
 
-def _verdict_sup(value, estimate, threshold, delta):
-    if estimate < threshold - delta:
-        return "IN"
-    if estimate > threshold + delta:
-        return "OUT"
-    return "BOUNDARY"
-
-
-def _verdict_inf(value, delta):
-    if value > delta:
-        return "IN"
-    if value < -delta:
-        return "OUT"
-    return "BOUNDARY"
+def _verdict(estimate, threshold, delta, sup):
+    """IN or OUT when the estimate clears the threshold by more than delta;
+    members lie below it for sup tests and above it otherwise."""
+    below, above = estimate < threshold - delta, estimate > threshold + delta
+    inside, outside = (below, above) if sup else (above, below)
+    return "IN" if inside else "OUT" if outside else "BOUNDARY"
 
 
 def test_class(f: DiskFunction, class_tag: str, policy: ScanPolicy | None = None,
@@ -220,15 +222,12 @@ def test_class(f: DiskFunction, class_tag: str, policy: ScanPolicy | None = None
     circle stops short of |z| = 1.
     """
     policy = policy or ScanPolicy()
-    functional, mode, threshold, kind = class_functional(f, class_tag, alpha)
+    functional, mode, threshold = class_functional(f, class_tag, alpha)
     value, witness = extremal_on_circle(
         functional, mode, policy.r_max, policy.grid, policy.refine_iters)
-    if kind == "sup":
-        estimate = value / policy.r_max ** 2
-        verdict = _verdict_sup(value, estimate, threshold, policy.delta)
-    else:
-        estimate = value
-        verdict = _verdict_inf(value, policy.delta)
+    sup = mode == "sup_modulus"
+    estimate = value / policy.r_max ** 2 if sup else value
+    verdict = _verdict(estimate, threshold, policy.delta, sup)
     tag = class_tag if alpha is None else f"{class_tag}({alpha:g})"
     return MembershipReport(
         class_tag=tag, verdict=verdict, extremal_value=value, witness=witness,
@@ -247,22 +246,26 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     interior singularity (a zero of f or f' makes large circles look fine
     again), so the first failure is bracketed by an outward radial walk
     before bisecting; the walk step bounds how narrow a failure dip can be
-    and still be detected.
+    and still be detected.  The bisection stops at ``tol`` (which must be
+    positive) or once the bracket can no longer be split in floating point.
     """
+    if not tol > 0.0:
+        raise ParamOutOfRange(f"tol must be positive, got {tol}")
     policy = policy or ScanPolicy()
-    functional, mode, threshold, kind = class_functional(f, class_tag, alpha)
+    functional, mode, threshold = class_functional(f, class_tag, alpha)
+    sup = mode == "sup_modulus"
 
     def clears(r):
         value, _ = extremal_on_circle(functional, mode, r, policy.grid,
                                       policy.refine_iters)
-        return value < threshold if kind == "sup" else value > threshold
+        return value < threshold if sup else value > threshold
 
     tag = class_tag if alpha is None else f"{class_tag}({alpha:g})"
     lo = 0.01
     if not clears(lo):
         return RadiusResult(tag, 0.0, (0.0, lo), tol, policy.grid)
     hi = None
-    if kind == "sup":
+    if sup:
         if clears(RADIUS_CAP):
             return RadiusResult(tag, 1.0, (RADIUS_CAP, 1.0), tol, policy.grid)
         hi = RADIUS_CAP
@@ -276,6 +279,8 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
             return RadiusResult(tag, 1.0, (RADIUS_CAP, 1.0), tol, policy.grid)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if clears(mid):
             lo = mid
         else:
@@ -307,7 +312,7 @@ def theorem3_check(f: DiskFunction, part: str, shrink: float = 0.01,
     radius = (1.0 - shrink) * abs(f.a2) / 2.0
     value, witness = extremal_on_circle(
         functional, "sup_modulus", radius, policy.grid, policy.refine_iters)
-    verdict = _verdict_sup(value, value, 1.0, policy.delta)
+    verdict = _verdict(value, 1.0, policy.delta, sup=True)
     return MembershipReport(
         class_tag=f"theorem3.{part}", verdict=verdict, extremal_value=value,
         witness=witness, scan_radius=radius, grid_size=policy.grid,
@@ -316,17 +321,19 @@ def theorem3_check(f: DiskFunction, part: str, shrink: float = 0.01,
 
 @dataclass(frozen=True)
 class Theorem2Record:
-    """Joint verdicts for the alpha-convex family versus the deviation class.
-
-    implication_respected is False only in the impossible configuration:
-    alpha <= -1, f accepted by the alpha-convex test, yet rejected by the
-    deviation test.
-    """
+    """Joint verdicts for the alpha-convex family versus the deviation class."""
 
     alpha: float
     m_alpha: MembershipReport
     u: MembershipReport
-    implication_respected: bool
+
+    @property
+    def implication_respected(self) -> bool:
+        """False only in the impossible configuration: alpha <= -1, f
+        accepted by the alpha-convex test, yet rejected by the deviation
+        test."""
+        return not (self.alpha <= -1.0 and self.m_alpha.verdict == "IN"
+                    and self.u.verdict == "OUT")
 
     def to_dict(self):
         return {
@@ -340,8 +347,6 @@ class Theorem2Record:
 def theorem2_check(f: DiskFunction, alpha: float,
                    policy: ScanPolicy | None = None) -> Theorem2Record:
     policy = policy or ScanPolicy()
-    m_alpha = test_class(f, "mocanu", policy, alpha=alpha)
-    u = test_class(f, "U", policy)
-    violated = alpha <= -1.0 and m_alpha.verdict == "IN" and u.verdict == "OUT"
-    return Theorem2Record(alpha=float(alpha), m_alpha=m_alpha, u=u,
-                          implication_respected=not violated)
+    return Theorem2Record(alpha=float(alpha),
+                          m_alpha=test_class(f, "mocanu", policy, alpha=alpha),
+                          u=test_class(f, "U", policy))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import DiskFunction, _as_1d, _guard, _GTransformKernel, _unwrap
+from .catalog import DiskFunction, _as_1d, _guard, _GTransformKernel, _omega_coeffs, _unwrap
 from .errors import ArgumentOutOfDomain, SecondCoefficientVanishes
 from .series import ComplexSeries
 
@@ -56,16 +56,16 @@ class PointFunctional:
 def u_operator(f: DiskFunction):
     """The deviation functional and its series, as a pair.
 
-    Series route: h = reciprocal(f/z), U = h - z h' - 1.  The functional
-    evaluates the same expression through the closed-form kernel; U(0) = 0
-    falls out of h(0) = 1 with no special casing.
+    Series route: U = h - z h' - 1 on the quotient series of f.  The
+    functional evaluates the same expression through the closed-form kernel;
+    U(0) = 0 falls out of h(0) = 1 with no special casing.
     """
     k = f.kernel
 
     def fn(zz):
         return k.h(zz) - zz * k.h1(zz) - 1.0
 
-    h = f.series.div_z().reciprocal()
+    h = f.quotient
     series = h - h.derivative().mul_z() - 1.0
     return PointFunctional("U", f.id, fn), series
 
@@ -114,31 +114,33 @@ def turning_derivative(f: DiskFunction) -> PointFunctional:
     return PointFunctional("bounded_turning", f.id, fn)
 
 
+def _require_a2(f: DiskFunction) -> complex:
+    if abs(f.a2) < EPS_A2:
+        raise SecondCoefficientVanishes(
+            f"|a2| = {abs(f.a2):.3e} is below {EPS_A2}; the transform is undefined")
+    return f.a2
+
+
 def g_transform(f: DiskFunction) -> DiskFunction:
     """g = ((z/f) - 1)/(-a2), normalized whenever a2 != 0.
 
     g(z) = z + (1/a2) z omega1(z) in terms of the decomposition of f, so
     its quotient z/g = a2/(a2 + omega1(z)) stays smooth at the origin.
     """
-    if abs(f.a2) < EPS_A2:
-        raise SecondCoefficientVanishes(
-            f"|a2| = {abs(f.a2):.3e} is below {EPS_A2}; the transform is undefined")
-    h = f.series.div_z().reciprocal()
-    g_coeffs = np.zeros(h.coeffs.size, dtype=np.complex128)
+    _require_a2(f)
+    h = f.quotient.coeffs
+    g_coeffs = np.zeros(h.size, dtype=np.complex128)
     g_coeffs[1] = 1.0
     # omega1 coefficients are -h_{j+1}, so g_k = omega1_{k-1}/a2 = -h_k/a2
-    g_coeffs[2:] = -h.coeffs[2:] / f.a2
+    g_coeffs[2:] = -h[2:] / f.a2
     g_series = ComplexSeries(g_coeffs)
-    kernel = _GTransformKernel(f.kernel, f.a2, g_series)
-    return DiskFunction("g_transform", {"of": f.to_spec()}, kernel, g_series)
+    kernel = _GTransformKernel(f.kernel, f.a2, g_series.coefficient(2))
+    return DiskFunction("g_transform", {"of": f.to_spec()}, kernel, series=g_series)
 
 
 def g_deviation(f: DiskFunction) -> PointFunctional:
     """g'(z) - 1 = (omega1(z) + z psi(z))/a2 for the transform of f."""
-    if abs(f.a2) < EPS_A2:
-        raise SecondCoefficientVanishes(
-            f"|a2| = {abs(f.a2):.3e} is below {EPS_A2}; the transform is undefined")
-    k, a2 = f.kernel, f.a2
+    k, a2 = f.kernel, _require_a2(f)
 
     def fn(zz):
         return (k.omega1(zz) + zz * k.psi(zz)) / a2
@@ -148,10 +150,7 @@ def g_deviation(f: DiskFunction) -> PointFunctional:
 
 def g_starlike_deviation(f: DiskFunction) -> PointFunctional:
     """z g'(z)/g(z) - 1 = z psi(z)/(a2 + omega1(z)) for the transform of f."""
-    if abs(f.a2) < EPS_A2:
-        raise SecondCoefficientVanishes(
-            f"|a2| = {abs(f.a2):.3e} is below {EPS_A2}; the transform is undefined")
-    k, a2 = f.kernel, f.a2
+    k, a2 = f.kernel, _require_a2(f)
 
     def fn(zz):
         den = a2 + k.omega1(zz)
@@ -178,11 +177,9 @@ class OmegaDecomposition:
 
 
 def decompose(f: DiskFunction) -> OmegaDecomposition:
-    """Split f into (a2, omega1) via its series; exact for class members."""
-    h = f.series.div_z().reciprocal()
-    om = np.zeros(max(h.coeffs.size - 1, 1), dtype=np.complex128)
-    om[1:] = -h.coeffs[2:]
-    omega = ComplexSeries(om)
+    """Split f into (a2, omega1) via its quotient series; exact for class members."""
+    h = f.quotient
+    omega = ComplexSeries(_omega_coeffs(h.coeffs))
     c = tuple(omega.coefficient(k) for k in (1, 2, 3))
     return OmegaDecomposition(a2=complex(h.coefficient(1)) * -1.0, omega1=omega, c=c)
 

@@ -42,7 +42,3 @@ def complex_pair(z) -> list:
     """[re, im] encoding used throughout the JSON schemas."""
     z = complex(z)
     return [z.real, z.imag]
-
-
-def pair_complex(pair) -> complex:
-    return complex(float(pair[0]), float(pair[1]))

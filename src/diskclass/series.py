@@ -8,21 +8,19 @@ mathematical value.  Instances are immutable: every operation returns a new
 series.
 
 >>> z = ComplexSeries.variable(4)
->>> (ComplexSeries.one(4) - z).reciprocal().coeffs.real.tolist()
-[1.0, 1.0, 1.0, 1.0, 1.0]
+>>> ((ComplexSeries.one(4) - z) * (ComplexSeries.one(4) + z)).coeffs.real.tolist()
+[1.0, 0.0, -1.0, 0.0, 0.0]
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NearZeroConstantTerm, NonzeroInnerConstant
+from .errors import NearZeroConstantTerm
 
 DEFAULT_ORDER = 64
 
 # Guard on |c_0| below which a reciprocal is refused.
 EPS_DIV = 1e-12
-# Guard on the inner constant term of a composition.
-EPS_INNER = 1e-14
 
 
 class ComplexSeries:
@@ -40,10 +38,6 @@ class ComplexSeries:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
-    @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "ComplexSeries":
-        return cls(np.zeros(order + 1, dtype=np.complex128))
-
     @classmethod
     def one(cls, order: int = DEFAULT_ORDER) -> "ComplexSeries":
         c = np.zeros(order + 1, dtype=np.complex128)
@@ -122,9 +116,6 @@ class ComplexSeries:
     def __sub__(self, other):
         return self + (-other if isinstance(other, ComplexSeries) else -complex(other))
 
-    def __rsub__(self, other):
-        return (-self) + complex(other)
-
     def __mul__(self, other):
         if isinstance(other, ComplexSeries):
             m = min(self.order, other.order) + 1
@@ -132,9 +123,6 @@ class ComplexSeries:
         return ComplexSeries(self._c * complex(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return ComplexSeries(self._c / complex(other))
 
     def reciprocal(self) -> "ComplexSeries":
         """Series of 1/f, same order, via the convolution recurrence."""
@@ -162,18 +150,6 @@ class ComplexSeries:
         out = np.zeros(c.size + 1, dtype=np.complex128)
         out[1:] = c / np.arange(1, c.size + 1)
         return ComplexSeries(out)
-
-    def compose(self, inner: "ComplexSeries") -> "ComplexSeries":
-        """self(inner(z)); the inner series must vanish at the origin."""
-        if abs(inner._c[0]) > EPS_INNER:
-            raise NonzeroInnerConstant(
-                f"inner constant term {inner._c[0]!r} exceeds {EPS_INNER}")
-        m = min(self.order, inner.order)
-        inn = inner.truncate(m)
-        acc = ComplexSeries.zero(m)
-        for ck in self._c[m::-1]:
-            acc = acc * inn + complex(ck)
-        return acc
 
     def rotate(self, theta: float) -> "ComplexSeries":
         """Coefficient rotation c_n -> exp(i(n-1)theta) c_n.

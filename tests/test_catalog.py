@@ -11,6 +11,8 @@ from diskclass import (
     build_member,
     catalog_ids,
     count_zeros_on_disk,
+    decompose,
+    hankel_det,
     make_catalog,
     sample_schwarz,
     seed_key,
@@ -220,6 +222,40 @@ class TestBuildMember:
             c = -np.exp(2j * chi) * (t * t / 4 + mu * mu)
             f = build_member(t * np.exp(1j * chi), SchwarzGenerator.constant(c))
             assert abs(f.a2) == pytest.approx(t, abs=1e-12)
+
+    def test_decompose_returns_the_construction_data_exactly(self):
+        # the quotient is kept as built, so no round trip through f blurs a2 or c
+        rng = np.random.default_rng(seed_key(5))
+        built = 0
+        for seed in range(60):
+            for kind in RNG_KINDS:
+                gen = sample_schwarz(seed, kind, degree=seed % 7)
+                a2 = rng.uniform(0.05, 1.0) * np.exp(2j * np.pi * rng.uniform())
+                try:
+                    f = build_member(a2, gen)
+                except DenominatorVanishes:
+                    continue
+                dec = decompose(f)
+                assert dec.a2 == a2 and f.a2 == a2
+                assert dec.c == gen.c_coefficients()
+                built += 1
+        assert built > 100
+
+    def test_one_series_inversion_per_polynomial_member(self, monkeypatch):
+        gen = SchwarzGenerator.polynomial([0.2, -0.3, 0.1j])
+        calls = []
+        reciprocal = ComplexSeries.reciprocal
+
+        def counted(series):
+            calls.append(series.order)
+            return reciprocal(series)
+
+        monkeypatch.setattr(ComplexSeries, "reciprocal", counted)
+        f = build_member(0.6 - 0.2j, gen)
+        decompose(f)
+        hankel_det(f, 2, 2)
+        hankel_det(f, 3, 1)
+        assert len(calls) == 1
 
     def test_member_spec_round_trip(self):
         gen = SchwarzGenerator.blaschke([0.25 - 0.1j], rho=0.5, theta=0.3)

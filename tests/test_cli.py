@@ -117,6 +117,14 @@ class TestSeriesFile:
         assert code == 0
         assert payload["modulus"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_unnormalized_series_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"order": 2, "coeffs": [[0, 0], [2, 0], [1, 0]]}))
+        code, out, err = run_cli(capsys, "hankel", "--series-file", str(path),
+                                 "--q", "1", "--n", "1")
+        assert code == 2
+        assert "not normalized" in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "hankel", "--series-file",
                                  str(tmp_path / "absent.json"),
@@ -203,6 +211,54 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, "decompose")
         assert code == 2
         assert "--id or --series-file" in err
+
+    @pytest.mark.parametrize("flags, word", [
+        (["--grid", "0"], "grid"),
+        (["--r-max", "1.5"], "r_max"),
+        (["--r-max", "0"], "r_max"),
+        (["--delta=-1e-6"], "delta"),
+    ])
+    def test_scan_policy_is_validated(self, capsys, flags, word):
+        code, out, err = run_cli(capsys, "membership", "--id", "koebe",
+                                 "--class", "U", *flags)
+        assert code == 2
+        assert out == ""
+        assert word in err
+
+
+@pytest.fixture
+def scan_budget(monkeypatch):
+    """Fail, instead of hanging, once a radius search runs away."""
+    import diskclass.membership as membership
+
+    scans = []
+    original = membership.extremal_on_circle
+
+    def counted(*args, **kwargs):
+        scans.append(1)
+        assert len(scans) < 400, "radius bisection does not terminate"
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(membership, "extremal_on_circle", counted)
+
+
+class TestRadiusTolerance:
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_nonpositive_tolerance_is_rejected(self, capsys, scan_budget, tol):
+        code, out, err = run_cli(capsys, "radius", "--id", "koebe",
+                                 "--class", "convex", "--tol", tol)
+        assert code == 2
+        assert "tol must be positive" in err
+
+    def test_tolerance_below_float_resolution_terminates(self, capsys,
+                                                          scan_budget):
+        # bisection stops once the midpoint no longer splits the bracket
+        code, payload = run_json(capsys, "radius", "--id", "log_map", "--class",
+                                 "U", "--tol", "1e-20", "--grid", "64")
+        assert code == 0
+        lo, hi = payload["bracket"]
+        assert 0.9 < lo < hi < 1.0
+        assert (lo + hi) / 2 in (lo, hi)
 
 
 def test_module_entry_point():

@@ -236,3 +236,21 @@ class TestRowExport:
         assert write_rows_csv(t1_report, buf) == 0
         assert buf.getvalue().splitlines() == [
             "index,source,status,error,record"]
+
+
+class TestReplayCoverage:
+    @pytest.mark.parametrize("fixture, quantities", [
+        ("t1_report", {"h2_modulus", "h3_modulus", "reduction_gap",
+                       "ps_slack_min", "h3_profile_slack"}),
+        ("t2_report", {"u_boundary_estimate"}),
+        ("t3_report", {"part_a_sup", "part_b_sup", "part_c_sup", "phi_min_step"}),
+        ("conj_report", {f"ug_sup@{eps:g}" for eps in LADDER}),
+    ])
+    def test_every_worst_case_certificate_replays(self, request, fixture,
+                                                  quantities):
+        report = request.getfixturevalue(fixture)
+        assert set(report["worst_case"]) == quantities
+        for name, cert in report["worst_case"].items():
+            out = replay(cert)
+            assert out["replayed_value"] == pytest.approx(cert["value"],
+                                                          abs=1e-9), name

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskclass.errors import NearZeroConstantTerm, NonzeroInnerConstant
+from diskclass.errors import NearZeroConstantTerm
 from diskclass.series import ComplexSeries
 
 
@@ -33,14 +33,6 @@ class TestFrozenValues:
         back = d.integrate()
         assert np.allclose(back.coeffs[: s.order + 1], s.coeffs, atol=1e-15)
 
-    def test_compose_geometric(self):
-        # 1/(1 - z^2): substitute z^2 into the geometric series
-        g = geometric(12)
-        z2 = ComplexSeries.variable(12) * ComplexSeries.variable(12)
-        c = g.compose(z2)
-        expect = [1.0 if n % 2 == 0 else 0.0 for n in range(c.order + 1)]
-        assert np.allclose(c.coeffs, expect, atol=1e-13)
-
     def test_call_matches_closed_form(self):
         g = geometric(64)
         for z in (0.3, -0.5j, 0.2 + 0.4j):
@@ -66,10 +58,6 @@ class TestGuards:
     def test_reciprocal_requires_unit_scale_constant(self):
         with pytest.raises(NearZeroConstantTerm):
             ComplexSeries([0.0, 1.0]).reciprocal()
-
-    def test_compose_requires_vanishing_inner_constant(self):
-        with pytest.raises(NonzeroInnerConstant):
-            geometric(4).compose(ComplexSeries([0.5, 1.0]))
 
     def test_div_z_requires_zero_constant(self):
         with pytest.raises(ValueError):
