@@ -4,8 +4,9 @@ Every function handled by the toolkit is normalized (f(0) = 0, f'(0) = 1)
 and analytic on the open unit disk, and is handled through its reciprocal
 quotient h = z/f:
 
-* closed-form evaluators for h and its first two derivatives (f, f', f''
-  are derived from these) drive boundary scans;
+* a kernel of closed forms drives boundary scans; it is the one place
+  where h, f and their first two derivatives and the omega data (omega1,
+  psi = omega1', psi') are evaluated at points;
 * one truncated Taylor series drives coefficient work.  A DiskFunction
   keeps the series its constructor knows exactly (h for functions defined
   by their quotient, f for functions defined by their expansion) and
@@ -38,6 +39,8 @@ CERT_SAMPLES = 8192
 MIN_BOUNDARY_ABS = 1e-9
 # Pointwise functional guard: denominators must exceed this in modulus.
 EPS_DENOM = 1e-12
+# An f series counts as normalized when |a_0| and |a_1 - 1| stay below this.
+NORMALIZATION_TOL = 1e-9
 
 __all__ = [
     "DiskFunction",
@@ -52,13 +55,12 @@ __all__ = [
 ]
 
 
-def _as_1d(z):
+def _pointwise(fn, z):
+    """Apply a vectorized fn to a scalar or an ndarray of points; a scalar
+    argument gives a complex result."""
     zz = np.asarray(z, dtype=np.complex128)
-    return np.atleast_1d(zz), zz.ndim == 0
-
-
-def _unwrap(values, scalar):
-    return complex(values[0]) if scalar else values
+    values = fn(np.atleast_1d(zz))
+    return complex(values[0]) if zz.ndim == 0 else values
 
 
 def _guard(values, points, what):
@@ -88,15 +90,15 @@ class _Kernel:
     """Closed-form accessors shared by every representation of h = z/f.
 
     Subclasses must provide vectorized ``h``, ``h1``, ``h2`` on 1-d complex
-    arrays plus an ``a2`` attribute.  The omega accessors default to
-    algebraic rearrangements of h; those divide by powers of z, so for
-    |z| below ``mask_radius`` they fall back to the polynomial kernel of
-    the quotient series of ``owner``, the DiskFunction the kernel belongs
-    to.
+    arrays plus an ``a2`` attribute.  f, f', f'' default to f = z/h and its
+    derivatives, guarded against a vanishing h.  The omega accessors
+    default to algebraic rearrangements of h; those divide by powers of z,
+    so for |z| below ``mask_radius`` they fall back to the polynomial
+    kernel of the quotient series of ``owner``, the DiskFunction the kernel
+    belongs to.
     """
 
     mask_radius = 1e-3
-    direct_f = None  # optional (f, f1, f2) closed forms
     owner = None
     _near_origin = None
 
@@ -111,6 +113,22 @@ class _Kernel:
         if far.any():
             out[far] = closed(z[far])
         return out
+
+    def f(self, z):
+        hv = self.h(z)
+        _guard(hv, z, "z/f")
+        return z / hv
+
+    def f1(self, z):
+        hv = self.h(z)
+        _guard(hv, z, "f'")
+        return (hv - z * self.h1(z)) / hv ** 2
+
+    def f2(self, z):
+        hv = self.h(z)
+        _guard(hv, z, "f''")
+        h1v = self.h1(z)
+        return (-z * self.h2(z) * hv - 2.0 * h1v * (hv - z * h1v)) / hv ** 3
 
     def omega1(self, z):
         return self._masked(z, lambda w: (1.0 - self.a2 * w - self.h(w)) / w, "omega1")
@@ -162,6 +180,12 @@ class _BlaschkeKernel(_Kernel):
         poles = 1.0 / self.conj_alphas
         self.residues = npp.polyval(poles, rem) / npp.polyval(poles, self.q1_poly)
 
+    def psi_taylor(self, order):
+        """Taylor series of psi to the given order: one series inversion."""
+        num = ComplexSeries(self.p_poly).pad_to(order)
+        den = ComplexSeries(self.q_poly).pad_to(order)
+        return num * den.reciprocal()
+
     # psi and its derivative as a plain rational function
     def psi(self, z):
         return npp.polyval(z, self.p_poly) / npp.polyval(z, self.q_poly)
@@ -191,24 +215,28 @@ class _LogQuotientKernel(_Kernel):
     """Kernel for f(z) = -log(1 - z), the convex-but-not-bounded witness."""
 
     a2 = 0.5
-    direct_f = (
-        lambda z: -np.log(1.0 - z),
-        lambda z: 1.0 / (1.0 - z),
-        lambda z: (1.0 - z) ** -2.0,
-    )
+
+    def f(self, z):
+        return -np.log(1.0 - z)
+
+    def f1(self, z):
+        return 1.0 / (1.0 - z)
+
+    def f2(self, z):
+        return (1.0 - z) ** -2.0
 
     def h(self, z):
-        return self._masked(z, lambda w: w / self.direct_f[0](w), "h")
+        return self._masked(z, lambda w: w / self.f(w), "h")
 
     def h1(self, z):
         def closed(w):
-            fv = self.direct_f[0](w)
-            return (fv - w * self.direct_f[1](w)) / fv ** 2
+            fv = self.f(w)
+            return (fv - w * self.f1(w)) / fv ** 2
         return self._masked(z, closed, "h1")
 
     def h2(self, z):
         def closed(w):
-            fv, f1v, f2v = (g(w) for g in self.direct_f)
+            fv, f1v, f2v = self.f(w), self.f1(w), self.f2(w)
             return (-w * f2v * fv - 2.0 * f1v * (fv - w * f1v)) / fv ** 3
         return self._masked(z, closed, "h2")
 
@@ -253,9 +281,9 @@ class DiskFunction:
     the one series its caller knows exactly; h and f/z are reciprocal
     series, so the other one is derived by a single inversion on first use
     and cached.  Without a kernel the closed forms are the truncated
-    polynomial of the quotient.  ``eval_f``/``eval_f1``/``eval_f2`` accept
-    scalars or ndarrays and evaluate through the kernel (f = z/h and
-    derivatives), except for entries that carry direct closed forms.
+    polynomial of the quotient.  The pointwise accessors (``eval_f``,
+    ``eval_f1``, ``eval_f2``, ``h``, ``h1``, ``omega1``) accept scalars or
+    ndarrays and delegate to the kernel.
     """
 
     def __init__(self, fid, params, kernel=None, *, series=None, quotient=None):
@@ -264,7 +292,8 @@ class DiskFunction:
         self._f, self._h = series, quotient
         if quotient is not None:
             self.a2 = complex(quotient.coefficient(1)) * -1.0
-        elif abs(series.coefficient(0)) > 1e-9 or abs(series.coefficient(1) - 1.0) > 1e-9:
+        elif (abs(series.coefficient(0)) > NORMALIZATION_TOL
+              or abs(series.coefficient(1) - 1.0) > NORMALIZATION_TOL):
             raise ParamOutOfRange(f"series of {fid!r} is not normalized")
         else:
             self.a2 = complex(series.coefficient(2))
@@ -286,7 +315,7 @@ class DiskFunction:
         return self._h
 
     def _derive(self):
-        known = self._f.div_z() if self._h is None else self._h
+        known = self._f.div_z(NORMALIZATION_TOL) if self._h is None else self._h
         other = known.reciprocal()
         if self._h is None:
             self._h = other
@@ -296,45 +325,24 @@ class DiskFunction:
     def __repr__(self):
         return f"DiskFunction(id={self.id!r}, params={self.params!r}, a2={self.a2:.6g})"
 
-    # -- closed-form evaluation ----------------------------------------
+    # -- pointwise evaluation through the kernel ---------------------------
     def eval_f(self, z):
-        zz, scalar = _as_1d(z)
-        if self.kernel.direct_f is not None:
-            return _unwrap(self.kernel.direct_f[0](zz), scalar)
-        hv = self.kernel.h(zz)
-        _guard(hv, zz, "z/f")
-        return _unwrap(zz / hv, scalar)
+        return _pointwise(self.kernel.f, z)
 
     def eval_f1(self, z):
-        zz, scalar = _as_1d(z)
-        if self.kernel.direct_f is not None:
-            return _unwrap(self.kernel.direct_f[1](zz), scalar)
-        hv = self.kernel.h(zz)
-        _guard(hv, zz, "f'")
-        return _unwrap((hv - zz * self.kernel.h1(zz)) / hv ** 2, scalar)
+        return _pointwise(self.kernel.f1, z)
 
     def eval_f2(self, z):
-        zz, scalar = _as_1d(z)
-        if self.kernel.direct_f is not None:
-            return _unwrap(self.kernel.direct_f[2](zz), scalar)
-        hv = self.kernel.h(zz)
-        _guard(hv, zz, "f''")
-        h1v = self.kernel.h1(zz)
-        val = (-zz * self.kernel.h2(zz) * hv - 2.0 * h1v * (hv - zz * h1v)) / hv ** 3
-        return _unwrap(val, scalar)
+        return _pointwise(self.kernel.f2, z)
 
-    # -- quotient and omega accessors ------------------------------------
     def h(self, z):
-        zz, scalar = _as_1d(z)
-        return _unwrap(self.kernel.h(zz), scalar)
+        return _pointwise(self.kernel.h, z)
 
     def h1(self, z):
-        zz, scalar = _as_1d(z)
-        return _unwrap(self.kernel.h1(zz), scalar)
+        return _pointwise(self.kernel.h1, z)
 
     def omega1(self, z):
-        zz, scalar = _as_1d(z)
-        return _unwrap(self.kernel.omega1(zz), scalar)
+        return _pointwise(self.kernel.omega1, z)
 
     # -- serialization ----------------------------------------------------
     def to_spec(self) -> dict:
@@ -411,6 +419,8 @@ def make_catalog(cid: str, params=None, order: int = DEFAULT_ORDER) -> DiskFunct
     ``fb`` requires a parameter b with 0 < b <= 2; every other id takes no
     parameters.  Unknown ids raise UnknownId.
     """
+    if order < 1:
+        raise ParamOutOfRange(f"series order must be at least 1, got {order}")
     params = dict(params or {})
     if cid == "fb":
         b = params.get("b")
@@ -449,9 +459,11 @@ class SchwarzGenerator:
       caller).
     """
 
-    def __init__(self, kind, params, order=DEFAULT_ORDER):
+    def __init__(self, kind, params):
         self.kind = kind
         self.params = params
+        self._coeffs = None  # psi's coefficients, for the polynomial kinds
+        self._unit = None  # kernel of the a2 = 0 member, built on first use
         if kind == "scaled_unimodular":
             rho, theta = float(params["rho"]), float(params["theta"])
             if not 0.0 <= rho <= 1.0:
@@ -473,65 +485,67 @@ class SchwarzGenerator:
             if not 0.0 <= rho <= 1.0:
                 raise ParamOutOfRange(f"rho = {rho} outside [0, 1]")
             self._alphas, self._rho, self._theta = alphas, rho, theta
-            self._coeffs = None
         else:
             raise ParamOutOfRange(f"unknown generator kind {kind!r}")
-        self.psi_series = self.psi_taylor(order)
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def constant(cls, w, order=DEFAULT_ORDER):
+    def constant(cls, w):
         w = complex(w)
-        return cls("scaled_unimodular",
-                   {"rho": abs(w), "theta": float(np.angle(w))}, order)
+        return cls("scaled_unimodular", {"rho": abs(w), "theta": float(np.angle(w))})
 
     @classmethod
-    def polynomial(cls, coeffs, order=DEFAULT_ORDER):
+    def polynomial(cls, coeffs):
         pairs = [[float(np.real(c)), float(np.imag(c))] for c in np.atleast_1d(coeffs)]
-        return cls("random_polynomial", {"coeffs": pairs}, order)
+        return cls("random_polynomial", {"coeffs": pairs})
 
     @classmethod
-    def blaschke(cls, alphas, rho, theta, order=DEFAULT_ORDER):
+    def blaschke(cls, alphas, rho, theta):
         pairs = [[float(np.real(a)), float(np.imag(a))] for a in np.atleast_1d(alphas)]
         return cls("blaschke_product",
-                   {"alphas": pairs, "rho": float(rho), "theta": float(theta)}, order)
+                   {"alphas": pairs, "rho": float(rho), "theta": float(theta)})
 
-    # -- evaluation ----------------------------------------------------------
-    def _rational(self):
-        try:
-            return self._rat_cache
-        except AttributeError:
-            k = _BlaschkeKernel(0j, self._alphas,
-                                self._rho, self._theta)
-            self._rat_cache = k
-            return k
+    # -- members and evaluation ----------------------------------------------
+    def member(self, a2, order: int = DEFAULT_ORDER):
+        """Quotient coefficients and kernel of h = 1 - a2 z - z omega1, omega1' = psi.
+
+        The coefficients are exact for the polynomial kinds, whose kernel is
+        that polynomial; for a Blaschke product they are the expansion of
+        psi to ``order`` (one series inversion) and the kernel integrates
+        psi in closed form.
+        """
+        a2 = complex(a2)
+        if self._coeffs is None:
+            kernel = _BlaschkeKernel(a2, self._alphas, self._rho, self._theta)
+            psi = kernel.psi_taylor(order).coeffs
+        else:
+            kernel, psi = None, self._coeffs
+        h = np.zeros(psi.size + 2, dtype=np.complex128)
+        h[0] = 1.0
+        h[1] = -a2
+        h[2:] = -psi / np.arange(1, psi.size + 1)
+        return h, kernel if kernel is not None else _PolyKernel(h)
+
+    def _kernel(self):
+        if self._unit is None:  # order 0: only the kernel is used
+            self._unit = self.member(0j, 0)[1]
+        return self._unit
 
     def psi(self, z):
-        zz, scalar = _as_1d(z)
-        if self._coeffs is not None:
-            return _unwrap(npp.polyval(zz, self._coeffs), scalar)
-        return _unwrap(self._rational().psi(zz), scalar)
+        return _pointwise(self._kernel().psi, z)
 
     def psi_prime(self, z):
-        zz, scalar = _as_1d(z)
-        if self._coeffs is not None:
-            return _unwrap(npp.polyval(zz, _polyder(self._coeffs)), scalar)
-        return _unwrap(self._rational().psi1(zz), scalar)
+        return _pointwise(self._kernel().psi1, z)
 
     def omega1(self, z):
-        zz, scalar = _as_1d(z)
-        if self._coeffs is not None:
-            return _unwrap(npp.polyval(zz, npp.polyint(self._coeffs)), scalar)
-        return _unwrap(self._rational().omega1(zz), scalar)
+        return _pointwise(self._kernel().omega1, z)
 
     def psi_taylor(self, order: int) -> ComplexSeries:
         """Taylor coefficients of psi to the given order (exact for the
         polynomial kinds, true expansion for Blaschke products)."""
-        if self._coeffs is not None:
-            return ComplexSeries(self._coeffs).pad_to(order).truncate(order)
-        num = ComplexSeries(self._rational().p_poly).pad_to(order)
-        den = ComplexSeries(self._rational().q_poly).pad_to(order)
-        return num * den.reciprocal()
+        if self._coeffs is None:
+            return self._kernel().psi_taylor(order)
+        return ComplexSeries(self._coeffs).pad_to(order).truncate(order)
 
     def c_coefficients(self):
         """First three Taylor coefficients of omega1 (c1, c2, c3).
@@ -539,7 +553,7 @@ class SchwarzGenerator:
         omega1_k = psi_{k-1}/k, divided as build_member divides, so these
         equal the c of a built member exactly.
         """
-        p = self.psi_series.coeffs[:3]
+        p = self.psi_taylor(2).coeffs[:3]
         c = np.zeros(3, dtype=np.complex128)
         c[:p.size] = p / np.arange(1, p.size + 1)
         return tuple(complex(ck) for ck in c)
@@ -549,8 +563,8 @@ class SchwarzGenerator:
         return {"kind": self.kind, "params": self.params}
 
     @classmethod
-    def from_dict(cls, data, order=DEFAULT_ORDER):
-        return cls(data["kind"], data["params"], order)
+    def from_dict(cls, data):
+        return cls(data["kind"], data["params"])
 
 
 def _sample_generator(rng, kind, degree):
@@ -622,17 +636,9 @@ def build_member(a2, generator: SchwarzGenerator,
     a2 = complex(a2)
     if abs(a2) > 2.0 + 1e-12:
         raise ParamOutOfRange(f"|a2| = {abs(a2):.6g} exceeds the admissible bound 2")
-    blaschke = generator.kind == "blaschke_product"
-    psi = generator.psi_taylor(order).coeffs if blaschke else generator._coeffs
-    h = np.zeros(psi.size + 2, dtype=np.complex128)
-    h[0] = 1.0
-    h[1] = -a2
-    h[2:] = -psi / np.arange(1, psi.size + 1)
-    if blaschke:
-        kernel = _BlaschkeKernel(a2, generator._alphas, generator._rho,
-                                 generator._theta)
-    else:
-        kernel = _PolyKernel(h)
+    if order < 1:
+        raise ParamOutOfRange(f"series order must be at least 1, got {order}")
+    h, kernel = generator.member(a2, order)
     try:
         winding = count_zeros_on_disk(kernel.h)
     except BoundaryTooClose as exc:

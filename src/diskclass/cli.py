@@ -12,7 +12,7 @@ import json
 import sys
 
 from .catalog import DiskFunction, catalog_ids, make_catalog
-from .errors import DiskClassError
+from .errors import ArgumentOutOfDomain, DiskClassError, ParamOutOfRange
 from .explorer import (
     ALPHA_GRID,
     CAMPAIGNS,
@@ -24,7 +24,7 @@ from .explorer import (
 from .hankel import hankel_det
 from .membership import CLASS_TAGS, ScanPolicy, radius_of, test_class
 from .operators import decompose, g_transform, u_operator
-from .serialize import _canon, canonical_json
+from .serialize import _canon, canonical_json, complex_pair
 
 VERDICT_EXIT = {"IN": 0, "OUT": 3, "BOUNDARY": 4}
 
@@ -47,33 +47,31 @@ def _policy_overrides(args) -> dict:
 
 
 def _function_from(args) -> DiskFunction:
-    order = getattr(args, "order", None) or 64
-    if getattr(args, "series_file", None):
+    if args.series_file:
         with open(args.series_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         from .series import ComplexSeries
 
         f = DiskFunction.from_series(ComplexSeries.from_json_dict(data))
-    elif getattr(args, "id", None):
+    elif args.id:
         params = {"b": args.b} if args.id == "fb" else None
         if args.id == "fb" and args.b is None:
             raise DiskClassError("--id fb requires --b")
-        f = make_catalog(args.id, params, order=order)
+        f = make_catalog(args.id, params, order=args.order)
     else:
         raise DiskClassError("provide --id or --series-file")
-    if getattr(args, "of_g", False):
+    if args.of_g:
         f = g_transform(f)
     return f
 
 
-def _fn_flags(sub, with_order=True):
+def _fn_flags(sub):
     sub.add_argument("--id", help="catalog id (see the catalog subcommand)")
     sub.add_argument("--b", type=float, help="parameter of the fb family")
     sub.add_argument("--series-file", help="JSON file with a Taylor series")
     sub.add_argument("--of-g", action="store_true",
                      help="apply the normalized transform g before testing")
-    if with_order:
-        sub.add_argument("--order", type=int, default=64)
+    sub.add_argument("--order", type=int, default=64)
 
 
 def _policy_flags(sub):
@@ -158,17 +156,17 @@ def _parse_point(text: str) -> complex:
 
 
 def _parse_range(text: str):
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise DiskClassError(f"--a2 expects lo:hi, got {text!r}")
-    return (float(lo), float(hi))
+    lo, _, hi = text.partition(":")
+    try:
+        return (float(lo), float(hi))
+    except ValueError as exc:
+        raise ParamOutOfRange(f"--a2 expects lo:hi, got {text!r}") from exc
 
 
 def _echo_function(args) -> dict:
-    if getattr(args, "series_file", None):
+    if args.series_file:
         return {"series_file": args.series_file, "of_g": bool(args.of_g)}
-    return {"id": args.id, "b": args.b, "of_g": bool(getattr(args, "of_g", False)),
-            "order": getattr(args, "order", None)}
+    return {"id": args.id, "b": args.b, "of_g": bool(args.of_g), "order": args.order}
 
 
 def cmd_membership(args) -> int:
@@ -247,16 +245,17 @@ def cmd_decompose(args) -> int:
 def cmd_eval(args) -> int:
     f = _function_from(args)
     z = _parse_point(args.point)
-    u_fn, _ = u_operator(f)
+    if not abs(z) < 1.0:
+        raise ArgumentOutOfDomain(f"point {z!r} lies outside the open unit disk")
+    u = u_operator(f)(z)
     payload = {
-        "config": {"function": _echo_function(args),
-                   "point": [z.real, z.imag]},
-        "f": [complex(f.eval_f(z)).real, complex(f.eval_f(z)).imag],
-        "f_prime": [complex(f.eval_f1(z)).real, complex(f.eval_f1(z)).imag],
-        "f_second": [complex(f.eval_f2(z)).real, complex(f.eval_f2(z)).imag],
-        "quotient_h": [complex(f.h(z)).real, complex(f.h(z)).imag],
-        "deviation_u": [complex(u_fn(z)).real, complex(u_fn(z)).imag],
-        "deviation_u_abs": abs(complex(u_fn(z))),
+        "config": {"function": _echo_function(args), "point": complex_pair(z)},
+        "f": complex_pair(f.eval_f(z)),
+        "f_prime": complex_pair(f.eval_f1(z)),
+        "f_second": complex_pair(f.eval_f2(z)),
+        "quotient_h": complex_pair(f.h(z)),
+        "deviation_u": complex_pair(u),
+        "deviation_u_abs": abs(u),
     }
     _emit(payload, args)
     return 0
@@ -289,10 +288,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except DiskClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DiskClassError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,8 +13,9 @@ class UnknownId(DiskClassError):
     """Catalog id not recognised."""
 
 
-class ParamOutOfRange(DiskClassError):
-    """Catalog or sampler parameter outside its documented domain."""
+class ParamOutOfRange(DiskClassError, ValueError):
+    """Parameter outside its documented domain: catalog and sampler
+    parameters, series orders, class tags, scan and campaign settings."""
 
 
 class DenominatorVanishes(DiskClassError):

@@ -51,9 +51,8 @@ from .errors import (
     SecondCoefficientVanishes,
 )
 from .hankel import h3_profile_bound, hankel_det, prokhorov_szynal_check, reduced_h2, reduced_h3
-from .membership import (ScanPolicy, Theorem2Record, extremal_on_circle, test_class,
-                         theorem3_check)
-from .operators import decompose, g_transform, phi_profile, u_operator
+from .membership import ScanPolicy, Theorem2Record, test_class, theorem3_check
+from .operators import decompose, phi_profile
 from .serialize import canonical_json, complex_pair
 
 LADDER = (0.1, 0.01, 0.001)
@@ -154,8 +153,7 @@ def _materialize(cfg: CampaignConfig, prepends, index: int):
     if t > 1.0 or rng.random() < 0.5:
         cap = float(np.sqrt(max(1.0 - 0.25 * t * t, 0.0)))
         mu = float(rng.uniform(0.0, cap))
-        gen = SchwarzGenerator.constant(
-            -np.exp(2j * chi) * (0.25 * t * t + mu * mu), order=cfg.order)
+        gen = SchwarzGenerator.constant(-np.exp(2j * chi) * (0.25 * t * t + mu * mu))
     else:
         kind = ("scaled_unimodular", "blaschke_product",
                 "random_polynomial")[int(rng.integers(3))]
@@ -228,14 +226,11 @@ def _eval_theorem3(f: DiskFunction, cfg: CampaignConfig) -> dict:
 
 
 def _eval_conjecture(f: DiskFunction, cfg: CampaignConfig) -> dict:
-    dev = u_operator(g_transform(f))[0]
     rungs = []
     for eps in cfg.ladder:
-        radius = (1.0 - eps) * abs(f.a2) / 2.0
-        value, witness = extremal_on_circle(
-            dev, "sup_modulus", radius, cfg.policy.grid, cfg.policy.refine_iters)
-        rungs.append({"eps": eps, "radius": radius, "sup": value,
-                      "witness": complex_pair(witness)})
+        rep = theorem3_check(f, "c", eps, cfg.policy, allow_large_a2=True)
+        rungs.append({"eps": eps, "radius": rep.scan_radius, "sup": rep.extremal_value,
+                      "witness": complex_pair(rep.witness)})
     return {"rungs": rungs}
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import DiskFunction
-from .errors import ArgumentOutOfDomain, InsufficientOrder
+from .errors import ArgumentOutOfDomain, InsufficientOrder, ParamOutOfRange
 
 __all__ = [
     "HankelReport",
@@ -70,9 +70,9 @@ def hankel_det(f: DiskFunction, q: int, n: int) -> HankelReport:
     Requires 1 <= q <= 4 and a series order of at least n + 2q - 2.
     """
     if not 1 <= q <= 4:
-        raise ValueError(f"q = {q} outside the supported range 1..4")
+        raise ParamOutOfRange(f"q = {q} outside the supported range 1..4")
     if n < 1:
-        raise ValueError(f"n = {n} must be positive")
+        raise ParamOutOfRange(f"n = {n} must be positive")
     top = n + 2 * q - 2
     if f.series.order < top:
         raise InsufficientOrder(

@@ -188,18 +188,18 @@ CLASS_TAGS = ("U", "starlike", "convex", "mocanu", "bounded_turning")
 def class_functional(f: DiskFunction, class_tag: str, alpha=None):
     """(functional, mode, threshold) for a class tag."""
     if class_tag == "U":
-        return u_operator(f)[0], "sup_modulus", 1.0
+        return u_operator(f), "sup_modulus", 1.0
     if class_tag == "starlike":
         return starlike_quotient(f), "inf_real", 0.0
     if class_tag == "convex":
         return convex_quotient(f), "inf_real", 0.0
     if class_tag == "mocanu":
-        if alpha is None:
-            raise ValueError("mocanu test requires alpha")
+        if alpha is None or not np.isfinite(alpha):
+            raise ParamOutOfRange(f"mocanu test requires a finite alpha, got {alpha}")
         return mocanu_functional(f, alpha), "inf_real", 0.0
     if class_tag == "bounded_turning":
         return turning_derivative(f), "inf_real", 0.0
-    raise ValueError(f"unknown class tag {class_tag!r}; expected one of {CLASS_TAGS}")
+    raise ParamOutOfRange(f"unknown class tag {class_tag!r}; expected one of {CLASS_TAGS}")
 
 
 def _verdict(estimate, threshold, delta, sup):
@@ -299,7 +299,7 @@ def theorem3_check(f: DiskFunction, part: str, shrink: float = 0.01,
     """
     policy = policy or ScanPolicy()
     if part not in ("a", "b", "c"):
-        raise ValueError(f"part must be 'a', 'b' or 'c', not {part!r}")
+        raise ParamOutOfRange(f"part must be 'a', 'b' or 'c', not {part!r}")
     if part == "c" and abs(f.a2) > 1.0 + 1e-12 and not allow_large_a2:
         raise PartCPrecondition(
             f"|a2| = {abs(f.a2):.6g} > 1; pass allow_large_a2=True to probe")
@@ -308,7 +308,7 @@ def theorem3_check(f: DiskFunction, part: str, shrink: float = 0.01,
     elif part == "b":
         functional = g_starlike_deviation(f)
     else:
-        functional = u_operator(g_transform(f))[0]
+        functional = u_operator(g_transform(f))
     radius = (1.0 - shrink) * abs(f.a2) / 2.0
     value, witness = extremal_on_circle(
         functional, "sup_modulus", radius, policy.grid, policy.refine_iters)

@@ -1,11 +1,13 @@
 """Pointwise functionals and transforms attached to a disk function.
 
 The central object is the deviation U(z) = (z/f(z))^2 f'(z) - 1.  Writing
-h = z/f it satisfies U = h - z h' - 1, which is how both the closed-form
-functional and the series are computed; the class test |U| < 1 then runs on
+h = z/f it satisfies U = h - z h' - 1, which is how both the functional
+(``u_operator``, through the kernel) and the series (``u_series``, through
+the quotient series) are computed; the class test |U| < 1 then runs on
 boundary circles.  Also provided: the starlike quotient z f'/f, the convex
 quotient 1 + z f''/f', their alpha-combination, the deviation transform
-g = (h - 1)/(-a2), and the decomposition h = 1 - a2 z - z omega1.
+g = (h - 1)/(-a2), and the decomposition h = 1 - a2 z - z omega1.  Every
+functional reads its pointwise values from the kernel of f.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import DiskFunction, _as_1d, _guard, _GTransformKernel, _omega_coeffs, _unwrap
+from .catalog import DiskFunction, _guard, _GTransformKernel, _omega_coeffs, _pointwise
 from .errors import ArgumentOutOfDomain, SecondCoefficientVanishes
 from .series import ComplexSeries
 
@@ -24,6 +26,7 @@ __all__ = [
     "PointFunctional",
     "OmegaDecomposition",
     "u_operator",
+    "u_series",
     "starlike_quotient",
     "convex_quotient",
     "mocanu_functional",
@@ -46,18 +49,15 @@ class PointFunctional:
         self._fn = fn
 
     def __call__(self, z):
-        zz, scalar = _as_1d(z)
-        return _unwrap(np.asarray(self._fn(zz), dtype=np.complex128), scalar)
+        return _pointwise(lambda zz: np.asarray(self._fn(zz), dtype=np.complex128), z)
 
     def __repr__(self):
         return f"PointFunctional(tag={self.tag!r}, source={self.source_id!r})"
 
 
-def u_operator(f: DiskFunction):
-    """The deviation functional and its series, as a pair.
+def u_operator(f: DiskFunction) -> PointFunctional:
+    """The deviation functional U = h - z h' - 1, through the kernel of f.
 
-    Series route: U = h - z h' - 1 on the quotient series of f.  The
-    functional evaluates the same expression through the closed-form kernel;
     U(0) = 0 falls out of h(0) = 1 with no special casing.
     """
     k = f.kernel
@@ -65,9 +65,13 @@ def u_operator(f: DiskFunction):
     def fn(zz):
         return k.h(zz) - zz * k.h1(zz) - 1.0
 
+    return PointFunctional("U", f.id, fn)
+
+
+def u_series(f: DiskFunction) -> ComplexSeries:
+    """Taylor series of the deviation, h - z h' - 1 on the quotient series."""
     h = f.quotient
-    series = h - h.derivative().mul_z() - 1.0
-    return PointFunctional("U", f.id, fn), series
+    return h - h.derivative().mul_z() - 1.0
 
 
 def starlike_quotient(f: DiskFunction) -> PointFunctional:
@@ -84,11 +88,12 @@ def starlike_quotient(f: DiskFunction) -> PointFunctional:
 
 def convex_quotient(f: DiskFunction) -> PointFunctional:
     """1 + z f''(z)/f'(z); requires f' away from zero on the scan set."""
+    k = f.kernel
 
     def fn(zz):
-        f1 = np.atleast_1d(np.asarray(f.eval_f1(zz)))
+        f1 = k.f1(zz)
         _guard(f1, zz, "convex quotient")
-        return 1.0 + zz * np.atleast_1d(np.asarray(f.eval_f2(zz))) / f1
+        return 1.0 + zz * k.f2(zz) / f1
 
     return PointFunctional("convex_quotient", f.id, fn)
 
@@ -107,11 +112,7 @@ def mocanu_functional(f: DiskFunction, alpha: float) -> PointFunctional:
 
 def turning_derivative(f: DiskFunction) -> PointFunctional:
     """f'(z), whose real part is positive for bounded turning."""
-
-    def fn(zz):
-        return np.atleast_1d(np.asarray(f.eval_f1(zz)))
-
-    return PointFunctional("bounded_turning", f.id, fn)
+    return PointFunctional("bounded_turning", f.id, f.kernel.f1)
 
 
 def _require_a2(f: DiskFunction) -> complex:

@@ -14,6 +14,7 @@ series.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from .errors import NearZeroConstantTerm
 
@@ -179,12 +180,8 @@ class ComplexSeries:
     def __call__(self, z):
         """Horner evaluation at a point or ndarray of points."""
         zz = np.asarray(z, dtype=np.complex128)
-        acc = np.full(zz.shape, complex(self._c[-1]), dtype=np.complex128)
-        for ck in self._c[-2::-1]:
-            acc = acc * zz + ck
-        if zz.ndim == 0:
-            return complex(acc)
-        return acc
+        acc = npp.polyval(zz, self._c, tensor=False)
+        return complex(acc) if zz.ndim == 0 else acc
 
     def to_json_dict(self) -> dict:
         return {

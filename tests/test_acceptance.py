@@ -27,6 +27,7 @@ from diskclass import (
     test_class as classify,
     theorem2_check,
     u_operator,
+    u_series,
 )
 from diskclass.catalog import catalog_ids
 from diskclass.errors import DiskClassError
@@ -87,7 +88,7 @@ def conjecture_run():
 
 def test_criterion_01_log_map_operator_value_and_verdict():
     f = make_catalog("log_map")
-    u_fn, _ = u_operator(f)
+    u_fn = u_operator(f)
     value = abs(u_fn(0.99))
     assert value == pytest.approx(3.621, abs=1e-3), f"|U|(0.99) = {value}"
     assert classify(f, "U").verdict == "OUT"
@@ -113,7 +114,7 @@ def test_criterion_03_sharp_determinant_moduli():
 def test_criterion_04_closed_form_operator_series():
     cases = {"koebe": {2: -1.0}, "f1": {2: 1.0}, "f2": {3: 1.0}}
     for cid, expected in cases.items():
-        _, series = u_operator(make_catalog(cid))
+        series = u_series(make_catalog(cid))
         for k, coeff in enumerate(series.coeffs):
             want = expected.get(k, 0.0)
             assert abs(coeff - want) <= 1e-12, (cid, k, coeff)
@@ -121,10 +122,10 @@ def test_criterion_04_closed_form_operator_series():
 
 def test_criterion_05_operator_equals_scaled_primitive_derivative():
     for f in sample_members(100, seed=404):
-        _, u_series = u_operator(f)
+        series = u_series(f)
         psi = decompose(f).omega1.derivative()
         worst = 0.0
-        for k, coeff in enumerate(u_series.coeffs):
+        for k, coeff in enumerate(series.coeffs):
             want = psi.coeffs[k - 2] if 2 <= k < len(psi.coeffs) + 2 else 0.0
             worst = max(worst, abs(coeff - want))
         assert worst <= 1e-10, worst

@@ -257,6 +257,20 @@ class TestBuildMember:
         hankel_det(f, 3, 1)
         assert len(calls) == 1
 
+    def test_one_series_inversion_per_blaschke_member(self, monkeypatch):
+        # the generator expands psi only when a member is built
+        calls = []
+        reciprocal = ComplexSeries.reciprocal
+
+        def counted(series):
+            calls.append(series.order)
+            return reciprocal(series)
+
+        monkeypatch.setattr(ComplexSeries, "reciprocal", counted)
+        gen = SchwarzGenerator.blaschke([0.3, -0.2 + 0.4j], rho=0.5, theta=0.3)
+        build_member(0.3j, gen)
+        assert len(calls) == 1
+
     def test_member_spec_round_trip(self):
         gen = SchwarzGenerator.blaschke([0.25 - 0.1j], rho=0.5, theta=0.3)
         f = build_member(0.3j, gen, order=48)

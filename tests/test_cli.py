@@ -125,6 +125,19 @@ class TestSeriesFile:
         assert code == 2
         assert "not normalized" in err
 
+    @pytest.mark.parametrize("c0, expected", [(5e-10, 0), (5e-9, 2)])
+    def test_normalization_tolerance_is_shared(self, capsys, tmp_path, c0, expected):
+        # a constant term inside the tolerance is accepted and dropped when
+        # the quotient is derived; one outside it is rejected up front
+        coeffs = make_catalog("koebe").series.to_json_dict()["coeffs"]
+        coeffs[0] = [c0, 0.0]
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"order": len(coeffs) - 1, "coeffs": coeffs}))
+        code, out, err = run_cli(capsys, "hankel", "--series-file", str(path),
+                                 "--q", "2", "--n", "2")
+        assert code == expected
+        assert ("error:" in err) == (expected == 2)
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "hankel", "--series-file",
                                  str(tmp_path / "absent.json"),
@@ -211,6 +224,25 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, "decompose")
         assert code == 2
         assert "--id or --series-file" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["hankel", "--id", "koebe", "--q", "5", "--n", "1"],
+        ["hankel", "--id", "koebe", "--q", "2", "--n", "0"],
+        ["hankel", "--id", "log_map", "--q", "2", "--n", "2", "--order", "-1"],
+        ["hankel", "--id", "koebe", "--q", "2", "--n", "2", "--order", "0"],
+        ["membership", "--id", "koebe", "--class", "foo"],
+        ["radius", "--id", "koebe", "--class", "foo"],
+        ["membership", "--id", "koebe", "--class", "mocanu"],
+        ["membership", "--id", "koebe", "--class", "mocanu", "--alpha", "nan"],
+        ["campaign", "--kind", "theorem1", "--samples", "2", "--a2", "x:y"],
+        ["eval", "--id", "log_map", "1"],
+        ["eval", "--id", "koebe", "0.6+0.8j"],
+    ])
+    def test_bad_input_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     @pytest.mark.parametrize("flags, word", [
         (["--grid", "0"], "grid"),

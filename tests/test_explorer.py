@@ -14,6 +14,7 @@ from diskclass import (
 )
 from diskclass.errors import ParamOutOfRange, ReplayMismatch
 from diskclass.explorer import ALPHA_GRID, FB_GRID, LADDER
+from diskclass.series import ComplexSeries
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +255,24 @@ class TestReplayCoverage:
             out = replay(cert)
             assert out["replayed_value"] == pytest.approx(cert["value"],
                                                           abs=1e-9), name
+
+
+class TestSeriesInversions:
+    @pytest.mark.parametrize("kind, kwargs, expected", [
+        ("theorem2", {}, 1),
+        ("theorem3", {}, 1),
+        ("conjecture", {"a2_range": (1.0, 2.0)}, 0),
+    ])
+    def test_reciprocal_calls_per_campaign(self, monkeypatch, kind, kwargs, expected):
+        # scans read pointwise values from the kernels; only a Blaschke
+        # member's psi expansion inverts a series (U builds no series)
+        calls = []
+        reciprocal = ComplexSeries.reciprocal
+
+        def counted(series):
+            calls.append(series.order)
+            return reciprocal(series)
+
+        monkeypatch.setattr(ComplexSeries, "reciprocal", counted)
+        run_campaign(CampaignConfig(kind, samples=20, seed=7, **kwargs))
+        assert len(calls) == expected

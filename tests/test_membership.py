@@ -135,7 +135,7 @@ class TestRadius:
         assert 0.5 < res.radius < 1.0
         assert res.bracket[1] - res.bracket[0] <= 1e-4 + 1e-12
         # the scan value at the bracketed radius sits at the threshold
-        fn, _ = u_operator(make_catalog("log_map"))
+        fn = u_operator(make_catalog("log_map"))
         value, _ = extremal_on_circle(fn, "sup_modulus", res.radius)
         assert value == pytest.approx(1.0, abs=2e-3)
 
