@@ -55,3 +55,7 @@ class PartCPrecondition(DiskClassError):
 
 class ReplayMismatch(DiskClassError):
     """A certificate failed to reproduce its recorded value."""
+
+
+class NonFiniteValue(DiskClassError):
+    """A circle scan met a NaN or infinite functional value."""

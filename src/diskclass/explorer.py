@@ -51,7 +51,7 @@ from .errors import (
     SecondCoefficientVanishes,
 )
 from .hankel import h3_profile_bound, hankel_det, prokhorov_szynal_check, reduced_h2, reduced_h3
-from .membership import ScanPolicy, Theorem2Record, test_class, theorem3_check
+from .membership import ScanPolicy, theorem2_grid, theorem3_check
 from .operators import decompose, phi_profile
 from .serialize import canonical_json, complex_pair
 
@@ -103,6 +103,9 @@ class CampaignConfig:
             raise ParamOutOfRange("ladder entries must lie in (0, 1)")
         if not self.alpha_grid:
             raise ParamOutOfRange("alpha_grid must not be empty")
+        if not all(np.isfinite(float(a)) for a in self.alpha_grid):
+            raise ParamOutOfRange(
+                f"alpha_grid entries must be finite, got {self.alpha_grid}")
         object.__setattr__(self, "samples", int(self.samples))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "order", int(self.order))
@@ -183,19 +186,16 @@ def _eval_theorem1(f: DiskFunction, cfg: CampaignConfig) -> dict:
 
 
 def _eval_theorem2(f: DiskFunction, cfg: CampaignConfig) -> dict:
-    u_rep = test_class(f, "U", cfg.policy)
-    rows = []
-    for alpha in cfg.alpha_grid:
-        rec = Theorem2Record(alpha, test_class(f, "mocanu", cfg.policy, alpha=alpha),
-                             u_rep)
-        rows.append({
-            "alpha": rec.alpha,
-            "m_verdict": rec.m_alpha.verdict,
-            "m_extremal": rec.m_alpha.extremal_value,
-            "u_verdict": rec.u.verdict,
-            "u_estimate": rec.u.boundary_estimate,
-            "implication_respected": rec.implication_respected,
-        })
+    records = theorem2_grid(f, cfg.alpha_grid, cfg.policy)
+    u_rep = records[0].u
+    rows = [{
+        "alpha": rec.alpha,
+        "m_verdict": rec.m_alpha.verdict,
+        "m_extremal": rec.m_alpha.extremal_value,
+        "u_verdict": rec.u.verdict,
+        "u_estimate": rec.u.boundary_estimate,
+        "implication_respected": rec.implication_respected,
+    } for rec in records]
     return {
         "rows": rows,
         "u_estimate": u_rep.boundary_estimate,

@@ -8,6 +8,14 @@ clearing the threshold by a margin delta, everything else is BOUNDARY.
 Extremal members of the deviation class, whose sup tends to 1 only as
 |z| -> 1, legitimately return BOUNDARY: a scan cannot distinguish sup < 1
 from sup = 1, and pretending otherwise would be false precision.
+
+A scan can be row-batched: k functionals that share their expensive parts
+are scanned together, one coarse grid evaluation serving every row and the
+refine brackets of all rows advancing as one.  A theorem-2 sample scans its
+whole alpha grid this way (``theorem2_grid``): z f'/f and 1 + z f''/f' are
+evaluated once per probe set and combined per alpha, and each row equals
+the one-alpha scan of ``test_class`` bit for bit.  A NaN or infinite value
+met by any scan raises NonFiniteValue instead of becoming a verdict.
 """
 from __future__ import annotations
 
@@ -16,13 +24,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .catalog import DiskFunction
-from .errors import ParamOutOfRange, PartCPrecondition
+from .errors import NonFiniteValue, ParamOutOfRange, PartCPrecondition
 from .operators import (
     convex_quotient,
     g_deviation,
     g_starlike_deviation,
     g_transform,
-    mocanu_functional,
+    mocanu_real_part,
     starlike_quotient,
     turning_derivative,
     u_operator,
@@ -46,6 +54,7 @@ __all__ = [
     "radius_of",
     "theorem3_check",
     "theorem2_check",
+    "theorem2_grid",
     "CLASS_TAGS",
     "RADIUS_CAP",
 ]
@@ -120,8 +129,9 @@ class RadiusResult:
 def _golden_refine(fn, lo, hi, iters):
     """Vectorized golden-section maximization over several brackets.
 
-    fn maps an ndarray of angles to real values; lo/hi are bracket arrays.
-    Returns (theta, value) arrays for the refined maxima.
+    fn maps an ndarray of angles to real values of the same shape; lo/hi
+    are bracket arrays of any shape.  Returns (theta, value) arrays for the
+    refined maxima.
     """
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
@@ -133,17 +143,21 @@ def _golden_refine(fn, lo, hi, iters):
         right = f1 < f2  # drop the left part where the right probe is larger
         lo = np.where(right, x1, lo)
         hi = np.where(right, hi, x2)
-        x1_new = np.where(right, x2, hi - _INV_PHI * (hi - lo))
-        x2_new = np.where(right, lo + _INV_PHI * (hi - lo), x1)
-        f1_new = np.where(right, f2, 0.0)
-        f2_new = np.where(right, 0.0, f1)
-        probe = np.where(right, x2_new, x1_new)
+        t = _INV_PHI * (hi - lo)
+        probe = np.where(right, lo + t, hi - t)
+        x1, x2 = np.where(right, x2, probe), np.where(right, probe, x1)
         fp = fn(probe)
-        f1 = np.where(right, f1_new, fp)
-        f2 = np.where(right, fp, f2_new)
-        x1, x2 = x1_new, x2_new
+        f1, f2 = np.where(right, f2, fp), np.where(right, fp, f1)
     mid = 0.5 * (lo + hi)
     return mid, fn(mid)
+
+
+def _require_finite(points, values, mode, radius):
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = complex(np.broadcast_to(points, values.shape)[~finite][0])
+        raise NonFiniteValue(
+            f"{mode} scan on |z| = {radius} meets a non-finite value at z = {bad!r}")
 
 
 def extremal_on_circle(functional, mode: str, radius: float, grid: int = 4096,
@@ -153,40 +167,70 @@ def extremal_on_circle(functional, mode: str, radius: float, grid: int = 4096,
     Coarse grid scan, then golden-section refinement around the three best
     angles.  Ties within 1e-12 resolve to the smallest angle.  Returns
     (value, witness).
+
+    F may be row-batched: k functionals sharing one evaluation, which map
+    points of shape (m,) or (k, m) to values of shape (k, m), row i holding
+    functional i.  The coarse grid is then evaluated once and serves every
+    row, the 3k refine brackets advance together, each row is resolved as a
+    single functional would be, and the result is a pair of length-k arrays
+    (values, witnesses).  A NaN or infinite value anywhere on the grid or
+    among the refine probes raises NonFiniteValue.
     """
     if mode not in ("sup_modulus", "inf_real"):
         raise ValueError(f"unknown mode {mode!r}")
     theta = 2.0 * np.pi * np.arange(grid) / grid
+    probes = []  # (points, values) of each evaluation, checked for NaN and inf
 
     def quantity(angles):
-        vals = functional(radius * np.exp(1j * np.asarray(angles)))
-        q = np.abs(vals) if mode == "sup_modulus" else np.real(vals)
-        return q if mode == "sup_modulus" else -q  # maximize internally
+        z = radius * np.exp(1j * angles)
+        vals = functional(z)
+        q = np.abs(vals) if mode == "sup_modulus" else -np.real(vals)  # maximize
+        probes.append((z, q))
+        return q
 
     coarse = quantity(theta)
-    best = np.argsort(-coarse, kind="stable")[:3]
+    _require_finite(*probes.pop(), mode, radius)
+    batched = coarse.ndim == 2
+    if batched:
+        refine = quantity
+    else:
+        coarse = coarse[None]
+
+        def refine(angles):  # one row: probe with 1-d angles
+            return quantity(angles[0])[None]
+
+    # row by row, so no (k, grid) temporaries beyond the values themselves
+    best = np.array([np.argsort(-row, kind="stable")[:3] for row in coarse])
     step = 2.0 * np.pi / grid
     ref_theta, ref_val = _golden_refine(
-        quantity, theta[best] - step, theta[best] + step, refine_iters)
+        refine, theta[best] - step, theta[best] + step, refine_iters)
+    points, values = zip(*probes)
+    _require_finite(np.concatenate(points, axis=-1), np.concatenate(values, axis=-1),
+                    mode, radius)
 
-    cand_theta = np.concatenate((theta[best], ref_theta)) % (2.0 * np.pi)
-    cand_val = np.concatenate((coarse[best], ref_val))
-    order = np.lexsort((cand_theta, -cand_val))
-    top = cand_val[order[0]]
-    ties = cand_val >= top - 1e-12
-    pick = np.argmin(np.where(ties, cand_theta, np.inf))
-    witness = radius * np.exp(1j * cand_theta[pick])
-    value = cand_val[pick]
+    rows = np.arange(len(coarse))
+    cand_theta = np.concatenate((theta[best], ref_theta), axis=1) % (2.0 * np.pi)
+    cand_val = np.concatenate((coarse[rows[:, None], best], ref_val), axis=1)
+    ties = cand_val >= cand_val.max(axis=1, keepdims=True) - 1e-12
+    pick = np.argmin(np.where(ties, cand_theta, np.inf), axis=1)
+    witness = radius * np.exp(1j * cand_theta[rows, pick])
+    value = cand_val[rows, pick]
     if mode == "inf_real":
         value = -value
-    return float(value), complex(witness)
+    if batched:
+        return value, witness
+    return float(value[0]), complex(witness[0])
 
 
 CLASS_TAGS = ("U", "starlike", "convex", "mocanu", "bounded_turning")
 
 
 def class_functional(f: DiskFunction, class_tag: str, alpha=None):
-    """(functional, mode, threshold) for a class tag."""
+    """(functional, mode, threshold) for a class tag.
+
+    For 'mocanu', ``alpha`` may also be a 1-d array of alphas, which gives
+    the row-batched functional with one row per alpha.
+    """
     if class_tag == "U":
         return u_operator(f), "sup_modulus", 1.0
     if class_tag == "starlike":
@@ -194,9 +238,9 @@ def class_functional(f: DiskFunction, class_tag: str, alpha=None):
     if class_tag == "convex":
         return convex_quotient(f), "inf_real", 0.0
     if class_tag == "mocanu":
-        if alpha is None or not np.isfinite(alpha):
+        if alpha is None or not np.all(np.isfinite(alpha)):
             raise ParamOutOfRange(f"mocanu test requires a finite alpha, got {alpha}")
-        return mocanu_functional(f, alpha), "inf_real", 0.0
+        return mocanu_real_part(f, alpha), "inf_real", 0.0
     if class_tag == "bounded_turning":
         return turning_derivative(f), "inf_real", 0.0
     raise ParamOutOfRange(f"unknown class tag {class_tag!r}; expected one of {CLASS_TAGS}")
@@ -225,14 +269,18 @@ def test_class(f: DiskFunction, class_tag: str, policy: ScanPolicy | None = None
     functional, mode, threshold = class_functional(f, class_tag, alpha)
     value, witness = extremal_on_circle(
         functional, mode, policy.r_max, policy.grid, policy.refine_iters)
-    sup = mode == "sup_modulus"
-    estimate = value / policy.r_max ** 2 if sup else value
-    verdict = _verdict(estimate, threshold, policy.delta, sup)
     tag = class_tag if alpha is None else f"{class_tag}({alpha:g})"
+    return _report(tag, value, witness, mode, threshold, policy)
+
+
+def _report(tag, value, witness, mode, threshold, policy) -> MembershipReport:
+    sup = mode == "sup_modulus"
+    value = float(value)
+    estimate = value / policy.r_max ** 2 if sup else value
     return MembershipReport(
-        class_tag=tag, verdict=verdict, extremal_value=value, witness=witness,
-        scan_radius=policy.r_max, grid_size=policy.grid, margin=policy.delta,
-        boundary_estimate=estimate)
+        class_tag=tag, verdict=_verdict(estimate, threshold, policy.delta, sup),
+        extremal_value=value, witness=complex(witness), scan_radius=policy.r_max,
+        grid_size=policy.grid, margin=policy.delta, boundary_estimate=estimate)
 
 
 def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
@@ -344,9 +392,25 @@ class Theorem2Record:
         }
 
 
+def theorem2_grid(f: DiskFunction, alphas,
+                  policy: ScanPolicy | None = None) -> list:
+    """Theorem-2 records of f for every alpha of a grid, in grid order.
+
+    One deviation scan serves every record and one row-batched scan of the
+    alpha-convex functional gives every alpha's verdict; each record's
+    alpha-convex report equals ``test_class(f, "mocanu", policy, alpha)``.
+    """
+    policy = policy or ScanPolicy()
+    alphas = [float(a) for a in alphas]
+    functional, mode, threshold = class_functional(f, "mocanu", np.array(alphas))
+    u = test_class(f, "U", policy)
+    values, witnesses = extremal_on_circle(
+        functional, mode, policy.r_max, policy.grid, policy.refine_iters)
+    return [Theorem2Record(a, _report(f"mocanu({a:g})", value, witness, mode,
+                                      threshold, policy), u)
+            for a, value, witness in zip(alphas, values, witnesses)]
+
+
 def theorem2_check(f: DiskFunction, alpha: float,
                    policy: ScanPolicy | None = None) -> Theorem2Record:
-    policy = policy or ScanPolicy()
-    return Theorem2Record(alpha=float(alpha),
-                          m_alpha=test_class(f, "mocanu", policy, alpha=alpha),
-                          u=test_class(f, "U", policy))
+    return theorem2_grid(f, (alpha,), policy)[0]

@@ -30,6 +30,7 @@ __all__ = [
     "starlike_quotient",
     "convex_quotient",
     "mocanu_functional",
+    "mocanu_real_part",
     "turning_derivative",
     "g_deviation",
     "g_starlike_deviation",
@@ -108,6 +109,29 @@ def mocanu_functional(f: DiskFunction, alpha: float) -> PointFunctional:
         return (1.0 - alpha) * s(zz) + alpha * c(zz)
 
     return PointFunctional(f"mocanu({alpha:g})", f.id, fn)
+
+
+def mocanu_real_part(f: DiskFunction, alpha):
+    """Re of the alpha-convex functional, for one alpha or a 1-d array of them.
+
+    z f'/f and 1 + z f''/f' are evaluated once per call and combined as
+    (1 - alpha) Re s + alpha Re c in one real array, the real part of
+    ``mocanu_functional``.  For a single alpha the values have the shape of
+    the points; for k alphas the map is row-batched: points of shape (m,)
+    or (k, m) give a (k, m) array whose row i belongs to alpha[i].
+    """
+    s = starlike_quotient(f)
+    c = convex_quotient(f)
+    a = np.asarray(alpha, dtype=float)[..., None]
+    b = 1.0 - a
+
+    def fn(zz):
+        cr = c(zz).real  # first: f' and f'' make the most temporaries
+        out = b * s(zz).real
+        out += a * cr
+        return out
+
+    return fn
 
 
 def turning_derivative(f: DiskFunction) -> PointFunctional:

@@ -244,6 +244,23 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_non_finite_scan_value_exits_2(self, capsys):
+        # alpha = 1e308 overflows the alpha-convex functional on the circle
+        code, out, err = run_cli(capsys, "membership", "--id", "koebe", "--class",
+                                 "mocanu", "--alpha", "1e308", "--json")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error:")
+        assert "non-finite" in err
+
+    def test_non_finite_alpha_grid_in_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"campaign": "theorem2", "samples": 1, "alpha_grid": [NaN]}')
+        code, out, err = run_cli(capsys, "campaign", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "alpha_grid entries must be finite" in err
+
     @pytest.mark.parametrize("flags, word", [
         (["--grid", "0"], "grid"),
         (["--r-max", "1.5"], "r_max"),

@@ -34,6 +34,8 @@ class TestConfig:
         {"campaign": "theorem3", "shrink": 1.0},
         {"campaign": "conjecture", "ladder": (1.5,)},
         {"campaign": "theorem2", "alpha_grid": ()},
+        {"campaign": "theorem2", "alpha_grid": (0.5, float("nan"))},
+        {"campaign": "theorem2", "alpha_grid": (float("inf"),)},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ParamOutOfRange):
@@ -255,6 +257,25 @@ class TestReplayCoverage:
             out = replay(cert)
             assert out["replayed_value"] == pytest.approx(cert["value"],
                                                           abs=1e-9), name
+
+
+class TestTheorem2Scans:
+    def test_two_scans_per_sample(self, monkeypatch):
+        # one deviation scan and one row-batched alpha-convex scan per row,
+        # whatever the size of the alpha grid
+        import diskclass.membership as membership
+
+        scans = []
+        original = membership.extremal_on_circle
+
+        def counted(*args, **kwargs):
+            scans.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(membership, "extremal_on_circle", counted)
+        report = run_campaign(CampaignConfig("theorem2", samples=3, seed=5))
+        assert report["rejected"] == report["inapplicable"] == 0
+        assert len(scans) == 2 * report["samples_run"]
 
 
 class TestSeriesInversions:

@@ -15,8 +15,9 @@ from diskclass import (
     theorem3_check,
     u_operator,
 )
-from diskclass.errors import PartCPrecondition
-from diskclass.membership import RADIUS_CAP, extremal_on_circle
+from diskclass.errors import NonFiniteValue, PartCPrecondition
+from diskclass.explorer import ALPHA_GRID, catalog_prepends
+from diskclass.membership import RADIUS_CAP, extremal_on_circle, theorem2_grid
 
 
 class TestExtremalOnCircle:
@@ -52,6 +53,37 @@ class TestExtremalOnCircle:
                                             "sup_modulus", 0.8, grid=64)
         assert value == pytest.approx(1.0 / 0.36, abs=1e-10)
         assert np.angle(witness) == pytest.approx(0.0, abs=1e-9)
+
+    def test_all_nan_functional_raises(self):
+        with pytest.raises(NonFiniteValue):
+            extremal_on_circle(lambda z: np.full(z.shape, np.nan), "sup_modulus", 0.5)
+
+    def test_nan_spike_at_the_maximum_raises(self):
+        # |1/(1.5 - z)| peaks at angle 0, exactly where the values are NaN
+        def fn(z):
+            return np.where(np.abs(np.angle(z)) < 1e-3, np.nan, 1.0 / (1.5 - z))
+
+        with pytest.raises(NonFiniteValue):
+            extremal_on_circle(fn, "sup_modulus", 0.9)
+
+    def test_nan_refine_probe_raises(self):
+        # the grid node at angle 0 is finite; only the probes beside it are not
+        def fn(z):
+            angle = np.abs(np.angle(z))
+            return np.where((angle > 0) & (angle < 1e-4), np.nan, 1.0 / (1.5 - z))
+
+        with pytest.raises(NonFiniteValue):
+            extremal_on_circle(fn, "sup_modulus", 0.9)
+
+    def test_row_batched_functional(self):
+        # rows c z^2 for three c: one result per row, as three scans give
+        cs = np.array([0.5, 2.0, 1.0])
+        values, witnesses = extremal_on_circle(
+            lambda z: cs[:, None] * z ** 2, "sup_modulus", 0.5, grid=64)
+        for c, value, witness in zip(cs, values, witnesses):
+            single = extremal_on_circle(lambda z: c * z ** 2, "sup_modulus", 0.5,
+                                        grid=64)
+            assert (value, witness) == single
 
 
 class TestVerdicts:
@@ -112,6 +144,11 @@ class TestVerdicts:
     def test_unknown_class_tag(self):
         with pytest.raises(ValueError):
             classify(make_catalog("identity"), "univalent")
+
+    def test_overflowing_alpha_raises_instead_of_reading_out(self):
+        # the overflow used to surface as extremal value -inf and verdict OUT
+        with pytest.raises(NonFiniteValue):
+            classify(make_catalog("koebe"), "mocanu", alpha=1e308)
 
     def test_policy_echo(self):
         pol = ScanPolicy(r_max=0.5, grid=256, delta=1e-5, refine_iters=20)
@@ -201,3 +238,29 @@ class TestPairedChecks:
         d = rec.to_dict()
         assert d["alpha"] == -2.0
         assert d["in_u"]["verdict"] == "IN"
+
+
+def _theorem2_functions():
+    for cid, params in catalog_prepends("theorem2"):
+        yield f"{cid}{params or ''}", make_catalog(cid, params)
+    for seed in range(3):
+        a2 = 0.6 * np.exp(1j * seed)
+        yield (f"polynomial{seed}",
+               build_member(a2, sample_schwarz(seed, "random_polynomial", 6)))
+        yield (f"blaschke{seed}",
+               build_member(a2, sample_schwarz(seed, "blaschke_product", 3)))
+
+
+class TestBatchedAlphaGrid:
+    def test_rows_equal_one_row_scans_bit_for_bit(self):
+        policy = ScanPolicy()
+        for label, f in _theorem2_functions():
+            records = theorem2_grid(f, ALPHA_GRID, policy)
+            assert [rec.alpha for rec in records] == list(ALPHA_GRID)
+            assert records[0].u == classify(f, "U", policy), label
+            for rec in records:
+                single = classify(f, "mocanu", policy, alpha=rec.alpha)
+                assert rec.m_alpha == single, (label, rec.alpha)
+                assert rec.m_alpha.extremal_value.hex() == single.extremal_value.hex()
+                assert rec.m_alpha.witness.real.hex() == single.witness.real.hex()
+                assert rec.m_alpha.witness.imag.hex() == single.witness.imag.hex()

@@ -14,6 +14,7 @@ from diskclass import (
     g_transform,
     make_catalog,
     mocanu_functional,
+    mocanu_real_part,
     phi_profile,
     sample_schwarz,
     schwarz_growth_bound,
@@ -101,6 +102,17 @@ class TestClassFunctionals:
         m = mocanu_functional(make_catalog("half_plane"), -1.0)
         for z in POINTS:
             assert m(z) == pytest.approx(1.0, abs=1e-12)
+
+    def test_mocanu_real_part_rows_are_real_parts(self):
+        # one row per alpha, each exactly Re of the complex functional
+        f = sampled_member(2)
+        alphas = np.array([-2.0, 0.0, 0.5, 1.0])
+        z = np.array(POINTS)
+        rows = mocanu_real_part(f, alphas)(z)
+        assert rows.shape == (alphas.size, z.size)
+        for alpha, row in zip(alphas, rows):
+            assert np.array_equal(row, mocanu_functional(f, alpha)(z).real)
+            assert np.array_equal(mocanu_real_part(f, alpha)(z), row)
 
     def test_turning_derivative_identity(self):
         t = turning_derivative(make_catalog("identity"))
