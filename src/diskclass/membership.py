@@ -9,13 +9,16 @@ Extremal members of the deviation class, whose sup tends to 1 only as
 |z| -> 1, legitimately return BOUNDARY: a scan cannot distinguish sup < 1
 from sup = 1, and pretending otherwise would be false precision.
 
-A scan can be row-batched: k functionals that share their expensive parts
-are scanned together, one coarse grid evaluation serving every row and the
-refine brackets of all rows advancing as one.  A theorem-2 sample scans its
-whole alpha grid this way (``theorem2_grid``): z f'/f and 1 + z f''/f' are
-evaluated once per probe set and combined per alpha, and each row equals
-the one-alpha scan of ``test_class`` bit for bit.  A NaN or infinite value
-met by any scan raises NonFiniteValue instead of becoming a verdict.
+A scan can be row-batched, the refine brackets of all rows advancing as
+one, and each row equals the one-row scan bit for bit.  The rows are
+either k radii of one functional, whose grids are evaluated one circle at
+a time, or k functionals that share their expensive parts on one circle,
+one coarse grid evaluation serving every row.  The radius search walks
+its radii in blocks of such rows (``radius_of``), and a theorem-2 sample
+scans its whole alpha grid as rows (``theorem2_grid``): z f'/f and
+1 + z f''/f' are evaluated once per probe set and combined per alpha.  A
+NaN or infinite value met by any scan raises NonFiniteValue instead of
+becoming a verdict.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .catalog import DiskFunction
-from .errors import NonFiniteValue, ParamOutOfRange, PartCPrecondition
+from .errors import DiskClassError, NonFiniteValue, ParamOutOfRange, PartCPrecondition
 from .operators import (
     convex_quotient,
     g_deviation,
@@ -40,6 +43,10 @@ from .operators import (
 # whole disk.  Tighter than the membership scan radius so that radii equal
 # to 1 are reported within 1e-4.
 RADIUS_CAP = 1.0 - 2.0 ** -14
+# The radius walk starts at this radius (below it, real-part tags walk a
+# ladder of halvings) and scans this many radii per row-batched scan.
+_WALK_START = 0.01
+_WALK_BLOCK = 16
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -153,14 +160,15 @@ def _golden_refine(fn, lo, hi, iters):
 
 
 def _require_finite(points, values, mode, radius):
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = complex(np.broadcast_to(points, values.shape)[~finite][0])
+    bad = ~np.isfinite(values)
+    if bad.any():
+        z = complex(np.broadcast_to(points, values.shape)[bad][0])
+        r = float(np.broadcast_to(radius, values.shape)[bad][0])
         raise NonFiniteValue(
-            f"{mode} scan on |z| = {radius} meets a non-finite value at z = {bad!r}")
+            f"{mode} scan on |z| = {r} meets a non-finite value at z = {z!r}")
 
 
-def extremal_on_circle(functional, mode: str, radius: float, grid: int = 4096,
+def extremal_on_circle(functional, mode: str, radius, grid: int = 4096,
                        refine_iters: int = 48):
     """Extremum of |F| (mode 'sup_modulus') or Re F (mode 'inf_real') on a circle.
 
@@ -168,56 +176,71 @@ def extremal_on_circle(functional, mode: str, radius: float, grid: int = 4096,
     angles.  Ties within 1e-12 resolve to the smallest angle.  Returns
     (value, witness).
 
-    F may be row-batched: k functionals sharing one evaluation, which map
-    points of shape (m,) or (k, m) to values of shape (k, m), row i holding
-    functional i.  The coarse grid is then evaluated once and serves every
-    row, the 3k refine brackets advance together, each row is resolved as a
-    single functional would be, and the result is a pair of length-k arrays
-    (values, witnesses).  A NaN or infinite value anywhere on the grid or
-    among the refine probes raises NonFiniteValue.
+    A scan has k rows, each resolved as a one-row scan would be, and then
+    returns a pair of length-k arrays (values, witnesses).  Rows come from
+    one of two sources.  ``radius`` may be a 1-d array of k radii: row i
+    scans a one-row functional on |z| = radius[i].  Or F may be
+    row-batched: k functionals sharing one evaluation, which map points of
+    shape (m,) or (k, m) to values of shape (k, m), row i holding
+    functional i, all scanned on one circle.  Either way the coarse grid is
+    evaluated once per circle and the 3k refine brackets advance together.
+    A NaN or infinite value anywhere on the grid or among the refine probes
+    raises NonFiniteValue; numpy's floating-point warnings are silenced
+    for the scan, since that check reports the same events.
     """
     if mode not in ("sup_modulus", "inf_real"):
         raise ValueError(f"unknown mode {mode!r}")
+    per_circle = np.ndim(radius) == 1
+    radii = np.atleast_1d(np.asarray(radius, dtype=float))
     theta = 2.0 * np.pi * np.arange(grid) / grid
     probes = []  # (points, values) of each evaluation, checked for NaN and inf
 
-    def quantity(angles):
-        z = radius * np.exp(1j * angles)
+    def quantity(z):
         vals = functional(z)
         q = np.abs(vals) if mode == "sup_modulus" else -np.real(vals)  # maximize
         probes.append((z, q))
         return q
 
-    coarse = quantity(theta)
-    _require_finite(*probes.pop(), mode, radius)
-    batched = coarse.ndim == 2
-    if batched:
-        refine = quantity
-    else:
-        coarse = coarse[None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        unit = np.exp(1j * theta)
+        best, best_val = [], []
+        for r in radii:  # one circle at a time: no (k, grid) temporaries
+            coarse = quantity(r * unit)
+            _require_finite(*probes.pop(), mode, r)
+            if per_circle and coarse.ndim != 1:
+                raise ValueError("a row-batched functional scans a single radius")
+            for row in np.atleast_2d(coarse):
+                # a copy: a view would keep the row's whole argsort alive
+                top = np.argsort(-row, kind="stable")[:3].copy()
+                best.append(top)
+                best_val.append(row[top])
+        best, best_val = np.array(best), np.array(best_val)
+        scale = radii[:, None] if per_circle else radius  # broadcasts to the rows
+        rowwise = per_circle or coarse.ndim == 2
+        if rowwise:
+            def refine(angles):
+                return quantity(scale * np.exp(1j * angles))
+        else:
+            def refine(angles):  # one row: probe with 1-d angles
+                return quantity(radius * np.exp(1j * angles[0]))[None]
 
-        def refine(angles):  # one row: probe with 1-d angles
-            return quantity(angles[0])[None]
+        step = 2.0 * np.pi / grid
+        ref_theta, ref_val = _golden_refine(
+            refine, theta[best] - step, theta[best] + step, refine_iters)
+        points, values = zip(*probes)
+        _require_finite(np.concatenate(points, axis=-1),
+                        np.concatenate(values, axis=-1), mode, scale)
 
-    # row by row, so no (k, grid) temporaries beyond the values themselves
-    best = np.array([np.argsort(-row, kind="stable")[:3] for row in coarse])
-    step = 2.0 * np.pi / grid
-    ref_theta, ref_val = _golden_refine(
-        refine, theta[best] - step, theta[best] + step, refine_iters)
-    points, values = zip(*probes)
-    _require_finite(np.concatenate(points, axis=-1), np.concatenate(values, axis=-1),
-                    mode, radius)
-
-    rows = np.arange(len(coarse))
+    rows = np.arange(len(best))
     cand_theta = np.concatenate((theta[best], ref_theta), axis=1) % (2.0 * np.pi)
-    cand_val = np.concatenate((coarse[rows[:, None], best], ref_val), axis=1)
+    cand_val = np.concatenate((best_val, ref_val), axis=1)
     ties = cand_val >= cand_val.max(axis=1, keepdims=True) - 1e-12
     pick = np.argmin(np.where(ties, cand_theta, np.inf), axis=1)
-    witness = radius * np.exp(1j * cand_theta[rows, pick])
+    witness = radii * np.exp(1j * cand_theta[rows, pick])
     value = cand_val[rows, pick]
     if mode == "inf_real":
         value = -value
-    if batched:
+    if rowwise:
         return value, witness
     return float(value[0]), complex(witness[0])
 
@@ -287,15 +310,21 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
               policy: ScanPolicy | None = None, alpha=None) -> RadiusResult:
     """Largest radius on which the class property holds.
 
-    Sup-modulus predicates are monotone in the radius by the maximum
-    principle, so a plain bisection applies: if the property survives up
-    to RADIUS_CAP the radius is reported as 1.0 (error at most 2^-14).
-    Real-part quotients lose monotonicity once the circle passes an
-    interior singularity (a zero of f or f' makes large circles look fine
-    again), so the first failure is bracketed by an outward radial walk
-    before bisecting; the walk step bounds how narrow a failure dip can be
-    and still be detected.  The bisection stops at ``tol`` (which must be
-    positive) or once the bracket can no longer be split in floating point.
+    The first failure is bracketed by an outward walk over a fixed list of
+    radii and then bisected.  Sup-modulus predicates are monotone in the
+    radius by the maximum principle, so their walk is r = 0.01 and
+    RADIUS_CAP: if the property survives up to RADIUS_CAP the radius is
+    reported as 1.0 (error at most 2^-14).  Real-part quotients lose
+    monotonicity once the circle passes an interior singularity (a zero of
+    f or f' makes large circles look fine again), so their walk is a
+    ladder 0.01 * 2^-j (j = 8, ..., 1) followed by 96 evenly spaced radii
+    from 0.01 to RADIUS_CAP; the walk step bounds how narrow a failure dip
+    can be and still be detected.  A failure at the first radius brackets
+    (0, first radius).  The walk scans 16 radii per row-batched scan,
+    and a block whose scan raises is walked again one radius at a
+    time, so it stops or raises exactly where a serial walk would.  The
+    bisection stops at ``tol`` (which must be positive) or once the
+    bracket can no longer be split in floating point.
     """
     if not tol > 0.0:
         raise ParamOutOfRange(f"tol must be positive, got {tol}")
@@ -308,23 +337,30 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
                                       policy.refine_iters)
         return value < threshold if sup else value > threshold
 
+    def first_failure(radii, block):  # index of the first failing radius, or None
+        for start in range(0, len(radii), block):
+            rows = radii[start:start + block]
+            try:
+                failed = np.flatnonzero(~clears(rows))
+                hit = failed[0] if failed.size else None
+            except DiskClassError:
+                if block == 1:
+                    raise
+                hit = first_failure(rows, 1)
+            if hit is not None:
+                return start + hit
+        return None
+
     tag = class_tag if alpha is None else f"{class_tag}({alpha:g})"
-    lo = 0.01
-    if not clears(lo):
-        return RadiusResult(tag, 0.0, (0.0, lo), tol, policy.grid)
-    hi = None
     if sup:
-        if clears(RADIUS_CAP):
-            return RadiusResult(tag, 1.0, (RADIUS_CAP, 1.0), tol, policy.grid)
-        hi = RADIUS_CAP
+        walk = np.array([_WALK_START, RADIUS_CAP])
     else:
-        walk = np.linspace(lo, RADIUS_CAP, 96)
-        for prev, r in zip(walk, walk[1:]):
-            if not clears(r):
-                lo, hi = float(prev), float(r)
-                break
-        if hi is None:
-            return RadiusResult(tag, 1.0, (RADIUS_CAP, 1.0), tol, policy.grid)
+        walk = np.concatenate((_WALK_START * 2.0 ** -np.arange(8.0, 0.0, -1.0),
+                               np.linspace(_WALK_START, RADIUS_CAP, 96)))
+    hit = first_failure(walk, _WALK_BLOCK)
+    if hit is None:
+        return RadiusResult(tag, 1.0, (RADIUS_CAP, 1.0), tol, policy.grid)
+    lo, hi = (float(walk[hit - 1]) if hit else 0.0), float(walk[hit])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

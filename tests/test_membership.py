@@ -1,8 +1,11 @@
 """Circle scans, verdicts, radius searches, and the paired-class checks."""
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
+import diskclass.membership as membership
 from diskclass import (
+    DiskFunction,
     ScanPolicy,
     build_member,
     g_transform,
@@ -15,9 +18,32 @@ from diskclass import (
     theorem3_check,
     u_operator,
 )
-from diskclass.errors import NonFiniteValue, PartCPrecondition
+from diskclass.errors import EvalNearZeroDenominator, NonFiniteValue, PartCPrecondition
 from diskclass.explorer import ALPHA_GRID, catalog_prepends
 from diskclass.membership import RADIUS_CAP, extremal_on_circle, theorem2_grid
+from diskclass.series import ComplexSeries
+
+
+def _same_bits(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+def _record_scans(monkeypatch):
+    """Patch the scan engine; each call appends (number of radii, error)."""
+    scans = []
+    original = membership.extremal_on_circle
+
+    def recorded(functional, mode, radius, *args, **kwargs):
+        try:
+            out = original(functional, mode, radius, *args, **kwargs)
+        except Exception as exc:
+            scans.append((np.size(radius), type(exc)))
+            raise
+        scans.append((np.size(radius), None))
+        return out
+
+    monkeypatch.setattr(membership, "extremal_on_circle", recorded)
+    return scans
 
 
 class TestExtremalOnCircle:
@@ -85,6 +111,28 @@ class TestExtremalOnCircle:
                                         grid=64)
             assert (value, witness) == single
 
+    def test_per_radius_rows_equal_one_radius_scans_bit_for_bit(self):
+        a2 = 0.6 * np.exp(1j)
+        poly = build_member(a2, sample_schwarz(1, "random_polynomial", 6))
+        blaschke = build_member(a2, sample_schwarz(1, "blaschke_product", 3))
+        radii = np.array([0.004, 0.05, 0.31, 0.62, RADIUS_CAP])
+        for label, f in (("polynomial", poly), ("blaschke", blaschke),
+                         ("g of polynomial", g_transform(poly))):
+            for fn, mode in ((u_operator(f), "sup_modulus"),
+                             (starlike_quotient(f), "inf_real")):
+                values, witnesses = extremal_on_circle(fn, mode, radii)
+                for r, value, witness in zip(radii, values, witnesses):
+                    single, at = extremal_on_circle(fn, mode, float(r))
+                    assert _same_bits(value, single), (label, mode, r)
+                    assert _same_bits(witness.real, at.real), (label, mode, r)
+                    assert _same_bits(witness.imag, at.imag), (label, mode, r)
+
+    def test_row_batched_functional_takes_one_radius(self):
+        cs = np.array([0.5, 2.0])
+        with pytest.raises(ValueError):
+            extremal_on_circle(lambda z: cs[:, None] * z ** 2, "sup_modulus",
+                               np.array([0.3, 0.6]), grid=64)
+
 
 class TestVerdicts:
     def test_log_map_is_out_of_deviation_class(self):
@@ -145,6 +193,7 @@ class TestVerdicts:
         with pytest.raises(ValueError):
             classify(make_catalog("identity"), "univalent")
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_alpha_raises_instead_of_reading_out(self):
         # the overflow used to surface as extremal value -inf and verdict OUT
         with pytest.raises(NonFiniteValue):
@@ -177,10 +226,40 @@ class TestRadius:
         assert value == pytest.approx(1.0, abs=2e-3)
 
     def test_gb_starlike_radius_matches_half_b(self):
-        for b in (0.5, 1.0, 1.5):
+        # b/2 < 0.01 lies below the first walk radius
+        for b in (0.004, 0.015, 0.02, 0.5, 1.0, 1.5):
             g = g_transform(make_catalog("fb", {"b": b}))
             res = radius_of(g, "starlike")
             assert res.radius == pytest.approx(b / 2.0, abs=1e-4), b
+
+    def test_radius_below_first_walk_radius(self):
+        g = g_transform(make_catalog("fb", {"b": 0.02}))
+        res = radius_of(g, "bounded_turning")
+        assert res.radius == pytest.approx(0.01, abs=1e-4)
+        assert res.bracket[1] - res.bracket[0] <= 1e-4
+        # h = 1 - 1e6 z^2: |U| = 1e6 r^2 reaches 1 at r = 1e-3
+        steep = DiskFunction("steep", {}, quotient=ComplexSeries([1.0, 0.0, -1e6]))
+        res = radius_of(steep, "U")
+        assert res.radius == pytest.approx(1e-3, abs=1e-4)
+        assert res.bracket[1] - res.bracket[0] <= 1e-4
+
+    def test_koebe_starlike_walk_makes_few_scans(self, monkeypatch):
+        scans = _record_scans(monkeypatch)
+        assert radius_of(make_catalog("koebe"), "starlike").radius == 1.0
+        assert len(scans) <= 10
+
+    def test_block_raising_past_the_first_failure_walks_serially(self, monkeypatch):
+        # h vanishes at z0, past which starlikeness fails, and exactly at the
+        # 31st walk radius on the positive axis, a grid node of that circle
+        z0 = 0.3 * np.exp(0.1234j)
+        z1 = np.linspace(0.01, RADIUS_CAP, 96)[30]
+        h = npp.polyfromroots([z0, z1]) / (z0 * z1)
+        f = DiskFunction("two_zeros", {}, quotient=ComplexSeries(h))
+        scans = _record_scans(monkeypatch)
+        res = radius_of(f, "starlike")
+        assert (16, EvalNearZeroDenominator) in scans
+        assert res.radius == pytest.approx(0.3, abs=1e-4)
+        assert res.bracket[1] - res.bracket[0] <= 1e-4
 
     def test_gb2_starlike_radius_is_one(self):
         g = g_transform(make_catalog("fb", {"b": 2.0}))
