@@ -534,9 +534,6 @@ class SchwarzGenerator:
     def psi(self, z):
         return _pointwise(self._kernel().psi, z)
 
-    def psi_prime(self, z):
-        return _pointwise(self._kernel().psi1, z)
-
     def omega1(self, z):
         return _pointwise(self._kernel().omega1, z)
 
@@ -546,17 +543,6 @@ class SchwarzGenerator:
         if self._coeffs is None:
             return self._kernel().psi_taylor(order)
         return ComplexSeries(self._coeffs).pad_to(order).truncate(order)
-
-    def c_coefficients(self):
-        """First three Taylor coefficients of omega1 (c1, c2, c3).
-
-        omega1_k = psi_{k-1}/k, divided as build_member divides, so these
-        equal the c of a built member exactly.
-        """
-        p = self.psi_taylor(2).coeffs[:3]
-        c = np.zeros(3, dtype=np.complex128)
-        c[:p.size] = p / np.arange(1, p.size + 1)
-        return tuple(complex(ck) for ck in c)
 
     # -- serialization ------------------------------------------------------
     def to_dict(self):

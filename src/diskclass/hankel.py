@@ -8,25 +8,21 @@ primitive omega1; their sharp bounds are 1 and 1/4.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import DiskFunction
-from .errors import ArgumentOutOfDomain, InsufficientOrder, ParamOutOfRange
+from .errors import InsufficientOrder, ParamOutOfRange
 
 __all__ = [
     "HankelReport",
     "hankel_det",
     "reduced_h2",
     "reduced_h3",
-    "coeffs_from_c",
     "prokhorov_szynal_check",
     "PSRecord",
-    "c3_envelope",
     "h3_profile_bound",
-    "write_sweep_csv",
 ]
 
 
@@ -96,16 +92,6 @@ def reduced_h3(c) -> complex:
     return c1 * c3 - c2 * c2
 
 
-def coeffs_from_c(a2: complex, c) -> tuple:
-    """(a3, a4, a5) rebuilt from the decomposition data (a2, c1, c2, c3)."""
-    a2 = complex(a2)
-    c1, c2, c3 = (complex(ck) for ck in c[:3])
-    a3 = c1 + a2 ** 2
-    a4 = c2 + 2.0 * a2 * c1 + a2 ** 3
-    a5 = c3 + 2.0 * a2 * c2 + c1 ** 2 + 3.0 * a2 ** 2 * c1 + a2 ** 4
-    return a3, a4, a5
-
-
 @dataclass(frozen=True)
 class PSRecord:
     """Slack of the three coefficient constraints for a bounded-derivative
@@ -137,42 +123,9 @@ def prokhorov_szynal_check(c1, c2, c3) -> PSRecord:
     return PSRecord(slack1=float(s1), slack2=float(s2), slack3=float(s3))
 
 
-def c3_envelope(c1: float, c2_abs: float) -> float:
-    """Largest |c3| compatible with the constraints at real c1 >= 0:
-    (1 - c1^2 - 4 |c2|^2/(1 + c1))/3."""
-    c1, c2_abs = float(c1), float(c2_abs)
-    if not 0.0 <= c1 <= 1.0:
-        raise ArgumentOutOfDomain(f"c1 = {c1} outside [0, 1]")
-    if c2_abs < 0.0 or c2_abs > (1.0 - c1 * c1) / 2.0 + 1e-12:
-        raise ArgumentOutOfDomain(
-            f"|c2| = {c2_abs} outside [0, (1 - c1^2)/2]")
-    return (1.0 - c1 * c1 - 4.0 * c2_abs * c2_abs / (1.0 + c1)) / 3.0
-
-
 def h3_profile_bound(c1: float) -> float:
     """(3 - 2 c1^2 - c1^4)/12, the worst third-determinant modulus over
     admissible (c2, c3) at fixed real c1 in [0, 1]; its maximum is 1/4."""
     c1 = float(c1)
     return (3.0 - 2.0 * c1 * c1 - c1 ** 4) / 12.0
 
-
-def write_sweep_csv(functions, fileobj) -> int:
-    """One row of determinant data per function; returns the row count."""
-    from .operators import decompose
-
-    writer = csv.writer(fileobj)
-    writer.writerow(["id", "params", "h2_modulus", "h3_modulus",
-                     "c1", "c2", "c3", "slack1", "slack2", "slack3"])
-    count = 0
-    for f in functions:
-        dec = decompose(f)
-        h2 = hankel_det(f, 2, 2)
-        h3 = hankel_det(f, 3, 1)
-        ps = prokhorov_szynal_check(*dec.c)
-        params = ";".join(f"{k}={v!r}" for k, v in sorted(f.params.items())
-                          if k != "generator")
-        writer.writerow([f.id, params, repr(h2.modulus), repr(h3.modulus),
-                         repr(dec.c[0]), repr(dec.c[1]), repr(dec.c[2]),
-                         repr(ps.slack1), repr(ps.slack2), repr(ps.slack3)])
-        count += 1
-    return count

@@ -60,11 +60,17 @@ __all__ = [
     "test_class",
     "radius_of",
     "theorem3_check",
-    "theorem2_check",
     "theorem2_grid",
     "CLASS_TAGS",
     "RADIUS_CAP",
 ]
+
+
+def _check_scan_size(grid, refine_iters):
+    if not grid >= 1:
+        raise ParamOutOfRange(f"grid must be at least 1, got {grid}")
+    if not refine_iters >= 0:
+        raise ParamOutOfRange(f"refine_iters must be nonnegative, got {refine_iters}")
 
 
 @dataclass(frozen=True)
@@ -77,15 +83,11 @@ class ScanPolicy:
     refine_iters: int = 48
 
     def __post_init__(self):
-        if not self.grid >= 1:
-            raise ParamOutOfRange(f"grid must be at least 1, got {self.grid}")
+        _check_scan_size(self.grid, self.refine_iters)
         if not 0.0 < self.r_max < 1.0:
             raise ParamOutOfRange(f"r_max must lie in (0, 1), got {self.r_max}")
         if not self.delta >= 0.0:
             raise ParamOutOfRange(f"delta must be nonnegative, got {self.delta}")
-        if not self.refine_iters >= 0:
-            raise ParamOutOfRange(
-                f"refine_iters must be nonnegative, got {self.refine_iters}")
 
     def to_dict(self):
         return asdict(self)
@@ -186,10 +188,12 @@ def extremal_on_circle(functional, mode: str, radius, grid: int = 4096,
     evaluated once per circle and the 3k refine brackets advance together.
     A NaN or infinite value anywhere on the grid or among the refine probes
     raises NonFiniteValue; numpy's floating-point warnings are silenced
-    for the scan, since that check reports the same events.
+    for the scan, since that check reports the same events.  ``grid`` must
+    be at least 1 and ``refine_iters`` nonnegative, else ParamOutOfRange.
     """
     if mode not in ("sup_modulus", "inf_real"):
         raise ValueError(f"unknown mode {mode!r}")
+    _check_scan_size(grid, refine_iters)
     per_circle = np.ndim(radius) == 1
     radii = np.atleast_1d(np.asarray(radius, dtype=float))
     theta = 2.0 * np.pi * np.arange(grid) / grid
@@ -216,17 +220,10 @@ def extremal_on_circle(functional, mode: str, radius, grid: int = 4096,
                 best_val.append(row[top])
         best, best_val = np.array(best), np.array(best_val)
         scale = radii[:, None] if per_circle else radius  # broadcasts to the rows
-        rowwise = per_circle or coarse.ndim == 2
-        if rowwise:
-            def refine(angles):
-                return quantity(scale * np.exp(1j * angles))
-        else:
-            def refine(angles):  # one row: probe with 1-d angles
-                return quantity(radius * np.exp(1j * angles[0]))[None]
-
         step = 2.0 * np.pi / grid
         ref_theta, ref_val = _golden_refine(
-            refine, theta[best] - step, theta[best] + step, refine_iters)
+            lambda angles: quantity(scale * np.exp(1j * angles)),
+            theta[best] - step, theta[best] + step, refine_iters)
         points, values = zip(*probes)
         _require_finite(np.concatenate(points, axis=-1),
                         np.concatenate(values, axis=-1), mode, scale)
@@ -240,7 +237,7 @@ def extremal_on_circle(functional, mode: str, radius, grid: int = 4096,
     value = cand_val[rows, pick]
     if mode == "inf_real":
         value = -value
-    if rowwise:
+    if per_circle or coarse.ndim == 2:
         return value, witness
     return float(value[0]), complex(witness[0])
 
@@ -252,8 +249,11 @@ def class_functional(f: DiskFunction, class_tag: str, alpha=None):
     """(functional, mode, threshold) for a class tag.
 
     For 'mocanu', ``alpha`` may also be a 1-d array of alphas, which gives
-    the row-batched functional with one row per alpha.
+    the row-batched functional with one row per alpha.  Every other tag
+    takes no alpha.
     """
+    if alpha is not None and class_tag != "mocanu":
+        raise ParamOutOfRange(f"class {class_tag!r} takes no alpha, got {alpha}")
     if class_tag == "U":
         return u_operator(f), "sup_modulus", 1.0
     if class_tag == "starlike":
@@ -380,8 +380,11 @@ def theorem3_check(f: DiskFunction, part: str, shrink: float = 0.01,
     part 'a': sup |g' - 1|; part 'b': sup |z g'/g - 1|; part 'c': sup of the
     deviation |U_g|.  All three are compared against 1.  Part 'c' is proved
     only for |a2| <= 1; probing beyond that needs allow_large_a2=True.
+    ``shrink`` must lie in (0, 1).
     """
     policy = policy or ScanPolicy()
+    if not 0.0 < shrink < 1.0:
+        raise ParamOutOfRange(f"shrink must lie in (0, 1), got {shrink}")
     if part not in ("a", "b", "c"):
         raise ParamOutOfRange(f"part must be 'a', 'b' or 'c', not {part!r}")
     if part == "c" and abs(f.a2) > 1.0 + 1e-12 and not allow_large_a2:
@@ -419,14 +422,6 @@ class Theorem2Record:
         return not (self.alpha <= -1.0 and self.m_alpha.verdict == "IN"
                     and self.u.verdict == "OUT")
 
-    def to_dict(self):
-        return {
-            "alpha": self.alpha,
-            "in_m_alpha": self.m_alpha.to_dict(),
-            "in_u": self.u.to_dict(),
-            "implication_respected": self.implication_respected,
-        }
-
 
 def theorem2_grid(f: DiskFunction, alphas,
                   policy: ScanPolicy | None = None) -> list:
@@ -445,8 +440,3 @@ def theorem2_grid(f: DiskFunction, alphas,
     return [Theorem2Record(a, _report(f"mocanu({a:g})", value, witness, mode,
                                       threshold, policy), u)
             for a, value, witness in zip(alphas, values, witnesses)]
-
-
-def theorem2_check(f: DiskFunction, alpha: float,
-                   policy: ScanPolicy | None = None) -> Theorem2Record:
-    return theorem2_grid(f, (alpha,), policy)[0]

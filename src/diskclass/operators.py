@@ -29,14 +29,12 @@ __all__ = [
     "u_series",
     "starlike_quotient",
     "convex_quotient",
-    "mocanu_functional",
     "mocanu_real_part",
     "turning_derivative",
     "g_deviation",
     "g_starlike_deviation",
     "g_transform",
     "decompose",
-    "schwarz_growth_bound",
     "phi_profile",
 ]
 
@@ -99,26 +97,15 @@ def convex_quotient(f: DiskFunction) -> PointFunctional:
     return PointFunctional("convex_quotient", f.id, fn)
 
 
-def mocanu_functional(f: DiskFunction, alpha: float) -> PointFunctional:
-    """(1 - alpha) z f'/f + alpha (1 + z f''/f')."""
-    s = starlike_quotient(f)
-    c = convex_quotient(f)
-    alpha = float(alpha)
-
-    def fn(zz):
-        return (1.0 - alpha) * s(zz) + alpha * c(zz)
-
-    return PointFunctional(f"mocanu({alpha:g})", f.id, fn)
-
-
 def mocanu_real_part(f: DiskFunction, alpha):
     """Re of the alpha-convex functional, for one alpha or a 1-d array of them.
 
-    z f'/f and 1 + z f''/f' are evaluated once per call and combined as
-    (1 - alpha) Re s + alpha Re c in one real array, the real part of
-    ``mocanu_functional``.  For a single alpha the values have the shape of
-    the points; for k alphas the map is row-batched: points of shape (m,)
-    or (k, m) give a (k, m) array whose row i belongs to alpha[i].
+    The functional is (1 - alpha) z f'/f + alpha (1 + z f''/f').  z f'/f
+    and 1 + z f''/f' are evaluated once per call and combined as
+    (1 - alpha) Re s + alpha Re c in one real array.  For a single alpha
+    the values have the shape of the points; for k alphas the map is
+    row-batched: points of shape (m,) or (k, m) give a (k, m) array whose
+    row i belongs to alpha[i].
     """
     s = starlike_quotient(f)
     c = convex_quotient(f)
@@ -207,21 +194,6 @@ def decompose(f: DiskFunction) -> OmegaDecomposition:
     omega = ComplexSeries(_omega_coeffs(h.coeffs))
     c = tuple(omega.coefficient(k) for k in (1, 2, 3))
     return OmegaDecomposition(a2=complex(h.coefficient(1)) * -1.0, omega1=omega, c=c)
-
-
-def schwarz_growth_bound(omega1_value: complex, z: complex) -> float:
-    """Upper bound (r^2 - |w|^2)/(1 - r^2) for |z omega1' - omega1| at z.
-
-    Valid for any omega1 with |omega1'| <= 1; requires |z| < 1 and
-    |omega1_value| <= |z| (up to a 1e-12 slack).
-    """
-    r = abs(z)
-    w = abs(complex(omega1_value))
-    if not r < 1.0:
-        raise ArgumentOutOfDomain(f"|z| = {r} must be below 1")
-    if w > r + 1e-12:
-        raise ArgumentOutOfDomain(f"|omega1| = {w} exceeds |z| = {r}")
-    return (r * r - w * w) / (1.0 - r * r)
 
 
 def phi_profile(t: float, r: float, a2_abs: float) -> float:

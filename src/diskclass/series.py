@@ -145,22 +145,6 @@ class ComplexSeries:
         d = c[1:] * np.arange(1, c.size)
         return ComplexSeries(np.append(d, 0j))
 
-    def integrate(self) -> "ComplexSeries":
-        """Term-wise antiderivative with zero constant term (order grows by one)."""
-        c = self._c
-        out = np.zeros(c.size + 1, dtype=np.complex128)
-        out[1:] = c / np.arange(1, c.size + 1)
-        return ComplexSeries(out)
-
-    def rotate(self, theta: float) -> "ComplexSeries":
-        """Coefficient rotation c_n -> exp(i(n-1)theta) c_n.
-
-        This is the series of exp(-i theta) f(exp(i theta) z), the standard
-        normalization-preserving rotation.
-        """
-        n = np.arange(self._c.size)
-        return ComplexSeries(self._c * np.exp(1j * theta * (n - 1)))
-
     # degree shifts used by the quotient h = z/f
     def mul_z(self) -> "ComplexSeries":
         """Multiply by z, truncating back to the same order."""

@@ -25,20 +25,15 @@ from diskclass import (
     sample_schwarz,
     starlike_quotient,
     test_class as classify,
-    theorem2_check,
+    theorem2_grid,
     u_operator,
     u_series,
 )
 from diskclass.catalog import catalog_ids
 from diskclass.errors import DiskClassError
 from diskclass.explorer import ALPHA_GRID, catalog_prepends
-from diskclass.hankel import (
-    c3_envelope,
-    coeffs_from_c,
-    prokhorov_szynal_check,
-    reduced_h2,
-    reduced_h3,
-)
+from diskclass.hankel import prokhorov_szynal_check, reduced_h2, reduced_h3
+from oracles import c3_envelope, c_coefficients, coeffs_from_c, rotate
 
 
 def sample_members(count, seed, t_range=(0.05, 2.0)):
@@ -151,7 +146,7 @@ def test_criterion_07_rotation_invariance_of_determinants():
         h2 = hankel_det(f, 2, 2).modulus
         h3 = hankel_det(f, 3, 1).modulus
         for theta in rng.uniform(0.0, 2.0 * np.pi, 50):
-            rotated = DiskFunction.from_series(f.series.rotate(float(theta)))
+            rotated = DiskFunction.from_series(rotate(f.series, float(theta)))
             assert abs(hankel_det(rotated, 2, 2).modulus - h2) <= 1e-10
             assert abs(hankel_det(rotated, 3, 1).modulus - h3) <= 1e-10
 
@@ -160,7 +155,7 @@ def test_criterion_08_coefficient_constraint_slacks_and_envelope():
     kinds = ("scaled_unimodular", "blaschke_product", "random_polynomial")
     for i in range(1000):
         gen = sample_schwarz(i, kinds[i % 3], degree=1 + i % 4)
-        ps = prokhorov_szynal_check(*gen.c_coefficients())
+        ps = prokhorov_szynal_check(*c_coefficients(gen))
         assert min(ps.slack1, ps.slack2, ps.slack3) >= -1e-9, i
     # the |c3| envelope meets the third constraint exactly at |c2| extremes
     for x in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -206,13 +201,13 @@ def test_criterion_12_alpha_family_versus_deviation_class():
     log_map = make_catalog("log_map")
     assert classify(log_map, "convex").verdict == "IN"
     assert classify(log_map, "U").verdict == "OUT"
-    rec = theorem2_check(make_catalog("half_plane"), -1.0)
+    [rec] = theorem2_grid(make_catalog("half_plane"), [-1.0])
     assert rec.m_alpha.verdict == "IN"
     assert rec.u.verdict == "IN"
+    alphas = [a for a in ALPHA_GRID if a <= -1.0]
     for cid, params in catalog_prepends("theorem2"):
-        for alpha in (a for a in ALPHA_GRID if a <= -1.0):
-            rec = theorem2_check(make_catalog(cid, params), alpha)
-            assert rec.implication_respected, (cid, alpha)
+        for rec in theorem2_grid(make_catalog(cid, params), alphas):
+            assert rec.implication_respected, (cid, rec.alpha)
 
 
 def test_criterion_13_conjecture_campaign_finds_no_counterexample(conjecture_run):

@@ -234,6 +234,8 @@ class TestUsageErrors:
         ["radius", "--id", "koebe", "--class", "foo"],
         ["membership", "--id", "koebe", "--class", "mocanu"],
         ["membership", "--id", "koebe", "--class", "mocanu", "--alpha", "nan"],
+        ["membership", "--id", "koebe", "--class", "U", "--alpha", "0.5"],
+        ["radius", "--id", "koebe", "--class", "starlike", "--alpha", "0.5"],
         ["campaign", "--kind", "theorem1", "--samples", "2", "--a2", "x:y"],
         ["eval", "--id", "log_map", "1"],
         ["eval", "--id", "koebe", "0.6+0.8j"],

@@ -14,11 +14,11 @@ from diskclass import (
     sample_schwarz,
     starlike_quotient,
     test_class as classify,
-    theorem2_check,
     theorem3_check,
     u_operator,
 )
-from diskclass.errors import EvalNearZeroDenominator, NonFiniteValue, PartCPrecondition
+from diskclass.errors import (EvalNearZeroDenominator, NonFiniteValue, ParamOutOfRange,
+                              PartCPrecondition)
 from diskclass.explorer import ALPHA_GRID, catalog_prepends
 from diskclass.membership import RADIUS_CAP, extremal_on_circle, theorem2_grid
 from diskclass.series import ComplexSeries
@@ -49,6 +49,7 @@ def _record_scans(monkeypatch):
 class TestExtremalOnCircle:
     def test_sup_of_monomial(self):
         value, witness = extremal_on_circle(lambda z: z ** 2, "sup_modulus", 0.5)
+        assert type(value) is float and type(witness) is complex
         assert value == pytest.approx(0.25, abs=1e-12)
         assert abs(witness) == pytest.approx(0.5)
 
@@ -133,6 +134,12 @@ class TestExtremalOnCircle:
             extremal_on_circle(lambda z: cs[:, None] * z ** 2, "sup_modulus",
                                np.array([0.3, 0.6]), grid=64)
 
+    @pytest.mark.parametrize("kwargs", [{"grid": 0}, {"grid": -4},
+                                        {"refine_iters": -1}])
+    def test_rejects_bad_grid_and_refine_iters(self, kwargs):
+        with pytest.raises(ParamOutOfRange):
+            extremal_on_circle(lambda z: z ** 2, "sup_modulus", 0.5, **kwargs)
+
 
 class TestVerdicts:
     def test_log_map_is_out_of_deviation_class(self):
@@ -192,6 +199,14 @@ class TestVerdicts:
     def test_unknown_class_tag(self):
         with pytest.raises(ValueError):
             classify(make_catalog("identity"), "univalent")
+
+    @pytest.mark.parametrize("tag", ["U", "starlike", "convex", "bounded_turning"])
+    def test_alpha_rejected_outside_mocanu(self, tag):
+        f = make_catalog("koebe")
+        with pytest.raises(ParamOutOfRange):
+            classify(f, tag, alpha=0.5)
+        with pytest.raises(ParamOutOfRange):
+            radius_of(f, tag, alpha=0.5)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_alpha_raises_instead_of_reading_out(self):
@@ -294,6 +309,12 @@ class TestPairedChecks:
         with pytest.raises(ValueError):
             theorem3_check(make_catalog("koebe"), "d")
 
+    @pytest.mark.parametrize("shrink", [-0.5, 0.0, 1.0, 1.5, float("nan")])
+    def test_shrink_outside_unit_interval_raises(self, shrink):
+        # shrink = -0.5 used to scan |z| = 1.5 on Koebe, outside the disk
+        with pytest.raises(ParamOutOfRange):
+            theorem3_check(make_catalog("koebe"), "a", shrink)
+
     def test_sampled_member_parts_below_one(self):
         f = build_member(0.8, sample_schwarz(3, "blaschke_product"))
         for part in ("a", "b", "c"):
@@ -301,22 +322,22 @@ class TestPairedChecks:
             assert rep.extremal_value < 1.0, part
 
     def test_half_plane_against_alpha_family(self):
-        rec = theorem2_check(make_catalog("half_plane"), -1.0)
+        [rec] = theorem2_grid(make_catalog("half_plane"), [-1.0])
         assert rec.m_alpha.verdict == "IN"
         assert rec.u.verdict == "IN"
         assert rec.implication_respected
 
     def test_log_map_against_alpha_family(self):
-        rec = theorem2_check(make_catalog("log_map"), 1.0)
+        [rec] = theorem2_grid(make_catalog("log_map"), [1.0])
         assert rec.m_alpha.verdict == "IN"   # convex
         assert rec.u.verdict == "OUT"        # not in the deviation class
         assert rec.implication_respected     # alpha = 1 makes no claim
 
     def test_record_serializes(self):
-        rec = theorem2_check(make_catalog("identity"), -2.0)
-        d = rec.to_dict()
-        assert d["alpha"] == -2.0
-        assert d["in_u"]["verdict"] == "IN"
+        [rec] = theorem2_grid(make_catalog("identity"), [-2.0])
+        assert rec.alpha == -2.0
+        assert rec.u.to_dict()["verdict"] == "IN"
+        assert rec.m_alpha.to_dict()["class"] == "mocanu(-2)"
 
 
 def _theorem2_functions():
