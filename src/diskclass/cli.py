@@ -54,9 +54,9 @@ def _function_from(args) -> DiskFunction:
 
         f = DiskFunction.from_series(ComplexSeries.from_json_dict(data))
     elif args.id:
-        params = {"b": args.b} if args.id == "fb" else None
         if args.id == "fb" and args.b is None:
             raise DiskClassError("--id fb requires --b")
+        params = None if args.b is None else {"b": args.b}
         f = make_catalog(args.id, params, order=args.order)
     else:
         raise DiskClassError("provide --id or --series-file")

@@ -2,15 +2,15 @@
 
 For the quantities tested here the extremum over a closed disk sits on the
 bounding circle (maximum modulus for sup tests, minimum principle for the
-harmonic real parts), so one dense circle scan plus a local golden-section
-refinement decides a verdict.  Verdicts are three-way: IN and OUT require
+harmonic real parts), so one dense circle scan plus a local zoom refinement
+decides a verdict.  Verdicts are three-way: IN and OUT require
 clearing the threshold by a margin delta, everything else is BOUNDARY.
 Extremal members of the deviation class, whose sup tends to 1 only as
 |z| -> 1, legitimately return BOUNDARY: a scan cannot distinguish sup < 1
 from sup = 1, and pretending otherwise would be false precision.
 
-A scan can be row-batched, the refine brackets of all rows advancing as
-one, and each row equals the one-row scan bit for bit.  The rows are
+A scan can be row-batched, one zoom loop refining the brackets of all
+rows, and each row equals the one-row scan bit for bit.  The rows are
 either k radii of one functional, whose grids are evaluated one circle at
 a time, or k functionals that share their expensive parts on one circle,
 one coarse grid evaluation serving every row.  The radius search walks
@@ -48,7 +48,7 @@ RADIUS_CAP = 1.0 - 2.0 ** -14
 _WALK_START = 0.01
 _WALK_BLOCK = 16
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+_ZOOM = np.linspace(-1.0, 1.0, 33)  # relative angles of a zoom-refine level
 
 __all__ = [
     "ScanPolicy",
@@ -80,7 +80,7 @@ class ScanPolicy:
     r_max: float = 1.0 - 2.0 ** -10
     grid: int = 4096
     delta: float = 1e-6
-    refine_iters: int = 48
+    refine_iters: int = 9  # zoom-refine levels (see extremal_on_circle)
 
     def __post_init__(self):
         _check_scan_size(self.grid, self.refine_iters)
@@ -135,30 +135,19 @@ class RadiusResult:
         }
 
 
-def _golden_refine(fn, lo, hi, iters):
-    """Vectorized golden-section maximization over several brackets.
-
-    fn maps an ndarray of angles to real values of the same shape; lo/hi
-    are bracket arrays of any shape.  Returns (theta, value) arrays for the
-    refined maxima.
-    """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1 = fn(x1)
-    f2 = fn(x2)
-    for _ in range(iters):
-        right = f1 < f2  # drop the left part where the right probe is larger
-        lo = np.where(right, x1, lo)
-        hi = np.where(right, hi, x2)
-        t = _INV_PHI * (hi - lo)
-        probe = np.where(right, lo + t, hi - t)
-        x1, x2 = np.where(right, x2, probe), np.where(right, probe, x1)
-        fp = fn(probe)
-        f1, f2 = np.where(right, f2, fp), np.where(right, fp, f1)
-    mid = 0.5 * (lo + hi)
-    return mid, fn(mid)
+def _zoom_refine(fn, center, value, half, levels):
+    """Maximize fn (angles (rows, n) -> values) near each (rows, brackets)
+    center: a level samples center + half * _ZOOM for all brackets in one
+    call, keeps the first best angle and narrows half 16-fold, so a level's
+    spacing is the next level's half-width.  Returns (center, value)."""
+    for _ in range(levels):
+        angles = center[..., None] + half * _ZOOM
+        vals = fn(angles.reshape(len(angles), -1)).reshape(angles.shape)
+        i = np.argmax(vals, axis=-1)[..., None]
+        center = np.take_along_axis(angles, i, -1)[..., 0]
+        value = np.take_along_axis(vals, i, -1)[..., 0]
+        half /= 16.0
+    return center, value
 
 
 def _require_finite(points, values, mode, radius):
@@ -171,12 +160,15 @@ def _require_finite(points, values, mode, radius):
 
 
 def extremal_on_circle(functional, mode: str, radius, grid: int = 4096,
-                       refine_iters: int = 48):
+                       refine_iters: int = 9):
     """Extremum of |F| (mode 'sup_modulus') or Re F (mode 'inf_real') on a circle.
 
-    Coarse grid scan, then golden-section refinement around the three best
-    angles.  Ties within 1e-12 resolve to the smallest angle.  Returns
-    (value, witness).
+    Coarse grid scan, then a zoom refinement around the three best angles:
+    each of ``refine_iters`` levels samples 33 evenly spaced angles across
+    each bracket (one grid step either side at first), keeps the best and
+    narrows the bracket 16-fold.  The default 9 levels resolve an angle to
+    2 pi / 4096 / 16^9 ~ 2e-14 rad; 0 levels return the grid maxima.  Ties
+    within 1e-12 resolve to the smallest angle.  Returns (value, witness).
 
     A scan has k rows, each resolved as a one-row scan would be, and then
     returns a pair of length-k arrays (values, witnesses).  Rows come from
@@ -185,7 +177,7 @@ def extremal_on_circle(functional, mode: str, radius, grid: int = 4096,
     row-batched: k functionals sharing one evaluation, which map points of
     shape (m,) or (k, m) to values of shape (k, m), row i holding
     functional i, all scanned on one circle.  Either way the coarse grid is
-    evaluated once per circle and the 3k refine brackets advance together.
+    evaluated once per circle and one zoom loop refines all 3k brackets.
     A NaN or infinite value anywhere on the grid or among the refine probes
     raises NonFiniteValue; numpy's floating-point warnings are silenced
     for the scan, since that check reports the same events.  ``grid`` must
@@ -197,20 +189,18 @@ def extremal_on_circle(functional, mode: str, radius, grid: int = 4096,
     per_circle = np.ndim(radius) == 1
     radii = np.atleast_1d(np.asarray(radius, dtype=float))
     theta = 2.0 * np.pi * np.arange(grid) / grid
-    probes = []  # (points, values) of each evaluation, checked for NaN and inf
 
-    def quantity(z):
+    def quantity(z, r):
         vals = functional(z)
         q = np.abs(vals) if mode == "sup_modulus" else -np.real(vals)  # maximize
-        probes.append((z, q))
+        _require_finite(z, q, mode, r)
         return q
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         unit = np.exp(1j * theta)
         best, best_val = [], []
         for r in radii:  # one circle at a time: no (k, grid) temporaries
-            coarse = quantity(r * unit)
-            _require_finite(*probes.pop(), mode, r)
+            coarse = quantity(r * unit, r)
             if per_circle and coarse.ndim != 1:
                 raise ValueError("a row-batched functional scans a single radius")
             for row in np.atleast_2d(coarse):
@@ -220,13 +210,9 @@ def extremal_on_circle(functional, mode: str, radius, grid: int = 4096,
                 best_val.append(row[top])
         best, best_val = np.array(best), np.array(best_val)
         scale = radii[:, None] if per_circle else radius  # broadcasts to the rows
-        step = 2.0 * np.pi / grid
-        ref_theta, ref_val = _golden_refine(
-            lambda angles: quantity(scale * np.exp(1j * angles)),
-            theta[best] - step, theta[best] + step, refine_iters)
-        points, values = zip(*probes)
-        _require_finite(np.concatenate(points, axis=-1),
-                        np.concatenate(values, axis=-1), mode, scale)
+        ref_theta, ref_val = _zoom_refine(
+            lambda angles: quantity(scale * np.exp(1j * angles), scale),
+            theta[best], best_val, 2.0 * np.pi / grid, refine_iters)
 
     rows = np.arange(len(best))
     cand_theta = np.concatenate((theta[best], ref_theta), axis=1) % (2.0 * np.pi)
@@ -269,6 +255,15 @@ def class_functional(f: DiskFunction, class_tag: str, alpha=None):
     raise ParamOutOfRange(f"unknown class tag {class_tag!r}; expected one of {CLASS_TAGS}")
 
 
+def _tag(class_tag, alpha):
+    """Report tag of a one-alpha test; an array of alphas is refused."""
+    if alpha is None:
+        return class_tag
+    if np.ndim(alpha) != 0:
+        raise ParamOutOfRange(f"one alpha expected, got {alpha!r}")
+    return f"{class_tag}({alpha:g})"
+
+
 def _verdict(estimate, threshold, delta, sup):
     """IN or OUT when the estimate clears the threshold by more than delta;
     members lie below it for sup tests and above it otherwise."""
@@ -290,9 +285,9 @@ def test_class(f: DiskFunction, class_tag: str, policy: ScanPolicy | None = None
     """
     policy = policy or ScanPolicy()
     functional, mode, threshold = class_functional(f, class_tag, alpha)
+    tag = _tag(class_tag, alpha)
     value, witness = extremal_on_circle(
         functional, mode, policy.r_max, policy.grid, policy.refine_iters)
-    tag = class_tag if alpha is None else f"{class_tag}({alpha:g})"
     return _report(tag, value, witness, mode, threshold, policy)
 
 
@@ -330,6 +325,7 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
         raise ParamOutOfRange(f"tol must be positive, got {tol}")
     policy = policy or ScanPolicy()
     functional, mode, threshold = class_functional(f, class_tag, alpha)
+    tag = _tag(class_tag, alpha)
     sup = mode == "sup_modulus"
 
     def clears(r):
@@ -351,7 +347,6 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
                 return start + hit
         return None
 
-    tag = class_tag if alpha is None else f"{class_tag}({alpha:g})"
     if sup:
         walk = np.array([_WALK_START, RADIUS_CAP])
     else:

@@ -1,8 +1,8 @@
 """Canonical JSON encoding shared by reports, certificates, and the CLI.
 
-Dict keys are sorted and floats rendered with 17 significant digits so that
-equal payloads serialize to identical bytes regardless of insertion order
-or thread count.
+Dict keys are sorted and floats rendered as their shortest round-trip repr
+so that equal payloads serialize to identical bytes regardless of insertion
+order or thread count.
 """
 from __future__ import annotations
 

@@ -239,6 +239,7 @@ class TestUsageErrors:
         ["campaign", "--kind", "theorem1", "--samples", "2", "--a2", "x:y"],
         ["eval", "--id", "log_map", "1"],
         ["eval", "--id", "koebe", "0.6+0.8j"],
+        ["membership", "--id", "koebe", "--b", "0.5", "--class", "U"],
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -67,6 +67,27 @@ class TestExtremalOnCircle:
         value, witness = extremal_on_circle(fn, "sup_modulus", 0.9, grid=64)
         assert value == pytest.approx(1.0 / 0.03, rel=1e-6)
 
+    @staticmethod
+    def _bump_and_spike(z):
+        # on a 64-point grid: a broad bump peaking at node 10 and a spike of
+        # width 0.05 cells, 0.6 cells past that node (angles in grid cells)
+        t = np.angle(z) / (2 * np.pi / 64) - 10.0
+        return np.exp(-(t / 12.0) ** 2) + 1.2 * np.exp(-((t - 0.6) / 0.025) ** 2)
+
+    def test_refine_finds_a_spike_between_grid_nodes(self):
+        value, witness = extremal_on_circle(self._bump_and_spike, "sup_modulus",
+                                            0.5, grid=64)
+        assert value == pytest.approx(1.2 + np.exp(-(0.6 / 12.0) ** 2), abs=1e-7)
+        assert np.angle(witness) / (2 * np.pi / 64) == pytest.approx(10.6, abs=1e-4)
+
+    def test_no_refine_returns_the_grid_maximum(self):
+        theta = 2 * np.pi * np.arange(64) / 64
+        grid_values = np.abs(self._bump_and_spike(0.5 * np.exp(1j * theta)))
+        value, witness = extremal_on_circle(self._bump_and_spike, "sup_modulus",
+                                            0.5, grid=64, refine_iters=0)
+        assert value == grid_values.max()
+        assert witness == 0.5 * np.exp(1j * theta[np.argmax(grid_values)])
+
     def test_inf_real_of_moebius(self):
         # Re (1+z)/(1-z) on |z| = r has minimum (1-r)/(1+r) at z = -r
         value, witness = extremal_on_circle(
@@ -207,6 +228,16 @@ class TestVerdicts:
             classify(f, tag, alpha=0.5)
         with pytest.raises(ParamOutOfRange):
             radius_of(f, tag, alpha=0.5)
+
+    def test_alpha_array_rejected_before_any_scan(self, monkeypatch):
+        scans = _record_scans(monkeypatch)
+        f = make_catalog("koebe")
+        for alpha in ([0.5, 1.0], np.array([0.5])):
+            with pytest.raises(ParamOutOfRange):
+                classify(f, "mocanu", alpha=alpha)
+            with pytest.raises(ParamOutOfRange):
+                radius_of(f, "mocanu", alpha=alpha)
+        assert scans == []
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_alpha_raises_instead_of_reading_out(self):
