@@ -5,8 +5,8 @@ and analytic on the open unit disk, and is handled through its reciprocal
 quotient h = z/f:
 
 * a kernel of closed forms drives boundary scans; it is the one place
-  where h, f and their first two derivatives and the omega data (omega1,
-  psi = omega1', psi') are evaluated at points;
+  where values at points are computed, as the jets [h, h', h''],
+  [f, f', f''] and [omega1, psi = omega1', psi'] of the omega data;
 * one truncated Taylor series drives coefficient work.  A DiskFunction
   keeps the series its constructor knows exactly (h for functions defined
   by their quotient, f for functions defined by their expansion) and
@@ -84,82 +84,101 @@ def _omega_coeffs(h):
 
 
 # ---------------------------------------------------------------------------
-# kernels: vectorized closed forms for h, h', h'' and the omega data
+# kernels: jets of h = z/f, f and the omega data at arrays of points
 # ---------------------------------------------------------------------------
-class _Kernel:
-    """Closed-form accessors shared by every representation of h = z/f.
+def _reciprocal(z, jet):
+    """The jet of z/x from the jet [x, x', x''] of x, to the same length:
+    the one formula that turns the h jet into the f jet and back."""
+    x = jet[0]
+    out = [z / x]
+    if len(jet) > 1:
+        d = x - z * jet[1]
+        out.append(d / x ** 2)
+        if len(jet) > 2:
+            out.append((-z * jet[2] * x - 2.0 * jet[1] * d) / x ** 3)
+    return out
 
-    Subclasses must provide vectorized ``h``, ``h1``, ``h2`` on 1-d complex
-    arrays plus an ``a2`` attribute.  f, f', f'' default to f = z/h and its
-    derivatives, guarded against a vanishing h.  The omega accessors
-    default to algebraic rearrangements of h; those divide by powers of z,
-    so for |z| below ``mask_radius`` they fall back to the polynomial
-    kernel of the quotient series of ``owner``, the DiskFunction the kernel
-    belongs to.
+
+class _Kernel:
+    """Jets of one representation of h = z/f on 1-d complex arrays.
+
+    Three methods serve every pointwise value: ``h_jet(z, n)`` is
+    [h, h', h''][:n+1], ``omega_jet(z, n)`` is [omega1, psi, psi'][:n+1]
+    and ``f_jet(z, n)`` is [f, f', f''][:n+1].  A subclass implements its
+    natural jet, h or omega, and sets ``a2``; the default of the other one
+    rearranges h = 1 - a2 z - z omega1.  The omega jet from h divides by
+    powers of z, so for |z| below ``mask_radius`` it falls back to the
+    polynomial kernel of the quotient series of ``owner``, the DiskFunction
+    the kernel belongs to.  The f jet is the reciprocal of the h jet,
+    guarded against a vanishing h.
     """
 
     mask_radius = 1e-3
     owner = None
     _near_origin = None
 
-    def _masked(self, z, closed, which):
-        out = np.empty(z.shape, dtype=np.complex128)
+    def _masked(self, z, n, closed, jet):
+        out = np.empty((n + 1,) + z.shape, dtype=np.complex128)
         near = np.abs(z) < self.mask_radius
         if near.any():
             if self._near_origin is None:
                 self._near_origin = _PolyKernel(self.owner.quotient.coeffs)
-            out[near] = getattr(self._near_origin, which)(z[near])
+            out[:, near] = getattr(self._near_origin, jet)(z[near], n)
         far = ~near
         if far.any():
-            out[far] = closed(z[far])
-        return out
+            out[:, far] = closed(z[far], n)
+        return list(out)
 
-    def f(self, z):
-        hv = self.h(z)
-        _guard(hv, z, "z/f")
-        return z / hv
+    def h_jet(self, z, n):
+        om = self.omega_jet(z, n)
+        jet = [1.0 - self.a2 * z - z * om[0]]
+        if n > 0:
+            jet.append(-self.a2 - om[0] - z * om[1])
+        if n > 1:
+            jet.append(-2.0 * om[1] - z * om[2])
+        return jet
 
-    def f1(self, z):
-        hv = self.h(z)
-        _guard(hv, z, "f'")
-        return (hv - z * self.h1(z)) / hv ** 2
+    def omega_jet(self, z, n):
+        def closed(w, n):
+            h = self.h_jet(w, n)
+            jet = [(1.0 - self.a2 * w - h[0]) / w]
+            if n > 0:
+                jet.append((h[0] - 1.0 - w * h[1]) / w ** 2)
+            if n > 1:
+                jet.append((-w ** 2 * h[2] - 2.0 * (h[0] - 1.0) + 2.0 * w * h[1]) / w ** 3)
+            return jet
+        return self._masked(z, n, closed, "omega_jet")
 
-    def f2(self, z):
-        hv = self.h(z)
-        _guard(hv, z, "f''")
-        h1v = self.h1(z)
-        return (-z * self.h2(z) * hv - 2.0 * h1v * (hv - z * h1v)) / hv ** 3
-
-    def omega1(self, z):
-        return self._masked(z, lambda w: (1.0 - self.a2 * w - self.h(w)) / w, "omega1")
-
-    def psi(self, z):
-        return self._masked(
-            z, lambda w: (self.h(w) - 1.0 - w * self.h1(w)) / w ** 2, "psi")
-
-    def psi1(self, z):
-        def closed(w):
-            return (-w ** 2 * self.h2(w) - 2.0 * (self.h(w) - 1.0)
-                    + 2.0 * w * self.h1(w)) / w ** 3
-        return self._masked(z, closed, "psi1")
+    def f_jet(self, z, n, h=None):
+        """The f jet; ``h``, when given, is this kernel's h jet at z to at
+        least order n, so a caller that holds it pays for no second one."""
+        h = self.h_jet(z, n) if h is None else h[:n + 1]
+        _guard(h[0], z, ("z/f", "f'", "f''")[n])
+        return _reciprocal(z, h)
 
 
 class _PolyKernel(_Kernel):
-    """h is an explicit polynomial (or a truncated quotient series); every
-    accessor is the matching polynomial, exact in the first case."""
+    """h is an explicit polynomial (or a truncated quotient series); both
+    jets are the matching polynomials, exact in the first case."""
 
     def __init__(self, h_coeffs):
         h = ComplexSeries(h_coeffs)
         om = ComplexSeries(_omega_coeffs(h.coeffs))
-        self.h, self.h1, self.h2 = h, h.derivative(), h.derivative().derivative()
-        self.omega1, self.psi, self.psi1 = om, om.derivative(), om.derivative().derivative()
+        self._h = (h, h.derivative(), h.derivative().derivative())
+        self._omega = (om, om.derivative(), om.derivative().derivative())
+
+    def h_jet(self, z, n):
+        return [p(z) for p in self._h[:n + 1]]
+
+    def omega_jet(self, z, n):
+        return [p(z) for p in self._omega[:n + 1]]
 
 
 class _BlaschkeKernel(_Kernel):
     """h = 1 - a2 z - z omega1 with omega1 integrated in closed form.
 
-    psi is a finite Blaschke product scaled by rho e^{i theta}.  Partial
-    fractions turn its primitive into a polynomial plus logarithms
+    psi = p/q is a finite Blaschke product scaled by rho e^{i theta}.
+    Partial fractions turn its primitive into a polynomial plus logarithms
     log(1 - conj(alpha_k) z), which stay on the principal branch for
     |alpha_k| < 1 and |z| <= 1.
     """
@@ -173,6 +192,7 @@ class _BlaschkeKernel(_Kernel):
         for a in alphas:
             q = npp.polymul(q, np.array([1.0, -np.conj(a)], dtype=np.complex128))
         self.q_poly = q
+        self.p1_poly = _polyder(self.p_poly)
         self.q1_poly = _polyder(q)
         quo, rem = npp.polydiv(self.p_poly, q)
         self.quo_int = npp.polyint(quo)
@@ -186,59 +206,31 @@ class _BlaschkeKernel(_Kernel):
         den = ComplexSeries(self.q_poly).pad_to(order)
         return num * den.reciprocal()
 
-    # psi and its derivative as a plain rational function
-    def psi(self, z):
-        return npp.polyval(z, self.p_poly) / npp.polyval(z, self.q_poly)
-
-    def psi1(self, z):
-        q = npp.polyval(z, self.q_poly)
-        return (npp.polyval(z, _polyder(self.p_poly)) * q
-                - npp.polyval(z, self.p_poly) * npp.polyval(z, self.q1_poly)) / q ** 2
-
-    def omega1(self, z):
+    def omega_jet(self, z, n):
         acc = npp.polyval(z, self.quo_int)
         for bk, ca in zip(self.residues, self.conj_alphas):
             acc = acc + bk * np.log(1.0 - ca * z)
-        return acc
-
-    def h(self, z):
-        return 1.0 - self.a2 * z - z * self.omega1(z)
-
-    def h1(self, z):
-        return -self.a2 - self.omega1(z) - z * self.psi(z)
-
-    def h2(self, z):
-        return -2.0 * self.psi(z) - z * self.psi1(z)
+        jet = [acc]
+        if n > 0:
+            p, q = npp.polyval(z, self.p_poly), npp.polyval(z, self.q_poly)
+            jet.append(p / q)
+        if n > 1:
+            jet.append((npp.polyval(z, self.p1_poly) * q
+                        - p * npp.polyval(z, self.q1_poly)) / q ** 2)
+        return jet
 
 
 class _LogQuotientKernel(_Kernel):
-    """Kernel for f(z) = -log(1 - z), the convex-but-not-bounded witness."""
+    """Kernel for f(z) = -log(1 - z), the convex-but-not-bounded witness:
+    the f jet is closed form and the h jet its reciprocal."""
 
     a2 = 0.5
 
-    def f(self, z):
-        return -np.log(1.0 - z)
+    def f_jet(self, z, n, h=None):
+        return [-np.log(1.0 - z), 1.0 / (1.0 - z), (1.0 - z) ** -2.0][:n + 1]
 
-    def f1(self, z):
-        return 1.0 / (1.0 - z)
-
-    def f2(self, z):
-        return (1.0 - z) ** -2.0
-
-    def h(self, z):
-        return self._masked(z, lambda w: w / self.f(w), "h")
-
-    def h1(self, z):
-        def closed(w):
-            fv = self.f(w)
-            return (fv - w * self.f1(w)) / fv ** 2
-        return self._masked(z, closed, "h1")
-
-    def h2(self, z):
-        def closed(w):
-            fv, f1v, f2v = self.f(w), self.f1(w), self.f2(w)
-            return (-w * f2v * fv - 2.0 * f1v * (fv - w * f1v)) / fv ** 3
-        return self._masked(z, closed, "h2")
+    def h_jet(self, z, n):
+        return self._masked(z, n, lambda w, n: _reciprocal(w, self.f_jet(w, n)), "h_jet")
 
 
 class _GTransformKernel(_Kernel):
@@ -253,21 +245,16 @@ class _GTransformKernel(_Kernel):
         self.parent_a2 = complex(parent_a2)
         self.a2 = complex(a2)
 
-    def _den(self, z):
-        den = self.parent_a2 + self.parent.omega1(z)
+    def h_jet(self, z, n):
+        om = self.parent.omega_jet(z, n)
+        den = self.parent_a2 + om[0]
         _guard(den, z, "a2 + omega1")
-        return den
-
-    def h(self, z):
-        return self.parent_a2 / self._den(z)
-
-    def h1(self, z):
-        return -self.parent_a2 * self.parent.psi(z) / self._den(z) ** 2
-
-    def h2(self, z):
-        den = self._den(z)
-        psi = self.parent.psi(z)
-        return -self.parent_a2 * (self.parent.psi1(z) * den - 2.0 * psi ** 2) / den ** 3
+        jet = [self.parent_a2 / den]
+        if n > 0:
+            jet.append(-self.parent_a2 * om[1] / den ** 2)
+        if n > 1:
+            jet.append(-self.parent_a2 * (om[2] * den - 2.0 * om[1] ** 2) / den ** 3)
+        return jet
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +270,7 @@ class DiskFunction:
     and cached.  Without a kernel the closed forms are the truncated
     polynomial of the quotient.  The pointwise accessors (``eval_f``,
     ``eval_f1``, ``eval_f2``, ``h``, ``h1``, ``omega1``) accept scalars or
-    ndarrays and delegate to the kernel.
+    ndarrays and read one entry of a kernel jet.
     """
 
     def __init__(self, fid, params, kernel=None, *, series=None, quotient=None):
@@ -325,24 +312,24 @@ class DiskFunction:
     def __repr__(self):
         return f"DiskFunction(id={self.id!r}, params={self.params!r}, a2={self.a2:.6g})"
 
-    # -- pointwise evaluation through the kernel ---------------------------
+    # -- pointwise evaluation through the kernel's jets ----------------------
     def eval_f(self, z):
-        return _pointwise(self.kernel.f, z)
+        return _pointwise(lambda w: self.kernel.f_jet(w, 0)[0], z)
 
     def eval_f1(self, z):
-        return _pointwise(self.kernel.f1, z)
+        return _pointwise(lambda w: self.kernel.f_jet(w, 1)[1], z)
 
     def eval_f2(self, z):
-        return _pointwise(self.kernel.f2, z)
+        return _pointwise(lambda w: self.kernel.f_jet(w, 2)[2], z)
 
     def h(self, z):
-        return _pointwise(self.kernel.h, z)
+        return _pointwise(lambda w: self.kernel.h_jet(w, 0)[0], z)
 
     def h1(self, z):
-        return _pointwise(self.kernel.h1, z)
+        return _pointwise(lambda w: self.kernel.h_jet(w, 1)[1], z)
 
     def omega1(self, z):
-        return _pointwise(self.kernel.omega1, z)
+        return _pointwise(lambda w: self.kernel.omega_jet(w, 0)[0], z)
 
     # -- serialization ----------------------------------------------------
     def to_spec(self) -> dict:
@@ -532,10 +519,10 @@ class SchwarzGenerator:
         return self._unit
 
     def psi(self, z):
-        return _pointwise(self._kernel().psi, z)
+        return _pointwise(lambda w: self._kernel().omega_jet(w, 1)[1], z)
 
     def omega1(self, z):
-        return _pointwise(self._kernel().omega1, z)
+        return _pointwise(lambda w: self._kernel().omega_jet(w, 0)[0], z)
 
     def psi_taylor(self, order: int) -> ComplexSeries:
         """Taylor coefficients of psi to the given order (exact for the
@@ -626,7 +613,7 @@ def build_member(a2, generator: SchwarzGenerator,
         raise ParamOutOfRange(f"series order must be at least 1, got {order}")
     h, kernel = generator.member(a2, order)
     try:
-        winding = count_zeros_on_disk(kernel.h)
+        winding = count_zeros_on_disk(lambda z: kernel.h_jet(z, 0)[0])
     except BoundaryTooClose as exc:
         raise DenominatorVanishes(f"quotient vanishes on the certification circle: {exc}") from exc
     if winding != 0:

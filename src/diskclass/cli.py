@@ -48,6 +48,8 @@ def _policy_overrides(args) -> dict:
 
 def _function_from(args) -> DiskFunction:
     if args.series_file:
+        if args.id is not None or args.b is not None:
+            raise DiskClassError("--series-file takes neither --id nor --b")
         with open(args.series_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         from .series import ComplexSeries

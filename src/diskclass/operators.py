@@ -7,7 +7,8 @@ the quotient series) are computed; the class test |U| < 1 then runs on
 boundary circles.  Also provided: the starlike quotient z f'/f, the convex
 quotient 1 + z f''/f', their alpha-combination, the deviation transform
 g = (h - 1)/(-a2), and the decomposition h = 1 - a2 z - z omega1.  Every
-functional reads its pointwise values from the kernel of f.
+functional reads one jet of the kernel of f per call: the h jet, the f jet
+(convex quotient, f') or the omega jet (the g deviations).
 """
 from __future__ import annotations
 
@@ -62,7 +63,8 @@ def u_operator(f: DiskFunction) -> PointFunctional:
     k = f.kernel
 
     def fn(zz):
-        return k.h(zz) - zz * k.h1(zz) - 1.0
+        h, h1 = k.h_jet(zz, 1)
+        return h - zz * h1 - 1.0
 
     return PointFunctional("U", f.id, fn)
 
@@ -73,48 +75,48 @@ def u_series(f: DiskFunction) -> ComplexSeries:
     return h - h.derivative().mul_z() - 1.0
 
 
+def _starlike(zz, h):
+    _guard(h[0], zz, "starlike quotient")
+    return (h[0] - zz * h[1]) / h[0]
+
+
+def _convex(zz, f):
+    _guard(f[1], zz, "convex quotient")
+    return 1.0 + zz * f[2] / f[1]
+
+
 def starlike_quotient(f: DiskFunction) -> PointFunctional:
     """z f'(z)/f(z) computed as (h - z h')/h; equals 1 at the origin."""
     k = f.kernel
-
-    def fn(zz):
-        hv = k.h(zz)
-        _guard(hv, zz, "starlike quotient")
-        return (hv - zz * k.h1(zz)) / hv
-
-    return PointFunctional("starlike_quotient", f.id, fn)
+    return PointFunctional("starlike_quotient", f.id,
+                           lambda zz: _starlike(zz, k.h_jet(zz, 1)))
 
 
 def convex_quotient(f: DiskFunction) -> PointFunctional:
     """1 + z f''(z)/f'(z); requires f' away from zero on the scan set."""
     k = f.kernel
-
-    def fn(zz):
-        f1 = k.f1(zz)
-        _guard(f1, zz, "convex quotient")
-        return 1.0 + zz * k.f2(zz) / f1
-
-    return PointFunctional("convex_quotient", f.id, fn)
+    return PointFunctional("convex_quotient", f.id, lambda zz: _convex(zz, k.f_jet(zz, 2)))
 
 
 def mocanu_real_part(f: DiskFunction, alpha):
     """Re of the alpha-convex functional, for one alpha or a 1-d array of them.
 
-    The functional is (1 - alpha) z f'/f + alpha (1 + z f''/f').  z f'/f
-    and 1 + z f''/f' are evaluated once per call and combined as
+    The functional is (1 - alpha) z f'/f + alpha (1 + z f''/f').  One h
+    jet per call gives z f'/f and, through the f jet derived from it (or
+    the kernel's closed-form one), 1 + z f''/f'; they are combined as
     (1 - alpha) Re s + alpha Re c in one real array.  For a single alpha
     the values have the shape of the points; for k alphas the map is
     row-batched: points of shape (m,) or (k, m) give a (k, m) array whose
     row i belongs to alpha[i].
     """
-    s = starlike_quotient(f)
-    c = convex_quotient(f)
+    k = f.kernel
     a = np.asarray(alpha, dtype=float)[..., None]
     b = 1.0 - a
 
     def fn(zz):
-        cr = c(zz).real  # first: f' and f'' make the most temporaries
-        out = b * s(zz).real
+        h = k.h_jet(zz, 2)
+        cr = _convex(zz, k.f_jet(zz, 2, h)).real
+        out = b * _starlike(zz, h).real
         out += a * cr
         return out
 
@@ -123,7 +125,8 @@ def mocanu_real_part(f: DiskFunction, alpha):
 
 def turning_derivative(f: DiskFunction) -> PointFunctional:
     """f'(z), whose real part is positive for bounded turning."""
-    return PointFunctional("bounded_turning", f.id, f.kernel.f1)
+    k = f.kernel
+    return PointFunctional("bounded_turning", f.id, lambda zz: k.f_jet(zz, 1)[1])
 
 
 def _require_a2(f: DiskFunction) -> complex:
@@ -155,7 +158,8 @@ def g_deviation(f: DiskFunction) -> PointFunctional:
     k, a2 = f.kernel, _require_a2(f)
 
     def fn(zz):
-        return (k.omega1(zz) + zz * k.psi(zz)) / a2
+        om, psi = k.omega_jet(zz, 1)
+        return (om + zz * psi) / a2
 
     return PointFunctional("g_deviation", f.id, fn)
 
@@ -165,9 +169,10 @@ def g_starlike_deviation(f: DiskFunction) -> PointFunctional:
     k, a2 = f.kernel, _require_a2(f)
 
     def fn(zz):
-        den = a2 + k.omega1(zz)
+        om, psi = k.omega_jet(zz, 1)
+        den = a2 + om
         _guard(den, zz, "a2 + omega1")
-        return zz * k.psi(zz) / den
+        return zz * psi / den
 
     return PointFunctional("g_starlike_deviation", f.id, fn)
 

@@ -130,7 +130,7 @@ class TestSchwarzGenerators:
         z = 0.3 + 0.2j
         eps = 1e-6
         numeric = (gen.psi(z + eps) - gen.psi(z - eps)) / (2 * eps)
-        psi1 = gen._kernel().psi1(np.array([z]))[0]
+        psi1 = gen._kernel().omega_jet(np.array([z]), 2)[2][0]
         assert psi1 == pytest.approx(numeric, abs=1e-6)
 
     def test_c_coefficients_from_psi(self):

@@ -138,6 +138,17 @@ class TestSeriesFile:
         assert code == expected
         assert ("error:" in err) == (expected == 2)
 
+    @pytest.mark.parametrize("flag", [["--id", "koebe"], ["--b", "0.5"]])
+    def test_series_file_with_catalog_flag_exits_2(self, capsys, tmp_path, flag):
+        # the file defines the function; a catalog flag beside it would be ignored
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(make_catalog("koebe").series.to_json_dict()))
+        code, out, err = run_cli(capsys, "membership", "--series-file", str(path),
+                                 *flag, "--class", "U")
+        assert code == 2
+        assert out == ""
+        assert "--series-file takes neither --id nor --b" in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "hankel", "--series-file",
                                  str(tmp_path / "absent.json"),

@@ -19,6 +19,7 @@ from diskclass import (
     u_operator,
     u_series,
 )
+from diskclass.catalog import _BlaschkeKernel, _PolyKernel
 from diskclass.errors import (
     ArgumentOutOfDomain,
     EvalNearZeroDenominator,
@@ -119,6 +120,42 @@ class TestClassFunctionals:
         s = starlike_quotient(f)
         with pytest.raises(EvalNearZeroDenominator):
             s(1.0)  # h = (1-z)^2 vanishes at z = 1
+
+
+class TestJetEvaluations:
+    # each functional reads one jet per call: a Blaschke member's omega1,
+    # integrated through complex logs, is evaluated once per evaluation
+    ALPHAS = np.linspace(-2.0, 1.0, 6)
+
+    @staticmethod
+    def counted(monkeypatch, cls, name):
+        calls = []
+        original = getattr(cls, name)
+
+        def counting(self, z, n, *rest):
+            calls.append(n)
+            return original(self, z, n, *rest)
+
+        monkeypatch.setattr(cls, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("make", [
+        u_operator, starlike_quotient, convex_quotient, turning_derivative,
+        lambda f: mocanu_real_part(f, TestJetEvaluations.ALPHAS),
+    ])
+    def test_one_omega_jet_per_blaschke_evaluation(self, monkeypatch, make):
+        gen = SchwarzGenerator.blaschke([0.4, 0.2 - 0.3j], rho=0.8, theta=1.1)
+        functional = make(build_member(0.1, gen))
+        calls = self.counted(monkeypatch, _BlaschkeKernel, "omega_jet")
+        functional(np.array(POINTS))
+        assert len(calls) == 1
+
+    def test_one_h_jet_per_polynomial_mocanu_evaluation(self, monkeypatch):
+        f = sampled_member(4, kind="random_polynomial")
+        functional = mocanu_real_part(f, self.ALPHAS)
+        calls = self.counted(monkeypatch, _PolyKernel, "h_jet")
+        functional(np.array(POINTS))
+        assert calls == [2]
 
 
 class TestGTransform:
