@@ -17,8 +17,17 @@ where a2 is the second Taylor coefficient of f and omega1 is analytic with
 omega1(0) = 0.  When |omega1'| <= 1 on the disk (omega1' = psi for a
 Schwarz-bounded generator psi) the function belongs to the bounded
 reciprocal-deviation class tested by the membership module.
+
+``build_member`` returns such a function only once h is proven zero-free
+on |z| < CERT_RADIUS by ``count_zeros_on_disk``: Weierstrass inclusion
+disks around the roots of a polynomial h, or, for a Blaschke generator, a
+winding count whose arcs are each checked against a bound on |h'|.  A zero
+too close to the circle for either proof makes the count refuse, and the
+member is rejected.
 """
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -32,11 +41,13 @@ from .errors import (
 )
 from .series import DEFAULT_ORDER, ComplexSeries
 
-# Certification circle for zero-freeness of h, and its sampling density.
+# Certification circle for zero-freeness of h.
 CERT_RADIUS = 1.0 - 2.0 ** -10
-CERT_SAMPLES = 8192
-# Below this |h| on the certification circle the winding number is refused.
-MIN_BOUNDARY_ABS = 1e-9
+# A winding count starts on WINDING_START equal arcs and halves the arcs it
+# cannot certify; CERT_SAMPLES bounds the resolution: an arc of width
+# 2 pi / CERT_SAMPLES that still fails makes the count refuse.
+WINDING_START = 128
+CERT_SAMPLES = 2 ** 20
 # Pointwise functional guard: denominators must exceed this in modulus.
 EPS_DENOM = 1e-12
 # An f series counts as normalized when |a_0| and |a_1 - 1| stay below this.
@@ -163,15 +174,24 @@ class _PolyKernel(_Kernel):
 
     def __init__(self, h_coeffs):
         h = ComplexSeries(h_coeffs)
-        om = ComplexSeries(_omega_coeffs(h.coeffs))
-        self._h = (h, h.derivative(), h.derivative().derivative())
-        self._omega = (om, om.derivative(), om.derivative().derivative())
+        self._h = (h,)
+        self._omega = (ComplexSeries(_omega_coeffs(h.coeffs)),)
+
+    @staticmethod
+    def _grown(chain, n):
+        """The series and its derivatives up to order n, each derivative
+        built once, on the first request that needs it."""
+        while len(chain) <= n:
+            chain = chain + (chain[-1].derivative(),)
+        return chain
 
     def h_jet(self, z, n):
-        return [p(z) for p in self._h[:n + 1]]
+        self._h = chain = self._grown(self._h, n)
+        return [p(z) for p in chain[:n + 1]]
 
     def omega_jet(self, z, n):
-        return [p(z) for p in self._omega[:n + 1]]
+        self._omega = chain = self._grown(self._omega, n)
+        return [p(z) for p in chain[:n + 1]]
 
 
 class _BlaschkeKernel(_Kernel):
@@ -185,6 +205,7 @@ class _BlaschkeKernel(_Kernel):
 
     def __init__(self, a2, alphas, rho, theta):
         self.a2 = complex(a2)
+        self.rho = float(rho)
         alphas = np.asarray(alphas, dtype=np.complex128)
         scale = rho * np.exp(1j * theta)
         self.p_poly = scale * npp.polyfromroots(alphas)
@@ -205,6 +226,20 @@ class _BlaschkeKernel(_Kernel):
         num = ComplexSeries(self.p_poly).pad_to(order)
         den = ComplexSeries(self.q_poly).pad_to(order)
         return num * den.reciprocal()
+
+    def winding_bounds(self, radius):
+        """(lipschitz, slack) of h on |z| <= radius for the winding count.
+
+        h' = -a2 - omega1 - z psi with |psi| <= rho and |omega1(z)| <= rho |z|,
+        so |h'| <= |a2| + 2 rho radius.  The slack bounds the rounding of
+        h_jet: 2^-40 times the moduli of the terms it adds, where a log term
+        counts its modulus bound plus its conditioning 1/|1 - conj(alpha) z|.
+        """
+        near = 1.0 - np.abs(self.conj_alphas) * radius
+        logs = np.abs(self.residues) @ (np.pi - np.log(near) + 1.0 / near)
+        terms = 1.0 + abs(self.a2) * radius + radius * (
+            npp.polyval(radius, np.abs(self.quo_int)) + logs)
+        return abs(self.a2) + 2.0 * self.rho * radius, 2.0 ** -40 * float(terms)
 
     def omega_jet(self, z, n):
         acc = npp.polyval(z, self.quo_int)
@@ -583,28 +618,125 @@ def sample_schwarz(seed: int, kind: str, degree: int = 4) -> SchwarzGenerator:
 # ---------------------------------------------------------------------------
 # certified construction from the reciprocal normal form
 # ---------------------------------------------------------------------------
-def count_zeros_on_disk(h, radius: float = CERT_RADIUS,
-                        samples: int = CERT_SAMPLES) -> int:
-    """Zeros of h inside |z| < radius, counted by the winding number of the
-    boundary image.  h must be a vectorized callable, analytic and zero-free
-    on the circle itself (|h| <= 1e-9 anywhere on it raises BoundaryTooClose).
+def _polynomial_roots(c):
+    """Approximate roots of the polynomial c (low to high, nonzero leading
+    coefficient): closed form up to degree 2, companion eigenvalues above."""
+    if len(c) == 2:
+        return [-c[0] / c[1]]
+    if len(c) == 3:
+        c0, b, a = c
+        s = cmath.sqrt(b * b - 4.0 * a * c0)
+        q = -0.5 * (b + s if (b.conjugate() * s).real >= 0.0 else b - s)
+        return [q / a, c0 / q] if q else [0j, 0j]
+    return [complex(z) for z in npp.polyroots(c)]
+
+
+def _inclusion_count(coeffs, radius):
+    """Zeros of a polynomial in |z| < radius from Weierstrass inclusion disks.
+
+    For distinct centres z_i the disks |z - z_i| <= n |W_i|, with
+    W_i = p(z_i) / (a_n prod_{j != i} (z_i - z_j)), cover every zero, and a
+    connected component of k disks holds exactly k zeros (Braess-Hadeler).
+    When every disk lies strictly inside or strictly outside the circle, no
+    component can straddle it, so the count is the number of disks inside;
+    otherwise the count refuses.  Each radius covers the rounding of
+    Horner's rule, the product and the moduli.
     """
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    w = np.asarray(h(radius * np.exp(1j * theta)))
-    if float(np.min(np.abs(w))) <= MIN_BOUNDARY_ABS:
-        raise BoundaryTooClose(
-            f"|h| falls to {float(np.min(np.abs(w))):.3e} on the circle r = {radius}")
-    turns = float(np.sum(np.angle(w / np.roll(w, 1))))
-    return int(np.rint(turns / (2.0 * np.pi)))
+    c = [complex(x) for x in np.atleast_1d(coeffs)]
+    while c and c[-1] == 0:
+        c.pop()
+    if not c:
+        raise BoundaryTooClose("h is identically zero")
+    n = len(c) - 1
+    centres = []
+    for k, z in enumerate(_polynomial_roots(c) if n else ()):
+        if z in centres:  # a multiple root computed exactly: any distinct centres will do
+            z += 2.0 ** -26 * (1.0 + abs(z)) * cmath.exp(2j * cmath.pi * k / n)
+        centres.append(z)
+    g = 8 * (n + 1) * 2.0 ** -53  # bounds the relative rounding of each step below
+    inside = 0
+    for i, zi in enumerate(centres):
+        m = abs(zi)
+        p, scale = 0j, 0.0
+        for ck in reversed(c):
+            p = p * zi + ck
+            scale = scale * m + abs(ck)
+        den = c[-1]
+        for j, zj in enumerate(centres):
+            if j != i:
+                den *= zi - zj
+        if den == 0:
+            raise BoundaryTooClose(f"coincident root approximations at {zi!r}")
+        r = n * (abs(p) + g * scale) / (abs(den) * (1.0 - g)) + g * m
+        if m + r < radius:
+            inside += 1
+        elif not m - r > radius:
+            raise BoundaryTooClose(
+                f"the inclusion disk of the zero near {zi!r} (radius {r:.3e}) "
+                f"meets the circle r = {radius}")
+    return inside
+
+
+def _winding_count(h, radius, lipschitz, slack):
+    """Zeros of h in |z| < radius by the winding number of its boundary image.
+
+    An arc of length l between two samples maps into the disk of radius
+    lipschitz * l around the image of either end.  When that disk, widened
+    by the rounding slack, excludes 0, the argument of h changes along the
+    arc by exactly the principal angle between its end values.  Arcs that
+    fail the test are halved, down to width 2 pi / CERT_SAMPLES; an arc
+    that still fails there makes the count refuse.
+    """
+    width = 2.0 * np.pi / WINDING_START
+    t = width * np.arange(WINDING_START)
+    w0 = np.asarray(h(radius * np.exp(1j * t)))
+    w1 = np.roll(w0, -1)
+    turns = 0.0
+    while True:
+        ok = np.maximum(np.abs(w0), np.abs(w1)) > lipschitz * radius * width + 2.0 * slack
+        turns += float(np.sum(np.angle(w1[ok] / w0[ok])))
+        if ok.all():
+            return int(np.rint(turns / (2.0 * np.pi)))
+        if width <= 2.0 * np.pi / CERT_SAMPLES:
+            low = float(np.min(np.minimum(np.abs(w0[~ok]), np.abs(w1[~ok]))))
+            raise BoundaryTooClose(
+                f"|h| falls to {low:.3e} on the circle r = {radius}, too close to 0 "
+                f"for arcs of {width:.1e} rad")
+        t, w0, w1 = t[~ok], w0[~ok], w1[~ok]
+        width *= 0.5
+        mid = np.asarray(h(radius * np.exp(1j * (t + width))))
+        t = np.concatenate([t, t + width])
+        w0, w1 = np.concatenate([w0, mid]), np.concatenate([mid, w1])
+
+
+def count_zeros_on_disk(h, radius: float = CERT_RADIUS, lipschitz: float | None = None,
+                        slack: float = 0.0) -> int:
+    """Zeros of h inside |z| < radius, proven or refused.
+
+    ``h`` is either the coefficients of a polynomial (low to high), whose
+    zeros are enclosed in Weierstrass inclusion disks, or a vectorized
+    callable analytic on the closed disk, counted by a winding number;
+    then ``lipschitz`` bounds |h'| on the disk and ``slack`` the rounding
+    error of the values of h.  A zero too close to the circle for the
+    proof raises BoundaryTooClose; no count is returned unproven.
+    """
+    if not callable(h):
+        return _inclusion_count(h, radius)
+    if lipschitz is None:
+        raise TypeError("a callable h needs a Lipschitz bound on |h'|")
+    return _winding_count(h, radius, lipschitz, slack)
 
 
 def build_member(a2, generator: SchwarzGenerator,
                  order: int = DEFAULT_ORDER) -> DiskFunction:
     """Construct f from z/f = 1 - a2 z - z omega1(z), omega1' = psi.
 
-    The quotient is certified zero-free on |z| < CERT_RADIUS by winding
-    number before the function is returned; inadmissible parameters raise
-    DenominatorVanishes (callers typically resample).
+    The quotient is certified zero-free on |z| < CERT_RADIUS before the
+    function is returned: by inclusion disks around its roots for the
+    polynomial kinds, and by a Lipschitz-checked winding count for a
+    Blaschke generator.  Inadmissible parameters, and a zero too close to
+    the circle for either proof, raise DenominatorVanishes (callers
+    typically resample).
     """
     a2 = complex(a2)
     if abs(a2) > 2.0 + 1e-12:
@@ -613,12 +745,17 @@ def build_member(a2, generator: SchwarzGenerator,
         raise ParamOutOfRange(f"series order must be at least 1, got {order}")
     h, kernel = generator.member(a2, order)
     try:
-        winding = count_zeros_on_disk(lambda z: kernel.h_jet(z, 0)[0])
+        if isinstance(kernel, _PolyKernel):
+            zeros = count_zeros_on_disk(h)
+        else:
+            lipschitz, slack = kernel.winding_bounds(CERT_RADIUS)
+            zeros = count_zeros_on_disk(lambda z: kernel.h_jet(z, 0)[0], CERT_RADIUS,
+                                        lipschitz, slack)
     except BoundaryTooClose as exc:
         raise DenominatorVanishes(f"quotient vanishes on the certification circle: {exc}") from exc
-    if winding != 0:
+    if zeros != 0:
         raise DenominatorVanishes(
-            f"quotient has {winding} zero(s) inside |z| < {CERT_RADIUS:.6f}")
+            f"quotient has {zeros} zero(s) inside |z| < {CERT_RADIUS:.6f}")
     return DiskFunction("sampled",
                         {"a2": a2, "generator": generator, "order": order},
                         kernel, quotient=ComplexSeries(h).pad_to(order).truncate(order))

@@ -24,8 +24,8 @@ class DenominatorVanishes(DiskClassError):
 
 
 class BoundaryTooClose(DiskClassError):
-    """A zero-counting circle passes too close to a zero of the function;
-    the winding number would be unreliable."""
+    """A zero-counting circle passes too close to a zero of the function
+    for the count to be proven, so the count refuses."""
 
 
 class EvalNearZeroDenominator(DiskClassError):

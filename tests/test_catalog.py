@@ -17,6 +17,7 @@ from diskclass import (
     sample_schwarz,
     seed_key,
 )
+from diskclass.catalog import CERT_RADIUS
 from diskclass.errors import (
     BoundaryTooClose,
     DenominatorVanishes,
@@ -169,18 +170,45 @@ class TestSchwarzGenerators:
 
 class TestWindingCertificate:
     def test_zero_free_quotient(self):
-        assert count_zeros_on_disk(lambda z: 1.0 - 0.5 * z) == 0
+        assert count_zeros_on_disk([1.0, -0.5]) == 0
 
     def test_single_zero_inside(self):
-        assert count_zeros_on_disk(lambda z: 1.0 - 2.0 * z) == 1
+        assert count_zeros_on_disk([1.0, -2.0]) == 1
 
     def test_double_zero_inside(self):
-        assert count_zeros_on_disk(lambda z: (1.0 - 2.0 * z) ** 2) == 2
+        # (1 - 2z)^2: an exactly double root at 1/2
+        assert count_zeros_on_disk([1.0, -4.0, 4.0]) == 2
 
     def test_boundary_zero_raises(self):
         r = 1.0 - 2.0 ** -10
         with pytest.raises(BoundaryTooClose):
-            count_zeros_on_disk(lambda z: z - r)
+            count_zeros_on_disk([-r, 1.0])
+
+    @pytest.mark.parametrize("form", ["coefficients", "callable"])
+    def test_zero_between_samples_is_counted(self, form):
+        # 5e-8 inside the circle and midway between two points of an
+        # 8192-point grid, where a fixed-grid winding count reads 0
+        z0 = (CERT_RADIUS - 5e-8) * np.exp(1j * np.pi / 8192)
+        try:
+            if form == "coefficients":
+                zeros = count_zeros_on_disk([1.0, -1.0 / z0])
+            else:
+                zeros = count_zeros_on_disk(lambda z: 1.0 - z / z0, lipschitz=1.0 / abs(z0))
+        except BoundaryTooClose:
+            return
+        assert zeros == 1
+
+    def test_winding_counts_with_a_lipschitz_bound(self):
+        r = CERT_RADIUS
+        assert count_zeros_on_disk(lambda z: 1.0 - 0.5 * z, lipschitz=0.5) == 0
+        assert count_zeros_on_disk(lambda z: (1.0 - 2.0 * z) ** 2,
+                                   lipschitz=4.0 * (1.0 + 2.0 * r)) == 2
+        with pytest.raises(BoundaryTooClose):
+            count_zeros_on_disk(lambda z: z - r, lipschitz=1.0)
+
+    def test_callable_needs_a_lipschitz_bound(self):
+        with pytest.raises(TypeError):
+            count_zeros_on_disk(lambda z: 1.0 - 0.5 * z)
 
 
 class TestBuildMember:
@@ -223,6 +251,22 @@ class TestBuildMember:
             mu = rng.uniform(0.0, 0.999 * np.sqrt(1 - t * t / 4))
             c = -np.exp(2j * chi) * (t * t / 4 + mu * mu)
             f = build_member(t * np.exp(1j * chi), SchwarzGenerator.constant(c))
+            assert abs(f.a2) == pytest.approx(t, abs=1e-12)
+
+    def test_paired_root_family_with_a_near_double_root_just_outside(self):
+        # h = (1 - (t/2) w)^2 + mu^2 w^2 with w = e^{i chi} z has both roots
+        # at |z| = 1/sqrt(t^2/4 + mu^2), about 4 mu/t apart in angle; put them d
+        # outside CERT_RADIUS
+        rng = np.random.default_rng(seed_key(77))
+        for _ in range(40):
+            d = rng.uniform(1e-3, 1.6e-2)
+            mu = 10.0 ** rng.uniform(-9, -4)
+            chi = rng.uniform(0, 2 * np.pi)
+            t = 2.0 * np.sqrt((CERT_RADIUS + d) ** -2 - mu * mu)
+            c = -np.exp(2j * chi) * (t * t / 4 + mu * mu)
+            f = build_member(t * np.exp(1j * chi), SchwarzGenerator.constant(c))
+            roots = np.abs(np.roots([-c, -t * np.exp(1j * chi), 1.0]))
+            assert roots == pytest.approx(CERT_RADIUS + d, rel=1e-6)
             assert abs(f.a2) == pytest.approx(t, abs=1e-12)
 
     def test_decompose_returns_the_construction_data_exactly(self):
