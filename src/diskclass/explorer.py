@@ -59,6 +59,10 @@ LADDER = (0.1, 0.01, 0.001)
 ALPHA_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
 FB_GRID = tuple(0.25 * k for k in range(1, 9))
 REPLAY_TOL = 1e-9
+# A later sample takes a worst-case certificate only when its value beats the
+# held one by more than this, relative: values equal in exact arithmetic stay
+# with the first index instead of being ranked by last-ulp noise.
+TIE_RTOL = 1e-12
 
 __all__ = [
     "CampaignConfig",
@@ -383,6 +387,12 @@ def _histogram(values, lo, hi, bins):
     return {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
 
 
+def _beats(value, held, largest):
+    """True when value improves on held by more than TIE_RTOL relative."""
+    margin = TIE_RTOL * abs(held)
+    return value > held + margin if largest else value < held - margin
+
+
 def _aggregate(cfg: CampaignConfig, results) -> dict:
     spec = _SPECS[cfg.campaign]
     counts = {"ok": 0, "rejected": 0, "inapplicable": 0}
@@ -396,9 +406,8 @@ def _aggregate(cfg: CampaignConfig, results) -> dict:
         for q in spec.tracked(row["record"], cfg):
             if q.value is None:
                 continue
-            best = worst.get(q.name)  # the first index wins ties
-            if best is None or (q.value > best["value"] if q.largest
-                                else q.value < best["value"]):
+            best = worst.get(q.name)
+            if best is None or _beats(q.value, best["value"], q.largest):
                 worst[q.name] = _certificate(cfg, row, q)
             if q.limit is not None and (q.value > q.limit if q.largest
                                         else q.value < q.limit):

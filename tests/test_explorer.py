@@ -2,6 +2,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from diskclass import (
@@ -13,7 +14,7 @@ from diskclass import (
     write_rows_csv,
 )
 from diskclass.errors import ParamOutOfRange, ReplayMismatch
-from diskclass.explorer import ALPHA_GRID, FB_GRID, LADDER
+from diskclass.explorer import ALPHA_GRID, FB_GRID, LADDER, TIE_RTOL, _aggregate, _beats
 from diskclass.series import ComplexSeries
 
 
@@ -221,6 +222,36 @@ class TestConjectureReport:
 
     def test_histogram_uses_tightest_rung(self, conj_report):
         assert conj_report["histogram"]["quantity"] == "ug_sup_tightest"
+
+
+class TestWorstCaseTies:
+    def test_a_later_value_must_beat_the_held_one_by_more_than_the_tie_tolerance(self):
+        held = 0.99
+        assert not _beats(np.nextafter(held, 2.0), held, largest=True)
+        assert not _beats(held * (1.0 + 0.5 * TIE_RTOL), held, largest=True)
+        assert _beats(held * (1.0 + 2.0 * TIE_RTOL), held, largest=True)
+        assert not _beats(np.nextafter(-held, -2.0), -held, largest=False)
+        assert _beats(-held * (1.0 + 2.0 * TIE_RTOL), -held, largest=False)
+
+    def test_aggregate_keeps_the_first_index_of_a_tie(self):
+        cfg = CampaignConfig("conjecture", samples=1, a2_range=(1.0, 2.0), ladder=(0.5,))
+
+        def row(index, sup):
+            rung = {"eps": 0.5, "radius": 0.5, "sup": sup, "witness": [0.5, 0.0]}
+            return {"index": index, "source": "sampled", "status": "ok", "error": None,
+                    "record": {"rungs": [rung]}, "function": {"id": "koebe"}}
+
+        ulp_noise = [row(0, 0.99), row(1, np.nextafter(0.99, 2.0))]
+        assert _aggregate(cfg, ulp_noise)["worst_case"]["ug_sup@0.5"]["index"] == 0
+        larger = ulp_noise + [row(2, 0.99 * (1.0 + 1e-11))]
+        assert _aggregate(cfg, larger)["worst_case"]["ug_sup@0.5"]["index"] == 2
+
+    def test_quadratic_catalog_ties_stay_with_koebe(self, t3_report, conj_report):
+        # part a is 1 - shrink on koebe and every fb(b) in exact arithmetic
+        assert t3_report["worst_case"]["part_a_sup"]["source"] == "catalog:koebe"
+        for eps in LADDER:
+            cert = conj_report["worst_case"][f"ug_sup@{eps:g}"]
+            assert cert["source"] == "catalog:koebe", eps
 
 
 class TestRowExport:
