@@ -262,7 +262,13 @@ class _LogQuotientKernel(_Kernel):
     a2 = 0.5
 
     def f_jet(self, z, n, h=None):
-        return [-np.log(1.0 - z), 1.0 / (1.0 - z), (1.0 - z) ** -2.0][:n + 1]
+        w = 1.0 - z
+        jet = [-np.log(w)]
+        if n > 0:
+            jet.append(1.0 / w)
+        if n > 1:
+            jet.append(w ** -2.0)
+        return jet
 
     def h_jet(self, z, n):
         return self._masked(z, n, lambda w, n: _reciprocal(w, self.f_jet(w, n)), "h_jet")

@@ -13,14 +13,7 @@ import sys
 
 from .catalog import DiskFunction, catalog_ids, make_catalog
 from .errors import ArgumentOutOfDomain, DiskClassError, ParamOutOfRange
-from .explorer import (
-    ALPHA_GRID,
-    CAMPAIGNS,
-    LADDER,
-    CampaignConfig,
-    run_campaign,
-    write_rows_csv,
-)
+from .explorer import CAMPAIGNS, CampaignConfig, run_campaign, write_rows_csv
 from .hankel import hankel_det
 from .membership import CLASS_TAGS, ScanPolicy, radius_of, test_class
 from .operators import decompose, g_transform, u_operator

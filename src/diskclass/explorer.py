@@ -208,34 +208,27 @@ def _eval_theorem2(f: DiskFunction, cfg: CampaignConfig) -> dict:
 
 
 def _eval_theorem3(f: DiskFunction, cfg: CampaignConfig) -> dict:
-    out = {}
-    for part in ("a", "b"):
-        rep = theorem3_check(f, part, cfg.shrink, cfg.policy)
+    try:
+        reports = theorem3_check(f, "abc", cfg.shrink, cfg.policy)
+    except PartCPrecondition:
+        reports = theorem3_check(f, "ab", cfg.shrink, cfg.policy)
+    out = {"radius": reports[0].scan_radius, "part_c_sup": None,
+           "part_c_witness": None, "phi_min_step": None}
+    for part, rep in zip("abc", reports):
         out[f"part_{part}_sup"] = rep.extremal_value
         out[f"part_{part}_witness"] = complex_pair(rep.witness)
-        out["radius"] = rep.scan_radius
-    try:
-        rep = theorem3_check(f, "c", cfg.shrink, cfg.policy)
-    except PartCPrecondition:
-        out["part_c_sup"] = None
-        out["part_c_witness"] = None
-        out["phi_min_step"] = None
-        return out
-    out["part_c_sup"] = rep.extremal_value
-    out["part_c_witness"] = complex_pair(rep.witness)
-    ts = np.linspace(0.0, out["radius"], 33)
-    vals = np.array([phi_profile(t, out["radius"], abs(f.a2)) for t in ts])
-    out["phi_min_step"] = float(np.diff(vals).min())
+    if len(reports) == 3:
+        ts = np.linspace(0.0, out["radius"], 33)
+        vals = np.array([phi_profile(t, out["radius"], abs(f.a2)) for t in ts])
+        out["phi_min_step"] = float(np.diff(vals).min())
     return out
 
 
 def _eval_conjecture(f: DiskFunction, cfg: CampaignConfig) -> dict:
-    rungs = []
-    for eps in cfg.ladder:
-        rep = theorem3_check(f, "c", eps, cfg.policy, allow_large_a2=True)
-        rungs.append({"eps": eps, "radius": rep.scan_radius, "sup": rep.extremal_value,
-                      "witness": complex_pair(rep.witness)})
-    return {"rungs": rungs}
+    reports = theorem3_check(f, "c", cfg.ladder, cfg.policy, allow_large_a2=True)
+    return {"rungs": [{"eps": eps, "radius": rep.scan_radius, "sup": rep.extremal_value,
+                       "witness": complex_pair(rep.witness)}
+                      for eps, rep in zip(cfg.ladder, reports)]}
 
 
 def _run_one(cfg: CampaignConfig, prepends, index: int) -> dict:

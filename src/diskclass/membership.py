@@ -16,7 +16,9 @@ a time, or k functionals that share their expensive parts on one circle,
 one coarse grid evaluation serving every row.  The radius search walks
 its radii in blocks of such rows (``radius_of``), and a theorem-2 sample
 scans its whole alpha grid as rows (``theorem2_grid``): z f'/f and
-1 + z f''/f' are evaluated once per probe set and combined per alpha.  A
+1 + z f''/f' are evaluated once per probe set and combined per alpha.
+``theorem3_check`` uses both: the three parts of a theorem-3 sample share
+one h jet of g on one circle, and a conjecture ladder is its radii.  A
 NaN or infinite value met by any scan raises NonFiniteValue instead of
 becoming a verdict.
 """
@@ -30,8 +32,6 @@ from .catalog import DiskFunction
 from .errors import DiskClassError, NonFiniteValue, ParamOutOfRange, PartCPrecondition
 from .operators import (
     convex_quotient,
-    g_deviation,
-    g_starlike_deviation,
     g_transform,
     mocanu_real_part,
     starlike_quotient,
@@ -367,38 +367,68 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     return RadiusResult(tag, 0.5 * (lo + hi), (lo, hi), tol, policy.grid)
 
 
-def theorem3_check(f: DiskFunction, part: str, shrink: float = 0.01,
-                   policy: ScanPolicy | None = None,
-                   allow_large_a2: bool = False) -> MembershipReport:
+# The theorem-3 parts g' - 1, z g'/g - 1 and U_g from the h jet of g, with
+# s = h - z h': the arithmetic of turning_derivative, starlike_quotient and
+# u_operator.  (h ** 2 with a scalar exponent is h * h, bit for bit.)
+_THEOREM3_PARTS = {"a": lambda h, s: s / h ** 2 - 1.0, "b": lambda h, s: s / h - 1.0,
+                   "c": lambda h, s: s - 1.0}
+
+
+def _theorem3_functional(g: DiskFunction, parts: str):
+    """The theorem-3 parts of g, one h jet per call: a one-row functional
+    for one part, else row-batched with row i holding parts[i]."""
+    k = g.kernel
+    rows = [_THEOREM3_PARTS[p] for p in parts]
+
+    def fn(zz):
+        h, h1 = k.h_jet(zz, 1)
+        s = h - zz * h1
+        if len(rows) == 1:
+            return rows[0](h, s)
+        if zz.ndim == 1:
+            return np.array([part(h, s) for part in rows])
+        return np.array([part(h[i], s[i]) for i, part in enumerate(rows)])
+
+    return fn
+
+
+def theorem3_check(f: DiskFunction, part: str, shrink=0.01,
+                   policy: ScanPolicy | None = None, allow_large_a2: bool = False):
     """Deviation-transform check on the circle |z| = (1 - shrink) |a2|/2.
 
     part 'a': sup |g' - 1|; part 'b': sup |z g'/g - 1|; part 'c': sup of the
-    deviation |U_g|.  All three are compared against 1.  Part 'c' is proved
-    only for |a2| <= 1; probing beyond that needs allow_large_a2=True.
-    ``shrink`` must lie in (0, 1).
+    deviation |U_g|, all read off one h jet of g = g_transform(f) and
+    compared against 1.  Part 'c' is proved only for |a2| <= 1; probing
+    beyond that needs allow_large_a2=True.  ``shrink`` must lie in (0, 1).
+
+    One part and one shrink give one MembershipReport.  Otherwise the check
+    is one row-batched scan and returns a list of reports, one per row: a
+    string of several parts (e.g. "abc") gives one row per part on one
+    circle, and a 1-d array of shrinks with one part gives one row per
+    circle; asking for both at once raises ParamOutOfRange.  Each row
+    equals its one-part, one-shrink check bit for bit.
     """
     policy = policy or ScanPolicy()
-    if not 0.0 < shrink < 1.0:
+    shrinks = np.asarray(shrink, dtype=float)
+    if shrinks.ndim > 1 or not np.all((shrinks > 0.0) & (shrinks < 1.0)) or not shrinks.size:
         raise ParamOutOfRange(f"shrink must lie in (0, 1), got {shrink}")
-    if part not in ("a", "b", "c"):
-        raise ParamOutOfRange(f"part must be 'a', 'b' or 'c', not {part!r}")
-    if part == "c" and abs(f.a2) > 1.0 + 1e-12 and not allow_large_a2:
+    if not part or any(p not in _THEOREM3_PARTS for p in part):
+        raise ParamOutOfRange(f"part must be made of 'a', 'b' and 'c', not {part!r}")
+    if len(part) > 1 and shrinks.ndim:
+        raise ParamOutOfRange("theorem3_check takes several parts or several shrinks, not both")
+    if "c" in part and abs(f.a2) > 1.0 + 1e-12 and not allow_large_a2:
         raise PartCPrecondition(
             f"|a2| = {abs(f.a2):.6g} > 1; pass allow_large_a2=True to probe")
-    if part == "a":
-        functional = g_deviation(f)
-    elif part == "b":
-        functional = g_starlike_deviation(f)
-    else:
-        functional = u_operator(g_transform(f))
-    radius = (1.0 - shrink) * abs(f.a2) / 2.0
-    value, witness = extremal_on_circle(
-        functional, "sup_modulus", radius, policy.grid, policy.refine_iters)
-    verdict = _verdict(value, 1.0, policy.delta, sup=True)
-    return MembershipReport(
-        class_tag=f"theorem3.{part}", verdict=verdict, extremal_value=value,
-        witness=witness, scan_radius=radius, grid_size=policy.grid,
-        margin=policy.delta, boundary_estimate=value)
+    radius = (1.0 - shrinks) * abs(f.a2) / 2.0
+    values, witnesses = extremal_on_circle(
+        _theorem3_functional(g_transform(f), part), "sup_modulus", radius,
+        policy.grid, policy.refine_iters)
+    reports = [MembershipReport(
+        class_tag=f"theorem3.{p}", verdict=_verdict(v, 1.0, policy.delta, sup=True),
+        extremal_value=float(v), witness=complex(w), scan_radius=float(r),
+        grid_size=policy.grid, margin=policy.delta, boundary_estimate=float(v))
+        for p, r, v, w in np.broadcast(list(part), radius, values, witnesses)]
+    return reports if len(part) > 1 or shrinks.ndim else reports[0]
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ the quotient series) are computed; the class test |U| < 1 then runs on
 boundary circles.  Also provided: the starlike quotient z f'/f, the convex
 quotient 1 + z f''/f', their alpha-combination, the deviation transform
 g = (h - 1)/(-a2), and the decomposition h = 1 - a2 z - z omega1.  Every
-functional reads one jet of the kernel of f per call: the h jet, the f jet
-(convex quotient, f') or the omega jet (the g deviations).
+functional reads one jet of the kernel of f per call: the h jet or the f
+jet (convex quotient, f').
 """
 from __future__ import annotations
 
@@ -32,8 +32,6 @@ __all__ = [
     "convex_quotient",
     "mocanu_real_part",
     "turning_derivative",
-    "g_deviation",
-    "g_starlike_deviation",
     "g_transform",
     "decompose",
     "phi_profile",
@@ -129,20 +127,15 @@ def turning_derivative(f: DiskFunction) -> PointFunctional:
     return PointFunctional("bounded_turning", f.id, lambda zz: k.f_jet(zz, 1)[1])
 
 
-def _require_a2(f: DiskFunction) -> complex:
-    if abs(f.a2) < EPS_A2:
-        raise SecondCoefficientVanishes(
-            f"|a2| = {abs(f.a2):.3e} is below {EPS_A2}; the transform is undefined")
-    return f.a2
-
-
 def g_transform(f: DiskFunction) -> DiskFunction:
     """g = ((z/f) - 1)/(-a2), normalized whenever a2 != 0.
 
     g(z) = z + (1/a2) z omega1(z) in terms of the decomposition of f, so
     its quotient z/g = a2/(a2 + omega1(z)) stays smooth at the origin.
     """
-    _require_a2(f)
+    if abs(f.a2) < EPS_A2:
+        raise SecondCoefficientVanishes(
+            f"|a2| = {abs(f.a2):.3e} is below {EPS_A2}; the transform is undefined")
     h = f.quotient.coeffs
     g_coeffs = np.zeros(h.size, dtype=np.complex128)
     g_coeffs[1] = 1.0
@@ -151,30 +144,6 @@ def g_transform(f: DiskFunction) -> DiskFunction:
     g_series = ComplexSeries(g_coeffs)
     kernel = _GTransformKernel(f.kernel, f.a2, g_series.coefficient(2))
     return DiskFunction("g_transform", {"of": f.to_spec()}, kernel, series=g_series)
-
-
-def g_deviation(f: DiskFunction) -> PointFunctional:
-    """g'(z) - 1 = (omega1(z) + z psi(z))/a2 for the transform of f."""
-    k, a2 = f.kernel, _require_a2(f)
-
-    def fn(zz):
-        om, psi = k.omega_jet(zz, 1)
-        return (om + zz * psi) / a2
-
-    return PointFunctional("g_deviation", f.id, fn)
-
-
-def g_starlike_deviation(f: DiskFunction) -> PointFunctional:
-    """z g'(z)/g(z) - 1 = z psi(z)/(a2 + omega1(z)) for the transform of f."""
-    k, a2 = f.kernel, _require_a2(f)
-
-    def fn(zz):
-        om, psi = k.omega_jet(zz, 1)
-        den = a2 + om
-        _guard(den, zz, "a2 + omega1")
-        return zz * psi / den
-
-    return PointFunctional("g_starlike_deviation", f.id, fn)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ from diskclass import (
     write_rows_csv,
 )
 from diskclass.errors import ParamOutOfRange, ReplayMismatch
-from diskclass.explorer import ALPHA_GRID, FB_GRID, LADDER, TIE_RTOL, _aggregate, _beats
+from diskclass.catalog import make_catalog
+from diskclass.explorer import (ALPHA_GRID, FB_GRID, LADDER, TIE_RTOL, _SPECS, _aggregate,
+                                _beats)
 from diskclass.series import ComplexSeries
 
 
@@ -307,6 +309,36 @@ class TestTheorem2Scans:
         report = run_campaign(CampaignConfig("theorem2", samples=3, seed=5))
         assert report["rejected"] == report["inapplicable"] == 0
         assert len(scans) == 2 * report["samples_run"]
+
+
+class TestTheorem3Scans:
+    @pytest.mark.parametrize("kind, a2_range", [
+        ("theorem3", (0.05, 2.0)),
+        ("conjecture", (1.0, 2.0)),
+    ])
+    def test_one_scan_per_sample(self, monkeypatch, kind, a2_range):
+        # parts a, b and c (a and b alone past |a2| = 1) or every ladder
+        # rung are rows of one scan
+        import diskclass.membership as membership
+
+        scans = []
+        original = membership.extremal_on_circle
+
+        def counted(*args, **kwargs):
+            scans.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(membership, "extremal_on_circle", counted)
+        cfg = CampaignConfig(kind, samples=6, seed=2, a2_range=a2_range)
+        evaluate = _SPECS[kind].evaluate
+        for cid, params in catalog_prepends(kind)[3:] + [("koebe", None)]:
+            scans.clear()
+            evaluate(make_catalog(cid, params), cfg)
+            assert len(scans) == 1, (cid, params)
+        scans.clear()
+        report = run_campaign(cfg)
+        assert report["rejected"] == 0
+        assert len(scans) == report["accepted"]
 
 
 class TestSeriesInversions:

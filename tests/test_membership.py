@@ -395,3 +395,73 @@ class TestBatchedAlphaGrid:
                 assert rec.m_alpha.extremal_value.hex() == single.extremal_value.hex()
                 assert rec.m_alpha.witness.real.hex() == single.witness.real.hex()
                 assert rec.m_alpha.witness.imag.hex() == single.witness.imag.hex()
+
+
+def _same_report_bits(a, b):
+    return (a == b and _same_bits(a.extremal_value, b.extremal_value)
+            and _same_bits(a.witness.real, b.witness.real)
+            and _same_bits(a.witness.imag, b.witness.imag))
+
+
+def _small_a2_members():
+    yield "fb(0.8)", make_catalog("fb", {"b": 0.8})
+    yield "blaschke", build_member(0.8, sample_schwarz(3, "blaschke_product"))
+    yield "polynomial", build_member(0.6 * np.exp(1j),
+                                     sample_schwarz(2, "random_polynomial", 6))
+
+
+class TestTheorem3Rows:
+    def test_part_rows_equal_one_part_scans_bit_for_bit(self):
+        cases = [(label, f, "abc") for label, f in _small_a2_members()]
+        cases += [("koebe", make_catalog("koebe"), "ab"),
+                  ("fb(0.8)", make_catalog("fb", {"b": 0.8}), "ca")]
+        for label, f, parts in cases:
+            reports = theorem3_check(f, parts)
+            assert [rep.class_tag for rep in reports] == [f"theorem3.{p}" for p in parts]
+            for part, rep in zip(parts, reports):
+                assert _same_report_bits(rep, theorem3_check(f, part)), (label, part)
+
+    def test_ladder_rungs_equal_one_shrink_scans_bit_for_bit(self):
+        ladder = (0.1, 0.01, 0.001)
+        for f in (make_catalog("koebe"), make_catalog("fb", {"b": 1.5}),
+                  build_member(0.8, sample_schwarz(3, "blaschke_product"))):
+            rungs = theorem3_check(f, "c", ladder, allow_large_a2=True)
+            assert len(rungs) == len(ladder)
+            for eps, rep in zip(ladder, rungs):
+                single = theorem3_check(f, "c", eps, allow_large_a2=True)
+                assert _same_report_bits(rep, single), (f.id, eps)
+
+    def test_parts_a_and_b_match_the_omega_closed_forms(self):
+        for label, f in _small_a2_members():
+            a2 = f.a2
+            radius = 0.99 * abs(a2) / 2.0
+            z = radius * np.exp(2j * np.pi * np.arange(64) / 64)
+
+            def closed_forms(zz):
+                om, psi = f.kernel.omega_jet(zz, 1)
+                return (om + zz * psi) / a2, zz * psi / (a2 + om)
+
+            got = membership._theorem3_functional(g_transform(f), "ab")(z)
+            for row, ref in zip(got, closed_forms(z)):
+                assert np.max(np.abs(row - ref)) <= 1e-14, label
+            for i, rep in enumerate(theorem3_check(f, "ab")):
+                ref = closed_forms(np.array([rep.witness]))[i][0]
+                assert rep.extremal_value == pytest.approx(abs(ref), abs=1e-14), label
+
+    def test_scalar_input_gives_one_report(self):
+        f = make_catalog("fb", {"b": 0.8})
+        assert isinstance(theorem3_check(f, "a"), membership.MembershipReport)
+        assert len(theorem3_check(f, "b", [0.01])) == 1
+
+    def test_parts_and_shrinks_are_never_batched_together(self):
+        with pytest.raises(ParamOutOfRange):
+            theorem3_check(make_catalog("fb", {"b": 0.8}), "ab", [0.1, 0.01])
+
+    @pytest.mark.parametrize("shrink", [[], [0.1, 1.0], [[0.1]]])
+    def test_shrink_arrays_are_validated(self, shrink):
+        with pytest.raises(ParamOutOfRange):
+            theorem3_check(make_catalog("koebe"), "a", shrink)
+
+    def test_part_c_precondition_covers_batched_parts(self):
+        with pytest.raises(PartCPrecondition):
+            theorem3_check(make_catalog("koebe"), "abc")

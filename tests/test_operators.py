@@ -7,14 +7,13 @@ from diskclass import (
     build_member,
     convex_quotient,
     decompose,
-    g_deviation,
-    g_starlike_deviation,
     g_transform,
     make_catalog,
     mocanu_real_part,
     phi_profile,
     sample_schwarz,
     starlike_quotient,
+    theorem3_check,
     turning_derivative,
     u_operator,
     u_series,
@@ -180,26 +179,11 @@ class TestGTransform:
         expect = f.a2 / (f.a2 + f.omega1(z))
         assert g.h(z) == pytest.approx(expect, abs=1e-12)
 
-    def test_g_deviation_matches_difference_quotient(self):
-        f = sampled_member(11, a2=0.6)
-        dev = g_deviation(f)
-        g = g_transform(f)
-        z = 0.2 + 0.1j
-        assert dev(z) == pytest.approx(g.eval_f1(z) - 1.0, abs=1e-11)
-
-    def test_g_starlike_deviation_matches_quotient(self):
-        f = sampled_member(13, a2=0.7)
-        dev = g_starlike_deviation(f)
-        g = g_transform(f)
-        z = 0.25 - 0.15j
-        s = starlike_quotient(g)
-        assert dev(z) == pytest.approx(s(z) - 1.0, abs=1e-11)
-
     def test_transform_requires_second_coefficient(self):
         with pytest.raises(SecondCoefficientVanishes):
             g_transform(make_catalog("f1"))
         with pytest.raises(SecondCoefficientVanishes):
-            g_deviation(make_catalog("f2"))
+            theorem3_check(make_catalog("f2"), "a")
 
 
 class TestDecomposition:
