@@ -66,14 +66,6 @@ __all__ = [
 ]
 
 
-def _pointwise(fn, z):
-    """Apply a vectorized fn to a scalar or an ndarray of points; a scalar
-    argument gives a complex result."""
-    zz = np.asarray(z, dtype=np.complex128)
-    values = fn(np.atleast_1d(zz))
-    return complex(values[0]) if zz.ndim == 0 else values
-
-
 def _guard(values, points, what):
     small = np.abs(values) <= EPS_DENOM
     if np.any(small):
@@ -221,12 +213,6 @@ class _BlaschkeKernel(_Kernel):
         poles = 1.0 / self.conj_alphas
         self.residues = npp.polyval(poles, rem) / npp.polyval(poles, self.q1_poly)
 
-    def psi_taylor(self, order):
-        """Taylor series of psi to the given order: one series inversion."""
-        num = ComplexSeries(self.p_poly).pad_to(order)
-        den = ComplexSeries(self.q_poly).pad_to(order)
-        return num * den.reciprocal()
-
     def winding_bounds(self, radius):
         """(lipschitz, slack) of h on |z| <= radius for the winding count.
 
@@ -309,9 +295,9 @@ class DiskFunction:
     the one series its caller knows exactly; h and f/z are reciprocal
     series, so the other one is derived by a single inversion on first use
     and cached.  Without a kernel the closed forms are the truncated
-    polynomial of the quotient.  The pointwise accessors (``eval_f``,
-    ``eval_f1``, ``eval_f2``, ``h``, ``h1``, ``omega1``) accept scalars or
-    ndarrays and read one entry of a kernel jet.
+    polynomial of the quotient.  Values at points are read from the jets of
+    ``kernel`` on 1-d arrays: ``f.kernel.f_jet(z, 2)`` is [f, f', f''] and
+    ``f.kernel.h_jet(z, 0)[0]`` is h = z/f.
     """
 
     def __init__(self, fid, params, kernel=None, *, series=None, quotient=None):
@@ -352,25 +338,6 @@ class DiskFunction:
 
     def __repr__(self):
         return f"DiskFunction(id={self.id!r}, params={self.params!r}, a2={self.a2:.6g})"
-
-    # -- pointwise evaluation through the kernel's jets ----------------------
-    def eval_f(self, z):
-        return _pointwise(lambda w: self.kernel.f_jet(w, 0)[0], z)
-
-    def eval_f1(self, z):
-        return _pointwise(lambda w: self.kernel.f_jet(w, 1)[1], z)
-
-    def eval_f2(self, z):
-        return _pointwise(lambda w: self.kernel.f_jet(w, 2)[2], z)
-
-    def h(self, z):
-        return _pointwise(lambda w: self.kernel.h_jet(w, 0)[0], z)
-
-    def h1(self, z):
-        return _pointwise(lambda w: self.kernel.h_jet(w, 1)[1], z)
-
-    def omega1(self, z):
-        return _pointwise(lambda w: self.kernel.omega_jet(w, 0)[0], z)
 
     # -- serialization ----------------------------------------------------
     def to_spec(self) -> dict:
@@ -491,7 +458,6 @@ class SchwarzGenerator:
         self.kind = kind
         self.params = params
         self._coeffs = None  # psi's coefficients, for the polynomial kinds
-        self._unit = None  # kernel of the a2 = 0 member, built on first use
         if kind == "scaled_unimodular":
             rho, theta = float(params["rho"]), float(params["theta"])
             if not 0.0 <= rho <= 1.0:
@@ -533,7 +499,7 @@ class SchwarzGenerator:
         return cls("blaschke_product",
                    {"alphas": pairs, "rho": float(rho), "theta": float(theta)})
 
-    # -- members and evaluation ----------------------------------------------
+    # -- members -----------------------------------------------------------
     def member(self, a2, order: int = DEFAULT_ORDER):
         """Quotient coefficients and kernel of h = 1 - a2 z - z omega1, omega1' = psi.
 
@@ -545,7 +511,8 @@ class SchwarzGenerator:
         a2 = complex(a2)
         if self._coeffs is None:
             kernel = _BlaschkeKernel(a2, self._alphas, self._rho, self._theta)
-            psi = kernel.psi_taylor(order).coeffs
+            num = ComplexSeries(kernel.p_poly).pad_to(order)
+            psi = (num * ComplexSeries(kernel.q_poly).pad_to(order).reciprocal()).coeffs
         else:
             kernel, psi = None, self._coeffs
         h = np.zeros(psi.size + 2, dtype=np.complex128)
@@ -553,24 +520,6 @@ class SchwarzGenerator:
         h[1] = -a2
         h[2:] = -psi / np.arange(1, psi.size + 1)
         return h, kernel if kernel is not None else _PolyKernel(h)
-
-    def _kernel(self):
-        if self._unit is None:  # order 0: only the kernel is used
-            self._unit = self.member(0j, 0)[1]
-        return self._unit
-
-    def psi(self, z):
-        return _pointwise(lambda w: self._kernel().omega_jet(w, 1)[1], z)
-
-    def omega1(self, z):
-        return _pointwise(lambda w: self._kernel().omega_jet(w, 0)[0], z)
-
-    def psi_taylor(self, order: int) -> ComplexSeries:
-        """Taylor coefficients of psi to the given order (exact for the
-        polynomial kinds, true expansion for Blaschke products)."""
-        if self._coeffs is None:
-            return self._kernel().psi_taylor(order)
-        return ComplexSeries(self._coeffs).pad_to(order).truncate(order)
 
     # -- serialization ------------------------------------------------------
     def to_dict(self):

@@ -10,6 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+
+import numpy as np
 
 from .catalog import DiskFunction, catalog_ids, make_catalog
 from .errors import ArgumentOutOfDomain, DiskClassError, ParamOutOfRange
@@ -18,6 +21,7 @@ from .hankel import hankel_det
 from .membership import CLASS_TAGS, ScanPolicy, radius_of, test_class
 from .operators import decompose, g_transform, u_operator
 from .serialize import _canon, canonical_json, complex_pair
+from .series import DEFAULT_ORDER, ComplexSeries
 
 VERDICT_EXIT = {"IN": 0, "OUT": 3, "BOUNDARY": 4}
 
@@ -33,20 +37,33 @@ def _emit(payload: dict, args) -> None:
         print(json.dumps(_canon(payload), indent=2, sort_keys=True))
 
 
-def _policy_overrides(args) -> dict:
-    """The scan policy fields given on the command line."""
-    return {key: getattr(args, key) for key in ("r_max", "grid", "delta")
-            if getattr(args, key, None) is not None}
+def _given(args, *keys) -> dict:
+    """The flags among ``keys`` given on the command line."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
+def _policy(args, base=None) -> ScanPolicy:
+    """The policy ``base`` (by default the default one) updated by the flags given."""
+    return replace(base or ScanPolicy(), **_given(args, "r_max", "grid", "delta"))
+
+
+def _read_json_object(path: str) -> dict:
+    """The JSON object in a file; anything else raises DiskClassError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise DiskClassError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise DiskClassError(f"{path} does not hold a JSON object")
+    return data
 
 
 def _function_from(args) -> DiskFunction:
     if args.series_file:
         if args.id is not None or args.b is not None:
             raise DiskClassError("--series-file takes neither --id nor --b")
-        with open(args.series_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        from .series import ComplexSeries
-
+        data = _read_json_object(args.series_file)
         f = DiskFunction.from_series(ComplexSeries.from_json_dict(data))
     elif args.id:
         if args.id == "fb" and args.b is None:
@@ -66,7 +83,7 @@ def _fn_flags(sub):
     sub.add_argument("--series-file", help="JSON file with a Taylor series")
     sub.add_argument("--of-g", action="store_true",
                      help="apply the normalized transform g before testing")
-    sub.add_argument("--order", type=int, default=64)
+    sub.add_argument("--order", type=int, default=DEFAULT_ORDER)
 
 
 def _policy_flags(sub):
@@ -111,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     _out_flags(s)
 
     s = subs.add_parser("campaign", help="seeded randomized campaign")
-    s.add_argument("--kind", choices=CAMPAIGNS)
+    s.add_argument("--kind", dest="campaign", choices=CAMPAIGNS)
     s.add_argument("--samples", type=int)
     s.add_argument("--seed", type=int)
     s.add_argument("--order", type=int)
@@ -166,7 +183,7 @@ def _echo_function(args) -> dict:
 
 def cmd_membership(args) -> int:
     f = _function_from(args)
-    policy = ScanPolicy(**_policy_overrides(args))
+    policy = _policy(args)
     report = test_class(f, args.class_tag, policy, alpha=args.alpha)
     payload = {"config": {"function": _echo_function(args),
                           "class": args.class_tag, "alpha": args.alpha,
@@ -188,7 +205,7 @@ def cmd_hankel(args) -> int:
 
 def cmd_radius(args) -> int:
     f = _function_from(args)
-    policy = ScanPolicy(**_policy_overrides(args))
+    policy = _policy(args)
     res = radius_of(f, args.class_tag, tol=args.tol, policy=policy,
                     alpha=args.alpha)
     payload = {"config": {"function": _echo_function(args),
@@ -200,26 +217,14 @@ def cmd_radius(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    base = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-    overrides = {
-        "campaign": args.kind,
-        "samples": args.samples,
-        "seed": args.seed,
-        "order": args.order,
-        "shrink": args.shrink,
-    }
-    base.update({k: v for k, v in overrides.items() if v is not None})
+    base = _read_json_object(args.config) if args.config else {}
+    base.update(_given(args, "campaign", "samples", "seed", "order", "shrink"))
     if args.a2:
         base["a2_range"] = _parse_range(args.a2)
-    policy_kw = {**(base.get("policy") or {}), **_policy_overrides(args)}
-    if policy_kw:
-        base["policy"] = policy_kw
     if "campaign" not in base:
         raise DiskClassError("campaign kind missing: pass --kind or --config")
     cfg = CampaignConfig.from_dict(base)
+    cfg = replace(cfg, policy=_policy(args, cfg.policy))
     report = run_campaign(cfg, threads=args.threads, keep_rows=bool(args.csv))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -243,12 +248,14 @@ def cmd_eval(args) -> int:
     if not abs(z) < 1.0:
         raise ArgumentOutOfDomain(f"point {z!r} lies outside the open unit disk")
     u = u_operator(f)(z)
+    pt = np.array([z])
+    fz, f1, f2 = (complex(v[0]) for v in f.kernel.f_jet(pt, 2))
     payload = {
         "config": {"function": _echo_function(args), "point": complex_pair(z)},
-        "f": complex_pair(f.eval_f(z)),
-        "f_prime": complex_pair(f.eval_f1(z)),
-        "f_second": complex_pair(f.eval_f2(z)),
-        "quotient_h": complex_pair(f.h(z)),
+        "f": complex_pair(fz),
+        "f_prime": complex_pair(f1),
+        "f_second": complex_pair(f2),
+        "quotient_h": complex_pair(complex(f.kernel.h_jet(pt, 0)[0][0])),
         "deviation_u": complex_pair(u),
         "deviation_u_abs": abs(u),
     }

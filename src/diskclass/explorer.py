@@ -28,8 +28,9 @@ status to "counterexample-candidate".
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -93,43 +94,57 @@ class CampaignConfig:
         if self.campaign not in CAMPAIGNS:
             raise ParamOutOfRange(
                 f"campaign must be one of {CAMPAIGNS}, not {self.campaign!r}")
-        if int(self.samples) < 1:
+        for name, kind in (("samples", int), ("seed", int), ("order", int),
+                           ("shrink", float), ("a2_range", tuple), ("ladder", tuple),
+                           ("alpha_grid", tuple)):
+            object.__setattr__(self, name, _numbers(name, getattr(self, name), kind))
+        if self.samples < 1:
             raise ParamOutOfRange("samples must be at least 1")
-        if int(self.order) < 8:
+        if self.order < 8:
             raise ParamOutOfRange("series order below 8 is useless here")
-        lo, hi = self.a2_range
-        if not (0.0 < lo <= hi <= 2.0):
+        if len(self.a2_range) != 2 or not 0.0 < self.a2_range[0] <= self.a2_range[1] <= 2.0:
             raise ParamOutOfRange(
-                f"a2_range must satisfy 0 < lo <= hi <= 2, got ({lo}, {hi})")
+                f"a2_range must satisfy 0 < lo <= hi <= 2, got {self.a2_range}")
         if not 0.0 < self.shrink < 1.0:
             raise ParamOutOfRange(f"shrink must lie in (0, 1), got {self.shrink}")
         if not self.ladder or any(not 0.0 < e < 1.0 for e in self.ladder):
             raise ParamOutOfRange("ladder entries must lie in (0, 1)")
         if not self.alpha_grid:
             raise ParamOutOfRange("alpha_grid must not be empty")
-        if not all(np.isfinite(float(a)) for a in self.alpha_grid):
+        if not all(np.isfinite(self.alpha_grid)):
             raise ParamOutOfRange(
                 f"alpha_grid entries must be finite, got {self.alpha_grid}")
-        object.__setattr__(self, "samples", int(self.samples))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "order", int(self.order))
-        object.__setattr__(self, "a2_range", (float(lo), float(hi)))
-        object.__setattr__(self, "ladder", tuple(float(e) for e in self.ladder))
-        object.__setattr__(self, "alpha_grid",
-                           tuple(float(a) for a in self.alpha_grid))
 
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data) -> "CampaignConfig":
-        data = dict(data)
+        data = _known_fields(cls, data, "campaign config")
         if "policy" in data:
-            data["policy"] = ScanPolicy(**data["policy"])
-        for key in ("a2_range", "ladder", "alpha_grid"):
-            if key in data:
-                data[key] = tuple(data[key])
+            data["policy"] = ScanPolicy(**_known_fields(ScanPolicy, data["policy"], "policy"))
         return cls(**data)
+
+
+def _numbers(name, value, kind):
+    """A JSON number as ``kind`` (int or float), or for kind tuple a list of
+    numbers as a tuple of floats; anything else raises ParamOutOfRange."""
+    is_list = isinstance(value, (list, tuple))
+    items = value if is_list else [value]
+    if is_list != (kind is tuple) or not all(isinstance(v, Real) for v in items):
+        what = "a list of numbers" if kind is tuple else "a number"
+        raise ParamOutOfRange(f"{name} must be {what}, got {value!r}")
+    return tuple(map(float, items)) if is_list else kind(value)
+
+
+def _known_fields(cls, data, what):
+    """A JSON object as keyword arguments of the dataclass ``cls``."""
+    if not isinstance(data, dict):
+        raise ParamOutOfRange(f"{what} must be a JSON object, got {data!r}")
+    unknown = sorted(map(str, set(data) - {f.name for f in fields(cls)}))
+    if unknown:
+        raise ParamOutOfRange(f"unknown {what} key(s): {', '.join(unknown)}")
+    return dict(data)
 
 
 def catalog_prepends(campaign: str):
@@ -439,6 +454,8 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1,
     keep_rows=True the raw per-sample results are attached under
     "per_sample" (useful for CSV export; not part of the canonical report).
     """
+    if not threads >= 1:
+        raise ParamOutOfRange(f"threads must be at least 1, got {threads}")
     prepends = catalog_prepends(cfg.campaign)
     indices = range(len(prepends) + cfg.samples)
     worker = partial(_run_one, cfg, prepends)

@@ -25,6 +25,7 @@ becoming a verdict.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -67,10 +68,11 @@ __all__ = [
 
 
 def _check_scan_size(grid, refine_iters):
-    if not grid >= 1:
-        raise ParamOutOfRange(f"grid must be at least 1, got {grid}")
-    if not refine_iters >= 0:
-        raise ParamOutOfRange(f"refine_iters must be nonnegative, got {refine_iters}")
+    if not isinstance(grid, Integral) or not grid >= 1:
+        raise ParamOutOfRange(f"grid must be an integer of at least 1, got {grid}")
+    if not isinstance(refine_iters, Integral) or not refine_iters >= 0:
+        raise ParamOutOfRange(
+            f"refine_iters must be a nonnegative integer, got {refine_iters}")
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,9 @@ class ScanPolicy:
 
     def __post_init__(self):
         _check_scan_size(self.grid, self.refine_iters)
-        if not 0.0 < self.r_max < 1.0:
+        if not isinstance(self.r_max, Real) or not 0.0 < self.r_max < 1.0:
             raise ParamOutOfRange(f"r_max must lie in (0, 1), got {self.r_max}")
-        if not self.delta >= 0.0:
+        if not isinstance(self.delta, Real) or not self.delta >= 0.0:
             raise ParamOutOfRange(f"delta must be nonnegative, got {self.delta}")
 
     def to_dict(self):

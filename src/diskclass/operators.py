@@ -1,11 +1,10 @@
 """Pointwise functionals and transforms attached to a disk function.
 
 The central object is the deviation U(z) = (z/f(z))^2 f'(z) - 1.  Writing
-h = z/f it satisfies U = h - z h' - 1, which is how both the functional
-(``u_operator``, through the kernel) and the series (``u_series``, through
-the quotient series) are computed; the class test |U| < 1 then runs on
-boundary circles.  Also provided: the starlike quotient z f'/f, the convex
-quotient 1 + z f''/f', their alpha-combination, the deviation transform
+h = z/f it satisfies U = h - z h' - 1, which ``u_operator`` computes from
+one h jet of the kernel of f; the class test |U| < 1 then runs on boundary
+circles.  Also provided: the starlike quotient z f'/f, the convex quotient
+1 + z f''/f', their alpha-combination, the deviation transform
 g = (h - 1)/(-a2), and the decomposition h = 1 - a2 z - z omega1.  Every
 functional reads one jet of the kernel of f per call: the h jet or the f
 jet (convex quotient, f').
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import DiskFunction, _guard, _GTransformKernel, _omega_coeffs, _pointwise
+from .catalog import DiskFunction, _guard, _GTransformKernel, _omega_coeffs
 from .errors import ArgumentOutOfDomain, SecondCoefficientVanishes
 from .series import ComplexSeries
 
@@ -27,7 +26,6 @@ __all__ = [
     "PointFunctional",
     "OmegaDecomposition",
     "u_operator",
-    "u_series",
     "starlike_quotient",
     "convex_quotient",
     "mocanu_real_part",
@@ -39,18 +37,16 @@ __all__ = [
 
 
 class PointFunctional:
-    """A vectorized map z -> complex attached to a source function."""
+    """A vectorized map z -> complex: ``fn`` takes a 1-d array of points,
+    and a scalar point gives a complex result."""
 
-    def __init__(self, tag, source_id, fn):
-        self.tag = tag
-        self.source_id = source_id
+    def __init__(self, fn):
         self._fn = fn
 
     def __call__(self, z):
-        return _pointwise(lambda zz: np.asarray(self._fn(zz), dtype=np.complex128), z)
-
-    def __repr__(self):
-        return f"PointFunctional(tag={self.tag!r}, source={self.source_id!r})"
+        zz = np.asarray(z, dtype=np.complex128)
+        values = np.asarray(self._fn(np.atleast_1d(zz)), dtype=np.complex128)
+        return complex(values[0]) if zz.ndim == 0 else values
 
 
 def u_operator(f: DiskFunction) -> PointFunctional:
@@ -64,13 +60,7 @@ def u_operator(f: DiskFunction) -> PointFunctional:
         h, h1 = k.h_jet(zz, 1)
         return h - zz * h1 - 1.0
 
-    return PointFunctional("U", f.id, fn)
-
-
-def u_series(f: DiskFunction) -> ComplexSeries:
-    """Taylor series of the deviation, h - z h' - 1 on the quotient series."""
-    h = f.quotient
-    return h - h.derivative().mul_z() - 1.0
+    return PointFunctional(fn)
 
 
 def _starlike(zz, h):
@@ -86,14 +76,13 @@ def _convex(zz, f):
 def starlike_quotient(f: DiskFunction) -> PointFunctional:
     """z f'(z)/f(z) computed as (h - z h')/h; equals 1 at the origin."""
     k = f.kernel
-    return PointFunctional("starlike_quotient", f.id,
-                           lambda zz: _starlike(zz, k.h_jet(zz, 1)))
+    return PointFunctional(lambda zz: _starlike(zz, k.h_jet(zz, 1)))
 
 
 def convex_quotient(f: DiskFunction) -> PointFunctional:
     """1 + z f''(z)/f'(z); requires f' away from zero on the scan set."""
     k = f.kernel
-    return PointFunctional("convex_quotient", f.id, lambda zz: _convex(zz, k.f_jet(zz, 2)))
+    return PointFunctional(lambda zz: _convex(zz, k.f_jet(zz, 2)))
 
 
 def mocanu_real_part(f: DiskFunction, alpha):
@@ -124,7 +113,7 @@ def mocanu_real_part(f: DiskFunction, alpha):
 def turning_derivative(f: DiskFunction) -> PointFunctional:
     """f'(z), whose real part is positive for bounded turning."""
     k = f.kernel
-    return PointFunctional("bounded_turning", f.id, lambda zz: k.f_jet(zz, 1)[1])
+    return PointFunctional(lambda zz: k.f_jet(zz, 1)[1])
 
 
 def g_transform(f: DiskFunction) -> DiskFunction:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .errors import NearZeroConstantTerm
+from .errors import NearZeroConstantTerm, ParamOutOfRange
 
 DEFAULT_ORDER = 64
 
@@ -56,10 +56,14 @@ class ComplexSeries:
 
     @classmethod
     def from_json_dict(cls, data) -> "ComplexSeries":
-        coeffs = [complex(re, im) for re, im in data["coeffs"]]
-        s = cls(coeffs)
-        if s.order != int(data["order"]):
-            raise ValueError("order field disagrees with coefficient count")
+        """Inverse of ``to_json_dict``; malformed data raises ParamOutOfRange."""
+        try:
+            s = cls([complex(re, im) for re, im in data["coeffs"]])
+            order = int(data["order"])
+        except (KeyError, TypeError, ValueError):
+            raise ParamOutOfRange('a series is {"order": n, "coeffs": [[re, im], ...]}')
+        if s.order != order:
+            raise ParamOutOfRange("order field disagrees with coefficient count")
         return s
 
     # ------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Nothing in the package calls these; each one restates a formula of the
 paper (or a classical identity) independently of the code under test.
+``jet_at`` is the tests' reader of the kernel jets at a point.
 """
 import numpy as np
 
+from diskclass.catalog import DiskFunction
 from diskclass.errors import ArgumentOutOfDomain
 from diskclass.operators import PointFunctional, convex_quotient, starlike_quotient
 from diskclass.series import ComplexSeries
@@ -20,15 +22,30 @@ def rotate(series: ComplexSeries, theta: float) -> ComplexSeries:
     return ComplexSeries(series.coeffs * np.exp(1j * theta * (n - 1)))
 
 
+def jet_at(kernel, name, n, z):
+    """The ``name`` jet ("h", "f" or "omega") of a kernel to order n at z:
+    a list of complex numbers for a scalar z, of arrays for an array."""
+    zz = np.asarray(z, dtype=np.complex128)
+    jet = getattr(kernel, f"{name}_jet")(np.atleast_1d(zz), n)
+    return [complex(v[0]) for v in jet] if zz.ndim == 0 else jet
+
+
+def u_series(f: DiskFunction) -> ComplexSeries:
+    """Taylor series of the deviation, h - z h' - 1 on the quotient series."""
+    h = f.quotient
+    return h - h.derivative().mul_z() - 1.0
+
+
 def c_coefficients(generator):
     """First three Taylor coefficients of omega1 (c1, c2, c3).
 
-    omega1_k = psi_{k-1}/k, divided as build_member divides, so these
-    equal the c of a built member exactly.
+    omega1_k = psi_{k-1}/k = -h_{k+1} for the quotient h of the a2 = 0
+    member, which build_member divides the same way, so these equal the c
+    of a built member exactly.
     """
-    p = generator.psi_taylor(2).coeffs[:3]
+    h = generator.member(0j, 2)[0]
     c = np.zeros(3, dtype=np.complex128)
-    c[:p.size] = p / np.arange(1, p.size + 1)
+    c[:h.size - 2] = -h[2:5]
     return tuple(complex(ck) for ck in c)
 
 
@@ -63,4 +80,4 @@ def mocanu_functional(f, alpha: float) -> PointFunctional:
     def fn(zz):
         return (1.0 - alpha) * s(zz) + alpha * c(zz)
 
-    return PointFunctional(f"mocanu({alpha:g})", f.id, fn)
+    return PointFunctional(fn)

@@ -27,13 +27,13 @@ from diskclass import (
     test_class as classify,
     theorem2_grid,
     u_operator,
-    u_series,
 )
 from diskclass.catalog import catalog_ids
 from diskclass.errors import DiskClassError
 from diskclass.explorer import ALPHA_GRID, catalog_prepends
 from diskclass.hankel import prokhorov_szynal_check, reduced_h2, reduced_h3
-from oracles import c3_envelope, c_coefficients, coeffs_from_c, rotate
+from oracles import (c3_envelope, c_coefficients, coeffs_from_c, jet_at, rotate,
+                     u_series)
 
 
 def sample_members(count, seed, t_range=(0.05, 2.0)):
@@ -194,7 +194,7 @@ def test_criterion_11_quadratic_family_starlike_radius():
         g = g_transform(make_catalog("fb", {"b": b}))
         res = radius_of(g, "starlike")
         assert res.radius == pytest.approx(b / 2.0, abs=1e-4), (b, res.radius)
-        assert abs(g.eval_f1(-b / 2.0)) <= 1e-14, b
+        assert abs(jet_at(g.kernel, "f", 1, -b / 2.0)[1]) <= 1e-14, b
 
 
 def test_criterion_12_alpha_family_versus_deviation_class():

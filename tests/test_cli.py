@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from diskclass import make_catalog
@@ -91,6 +92,59 @@ class TestEvalCommand:
         assert "cannot parse point" in err
 
 
+class TestEvalClosedForms:
+    """eval against closed forms of f, f', f'', h = z/f and U = h^2 f' - 1,
+    one case for each kind of kernel."""
+
+    @staticmethod
+    def check(payload, z, f, f1, f2):
+        h = z / f
+        for key, want in (("f", f), ("f_prime", f1), ("f_second", f2),
+                          ("quotient_h", h), ("deviation_u", h * h * f1 - 1.0)):
+            assert complex(*payload[key]) == pytest.approx(want, rel=1e-12, abs=1e-15), key
+        assert payload["deviation_u_abs"] == pytest.approx(abs(h * h * f1 - 1.0), abs=1e-15)
+
+    def test_koebe_polynomial_kernel(self, capsys):
+        z = 0.3 - 0.4j
+        code, payload = run_json(capsys, "eval", "--id", "koebe", "(0.3-0.4j)")
+        assert code == 0
+        self.check(payload, z, z / (1 - z) ** 2, (1 + z) / (1 - z) ** 3,
+                   (2 * z + 4) / (1 - z) ** 4)
+        assert complex(*payload["deviation_u"]) == pytest.approx(-z * z, abs=1e-15)
+
+    @pytest.mark.parametrize("point", ["0.0001", "0.9"])
+    def test_log_map_kernel(self, capsys, point):
+        # 1e-4 lies inside the kernel's 1e-3 mask, where h comes from the series;
+        # a real z keeps log1p accurate
+        z = float(point)
+        code, payload = run_json(capsys, "eval", "--id", "log_map", point)
+        assert code == 0
+        self.check(payload, z, -np.log1p(-z), 1 / (1 - z), 1 / (1 - z) ** 2)
+
+    def test_g_transform_kernel(self, capsys):
+        # g of fb(b) is z + z^2/b
+        b, z = 0.7, 0.2 + 0.1j
+        code, payload = run_json(capsys, "eval", "--id", "fb", "--b", "0.7", "--of-g",
+                                 "(0.2+0.1j)")
+        assert code == 0
+        self.check(payload, z, z + z * z / b, 1 + 2 * z / b, 2 / b)
+
+    def test_series_file_truncation(self, capsys, tmp_path):
+        # f = z + c2 z^2 + c3 z^3 is read as its quotient h = z/f, truncated
+        # to the order 2 of f/z: h = 1 - c2 z + (c2^2 - c3) z^2
+        c2, c3 = 0.25 + 0.1j, -0.05 + 0.02j
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"order": 3, "coeffs": [
+            [0, 0], [1, 0], [c2.real, c2.imag], [c3.real, c3.imag]]}))
+        code, payload = run_json(capsys, "eval", "--series-file", str(path), "(-0.5+0.3j)")
+        assert code == 0
+        z = -0.5 + 0.3j
+        k1, k2 = -c2, c2 * c2 - c3
+        h, h1, h2 = 1 + k1 * z + k2 * z * z, k1 + 2 * k2 * z, 2 * k2
+        s = h - z * h1  # f = z/h, f' = s/h^2 and f'' = s'/h^2 - 2 s h'/h^3
+        self.check(payload, z, z / h, s / h ** 2, -z * h2 / h ** 2 - 2 * s * h1 / h ** 3)
+
+
 class TestDecomposeCommand:
     def test_koebe_normal_form(self, capsys):
         code, payload = run_json(capsys, "decompose", "--id", "koebe")
@@ -168,6 +222,14 @@ class TestCampaignCommand:
         assert p1.read_bytes() == p2.read_bytes()
         assert json.loads(p1.read_text())["status"] == "ok"
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, capsys, threads):
+        code, out, err = run_cli(capsys, "campaign", "--kind", "theorem1",
+                                 "--samples", "1", "--threads", threads)
+        assert code == 2
+        assert out == ""
+        assert "threads must be at least 1" in err
+
     def test_config_file_with_flag_overrides(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"campaign": "theorem1", "samples": 3,
@@ -206,6 +268,42 @@ class TestCampaignCommand:
         code, out, err = run_cli(capsys, "campaign", "--samples", "2")
         assert code == 2
         assert "campaign kind missing" in err
+
+
+class TestMalformedJson:
+    """Malformed --config and --series-file contents are input errors."""
+
+    @pytest.mark.parametrize("text, word", [
+        ('{"campaign": "theorem1",', "not valid JSON"),
+        ('["theorem1"]', "JSON object"),
+        ('{"campaign": "theorem1", "bogus": 1}', "bogus"),
+        ('{"campaign": "theorem1", "policy": {"grid": "x"}}', "grid"),
+        ('{"campaign": "theorem1", "policy": "x"}', "policy"),
+        ('{"campaign": "conjecture", "ladder": ["x"]}', "ladder"),
+        ('{"campaign": "theorem1", "samples": "x"}', "samples"),
+    ])
+    def test_config_exits_2(self, capsys, tmp_path, text, word):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "campaign", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and word in err
+
+    @pytest.mark.parametrize("text, word", [
+        ('{"order": 1, "coeffs": [[0, 0], [1, 0]', "not valid JSON"),
+        ('[[0, 0], [1, 0]]', "JSON object"),
+        ('{"coeffs": [[0, 0], [1, 0]]}', "order"),
+        ('{"order": 3, "coeffs": [[0, 0], [1, 0]]}', "disagrees"),
+        ('{"order": 1, "coeffs": [[0, 0, 0], [1, 0]]}', "coeffs"),
+    ])
+    def test_series_file_exits_2(self, capsys, tmp_path, text, word):
+        path = tmp_path / "series.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "eval", "--series-file", str(path), "0.1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and word in err
 
 
 class TestUsageErrors:

@@ -44,6 +44,28 @@ class TestConfig:
         with pytest.raises(ParamOutOfRange):
             CampaignConfig(**kwargs)
 
+    @pytest.mark.parametrize("data", [
+        ["theorem1"],
+        {"campaign": "theorem1", "bogus": 1},
+        {"campaign": "theorem1", "samples": "5"},
+        {"campaign": "theorem1", "a2_range": 0.5},
+        {"campaign": "theorem1", "a2_range": [0.1, 0.5, 0.9]},
+        {"campaign": "conjecture", "ladder": ["x"]},
+        {"campaign": "theorem1", "policy": [512]},
+        {"campaign": "theorem1", "policy": {"grid": "x"}},
+        {"campaign": "theorem1", "policy": {"grid": 512.5}},
+        {"campaign": "theorem1", "policy": {"delta": None}},
+        {"campaign": "theorem1", "policy": {"frobnicate": 1}},
+    ])
+    def test_from_dict_rejects_malformed_json(self, data):
+        with pytest.raises(ParamOutOfRange):
+            CampaignConfig.from_dict(data)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_fewer_than_one_thread(self, threads):
+        with pytest.raises(ParamOutOfRange, match="threads"):
+            run_campaign(CampaignConfig("theorem1", samples=1), threads=threads)
+
     def test_round_trips_through_json(self):
         cfg = CampaignConfig("theorem3", samples=7, seed=42,
                              a2_range=(0.1, 0.9), shrink=0.05)
