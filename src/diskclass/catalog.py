@@ -23,7 +23,10 @@ on |z| < CERT_RADIUS by ``count_zeros_on_disk``: Weierstrass inclusion
 disks around the roots of a polynomial h, or, for a Blaschke generator, a
 winding count whose arcs are each checked against a bound on |h'|.  A zero
 too close to the circle for either proof makes the count refuse, and the
-member is rejected.
+member is rejected.  The same proofs place the zeros nearest the origin of
+the factors of f whose zeros are the poles of the class functionals
+(``zero_bracket``), so a radius search knows the disk on which its
+functional is analytic.
 """
 from __future__ import annotations
 
@@ -52,6 +55,8 @@ CERT_SAMPLES = 2 ** 20
 EPS_DENOM = 1e-12
 # An f series counts as normalized when |a_0| and |a_1 - 1| stay below this.
 NORMALIZATION_TOL = 1e-9
+# A factor without zeros on the disk, as polynomial coefficients.
+_ONE = np.ones(1, dtype=np.complex128)
 
 __all__ = [
     "DiskFunction",
@@ -61,6 +66,7 @@ __all__ = [
     "sample_schwarz",
     "build_member",
     "count_zeros_on_disk",
+    "zero_bracket",
     "CERT_RADIUS",
     "CERT_SAMPLES",
 ]
@@ -114,6 +120,14 @@ class _Kernel:
     polynomial kernel of the quotient series of ``owner``, the DiskFunction
     the kernel belongs to.  The f jet is the reciprocal of the h jet,
     guarded against a vanishing h.
+
+    ``factor(part)`` is the kernel's proof source for the zeros of a factor
+    of f = z P/Q on the unit disk: "pole" is Q, whose zeros are the poles of
+    f, "root" is P, whose zeros are those of f/z, and "crit" the numerator
+    of f'.  It is polynomial coefficients with the same zeros on the disk,
+    a pair (fn, bounds) for a winding count, where bounds(radius) gives
+    the (lipschitz, slack) of fn on |z| <= radius, or None when the kernel
+    has no proof.
     """
 
     mask_radius = 1e-3
@@ -159,6 +173,15 @@ class _Kernel:
         _guard(h[0], z, ("z/f", "f'", "f''")[n])
         return _reciprocal(z, h)
 
+    def factor(self, part):
+        return None
+
+
+def _product_factor(q, part):
+    """The factor ``part`` of f = z q for a polynomial q: f has no poles,
+    f/z = q and f' = q + z q'."""
+    return {"pole": _ONE, "root": q, "crit": q * (1.0 + np.arange(q.size))}[part]
+
 
 class _PolyKernel(_Kernel):
     """h is an explicit polynomial (or a truncated quotient series); both
@@ -184,6 +207,48 @@ class _PolyKernel(_Kernel):
     def omega_jet(self, z, n):
         self._omega = chain = self._grown(self._omega, n)
         return [p(z) for p in chain[:n + 1]]
+
+    def factor(self, part):
+        """f = z/h: its poles are the zeros of h, and f' = s/h^2 with
+        s = h - z h'."""
+        h = self._h[0].coeffs
+        return {"pole": h, "root": _ONE, "crit": h * (1.0 - np.arange(h.size))}[part]
+
+
+class _SeriesKernel(_Kernel):
+    """f = z q for an explicit polynomial q, the truncated Taylor series of
+    f/z: the f jet is that polynomial and the h jet its reciprocal."""
+
+    def __init__(self, q_coeffs):
+        q = ComplexSeries(q_coeffs)
+        self.a2 = q.coefficient(1)
+        self._q = (q,)
+
+    def _q_jet(self, z, n):
+        self._q = chain = _PolyKernel._grown(self._q, n)
+        return [p(z) for p in chain[:n + 1]]
+
+    def h_jet(self, z, n):
+        q = self._q_jet(z, n)
+        _guard(q[0], z, "f/z")
+        jet = [1.0 / q[0]]
+        if n > 0:
+            jet.append(-q[1] / q[0] ** 2)
+        if n > 1:
+            jet.append((2.0 * q[1] ** 2 - q[0] * q[2]) / q[0] ** 3)
+        return jet
+
+    def f_jet(self, z, n, h=None):
+        q = self._q_jet(z, n)
+        jet = [z * q[0]]
+        if n > 0:
+            jet.append(q[0] + z * q[1])
+        if n > 1:
+            jet.append(2.0 * q[1] + z * q[2])
+        return jet
+
+    def factor(self, part):
+        return _product_factor(self._q[0].coeffs, part)
 
 
 class _BlaschkeKernel(_Kernel):
@@ -227,6 +292,13 @@ class _BlaschkeKernel(_Kernel):
             npp.polyval(radius, np.abs(self.quo_int)) + logs)
         return abs(self.a2) + 2.0 * self.rho * radius, 2.0 ** -40 * float(terms)
 
+    def factor(self, part):
+        """h by a winding count; f/z = 1/h has no zeros, and neither has
+        f' = s/h^2, since s = h - z h' = 1 + z^2 psi with |psi| <= rho <= 1."""
+        if part == "pole":
+            return (lambda z: self.h_jet(z, 0)[0]), self.winding_bounds
+        return _ONE
+
     def omega_jet(self, z, n):
         acc = npp.polyval(z, self.quo_int)
         for bk, ca in zip(self.residues, self.conj_alphas):
@@ -259,6 +331,10 @@ class _LogQuotientKernel(_Kernel):
     def h_jet(self, z, n):
         return self._masked(z, n, lambda w, n: _reciprocal(w, self.f_jet(w, n)), "h_jet")
 
+    def factor(self, part):
+        """f is analytic on the disk, and f/z and f' = 1/(1 - z) have no zeros there."""
+        return _ONE
+
 
 class _GTransformKernel(_Kernel):
     """Quotient data for g = ((z/f) - 1)/(-a2), built on the parent kernel.
@@ -283,6 +359,15 @@ class _GTransformKernel(_Kernel):
             jet.append(-self.parent_a2 * (om[2] * den - 2.0 * om[1] ** 2) / den ** 3)
         return jet
 
+    def factor(self, part):
+        """g = z D/a2 with D = a2 + omega1, a polynomial when the parent's
+        omega1 is one."""
+        if not isinstance(self.parent, _PolyKernel):
+            return None
+        d = self.parent._omega[0].coeffs.copy()
+        d[0] += self.parent_a2
+        return _product_factor(d, part)
+
 
 # ---------------------------------------------------------------------------
 # DiskFunction
@@ -294,8 +379,9 @@ class DiskFunction:
     series of h (``quotient``) and of f (``series``).  The constructor takes
     the one series its caller knows exactly; h and f/z are reciprocal
     series, so the other one is derived by a single inversion on first use
-    and cached.  Without a kernel the closed forms are the truncated
-    polynomial of the quotient.  Values at points are read from the jets of
+    and cached.  Without a kernel the closed forms are the polynomial the
+    constructor was given: h for a quotient, f for a series.  Values at
+    points are read from the jets of
     ``kernel`` on 1-d arrays: ``f.kernel.f_jet(z, 2)`` is [f, f', f''] and
     ``f.kernel.h_jet(z, 0)[0]`` is h = z/f.
     """
@@ -311,7 +397,10 @@ class DiskFunction:
             raise ParamOutOfRange(f"series of {fid!r} is not normalized")
         else:
             self.a2 = complex(series.coefficient(2))
-        self.kernel = kernel or _PolyKernel(self.quotient.coeffs)
+        if kernel is None:
+            kernel = (_PolyKernel(quotient.coeffs) if quotient is not None
+                      else _SeriesKernel(series.div_z(NORMALIZATION_TOL).coeffs))
+        self.kernel = kernel
         self.kernel.owner = self
 
     @property
@@ -376,11 +465,11 @@ class DiskFunction:
 
     @classmethod
     def from_series(cls, series: ComplexSeries) -> "DiskFunction":
-        """Wrap a raw Taylor series; closed forms are the truncated polynomial.
+        """Wrap a raw Taylor series; closed forms are the polynomial it spells.
 
-        Boundary scans of such a function see the polynomial, not the
-        underlying analytic function, so results degrade near |z| = 1 when
-        the coefficients decay slowly.
+        Boundary scans of such a function see the polynomial f, not an
+        analytic function the coefficients may truncate, so results for
+        that function degrade near |z| = 1 when they decay slowly.
         """
         return cls("series", {}, series=series)
 
@@ -586,22 +675,20 @@ def _polynomial_roots(c):
     return [complex(z) for z in npp.polyroots(c)]
 
 
-def _inclusion_count(coeffs, radius):
-    """Zeros of a polynomial in |z| < radius from Weierstrass inclusion disks.
+def _inclusion_disks(coeffs):
+    """Weierstrass inclusion disks (centre, radius) of the zeros of a polynomial.
 
     For distinct centres z_i the disks |z - z_i| <= n |W_i|, with
     W_i = p(z_i) / (a_n prod_{j != i} (z_i - z_j)), cover every zero, and a
     connected component of k disks holds exactly k zeros (Braess-Hadeler).
-    When every disk lies strictly inside or strictly outside the circle, no
-    component can straddle it, so the count is the number of disks inside;
-    otherwise the count refuses.  Each radius covers the rounding of
-    Horner's rule, the product and the moduli.
+    Each radius covers the rounding of Horner's rule, the product and the
+    moduli.  A constant has no disks.
     """
     c = [complex(x) for x in np.atleast_1d(coeffs)]
     while c and c[-1] == 0:
         c.pop()
     if not c:
-        raise BoundaryTooClose("h is identically zero")
+        raise BoundaryTooClose("the polynomial is identically zero")
     n = len(c) - 1
     centres = []
     for k, z in enumerate(_polynomial_roots(c) if n else ()):
@@ -609,7 +696,7 @@ def _inclusion_count(coeffs, radius):
             z += 2.0 ** -26 * (1.0 + abs(z)) * cmath.exp(2j * cmath.pi * k / n)
         centres.append(z)
     g = 8 * (n + 1) * 2.0 ** -53  # bounds the relative rounding of each step below
-    inside = 0
+    disks = []
     for i, zi in enumerate(centres):
         m = abs(zi)
         p, scale = 0j, 0.0
@@ -622,14 +709,49 @@ def _inclusion_count(coeffs, radius):
                 den *= zi - zj
         if den == 0:
             raise BoundaryTooClose(f"coincident root approximations at {zi!r}")
-        r = n * (abs(p) + g * scale) / (abs(den) * (1.0 - g)) + g * m
+        disks.append((zi, n * (abs(p) + g * scale) / (abs(den) * (1.0 - g)) + g * m))
+    return disks
+
+
+def _inclusion_count(coeffs, radius):
+    """Zeros of a polynomial in |z| < radius from its inclusion disks.
+
+    When every disk lies strictly inside or strictly outside the circle, no
+    component can straddle it, so the count is the number of disks inside;
+    otherwise the count refuses.
+    """
+    inside = 0
+    for z, r in _inclusion_disks(coeffs):
+        m = abs(z)
         if m + r < radius:
             inside += 1
         elif not m - r > radius:
             raise BoundaryTooClose(
-                f"the inclusion disk of the zero near {zi!r} (radius {r:.3e}) "
+                f"the inclusion disk of the zero near {z!r} (radius {r:.3e}) "
                 f"meets the circle r = {radius}")
     return inside
+
+
+def _nearest_zero(disks, radius):
+    """(lo, hi) from inclusion disks: no zero lies in |z| < lo, and either
+    hi is None and lo = radius, or a zero lies in |z| <= hi < radius.
+
+    Every component of the disks holds a zero, so hi is the least over the
+    components of the largest modulus a component reaches.  None when the
+    components that reach inside the circle all reach out of it too.
+    """
+    lo = min([radius] + [abs(z) - r for z, r in disks])
+    if lo >= radius:
+        return radius, None
+    hi, left = radius, list(disks)
+    while left:
+        component = [left.pop()]
+        for z, r in component:  # grows while it is walked
+            near = [d for d in left if abs(d[0] - z) <= d[1] + r]
+            left = [d for d in left if abs(d[0] - z) > d[1] + r]
+            component += near
+        hi = min(hi, max(abs(z) + r for z, r in component))
+    return (lo, hi) if hi < radius else None
 
 
 def _winding_count(h, radius, lipschitz, slack):
@@ -682,6 +804,28 @@ def count_zeros_on_disk(h, radius: float = CERT_RADIUS, lipschitz: float | None 
     return _winding_count(h, radius, lipschitz, slack)
 
 
+def zero_bracket(f: DiskFunction, part: str, radius: float):
+    """The zeros nearest the origin of one factor of f in |z| < radius.
+
+    ``part`` names the factor, as in the kernels' ``factor``: "pole" for
+    the poles of f, "root" for the zeros of f/z, "crit" for the zeros of
+    f'.  Returns (lo, hi): no zero lies in |z| < lo, and either hi is None
+    and lo = radius, or a zero lies in lo <= |z| <= hi < radius.  Returns
+    None when nothing is proven: the kernel has no proof source, a count
+    refuses, or a winding count finds zeros that it cannot place.
+    """
+    source = f.kernel.factor(part)
+    if source is None:
+        return None
+    try:
+        if isinstance(source, tuple):
+            fn, bounds = source
+            return None if _winding_count(fn, radius, *bounds(radius)) else (radius, None)
+        return _nearest_zero(_inclusion_disks(source), radius)
+    except BoundaryTooClose:
+        return None
+
+
 def build_member(a2, generator: SchwarzGenerator,
                  order: int = DEFAULT_ORDER) -> DiskFunction:
     """Construct f from z/f = 1 - a2 z - z omega1(z), omega1' = psi.
@@ -699,13 +843,13 @@ def build_member(a2, generator: SchwarzGenerator,
     if order < 1:
         raise ParamOutOfRange(f"series order must be at least 1, got {order}")
     h, kernel = generator.member(a2, order)
+    source = kernel.factor("pole")
     try:
-        if isinstance(kernel, _PolyKernel):
-            zeros = count_zeros_on_disk(h)
+        if isinstance(source, tuple):
+            fn, bounds = source
+            zeros = count_zeros_on_disk(fn, CERT_RADIUS, *bounds(CERT_RADIUS))
         else:
-            lipschitz, slack = kernel.winding_bounds(CERT_RADIUS)
-            zeros = count_zeros_on_disk(lambda z: kernel.h_jet(z, 0)[0], CERT_RADIUS,
-                                        lipschitz, slack)
+            zeros = count_zeros_on_disk(source)
     except BoundaryTooClose as exc:
         raise DenominatorVanishes(f"quotient vanishes on the certification circle: {exc}") from exc
     if zeros != 0:

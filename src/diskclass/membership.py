@@ -13,8 +13,10 @@ A scan can be row-batched, one zoom loop refining the brackets of all
 rows, and each row equals the one-row scan bit for bit.  The rows are
 either k radii of one functional, whose grids are evaluated one circle at
 a time, or k functionals that share their expensive parts on one circle,
-one coarse grid evaluation serving every row.  The radius search walks
-its radii in blocks of such rows (``radius_of``), and a theorem-2 sample
+one coarse grid evaluation serving every row.  The radius search
+(``radius_of``) bisects on a disk where its functional is proven
+analytic, so that the same extremum principles make its verdict monotone
+in the radius, and a theorem-2 sample
 scans its whole alpha grid as rows (``theorem2_grid``): z f'/f and
 1 + z f''/f' are evaluated once per probe set and combined per alpha.
 ``theorem3_check`` uses both: the three parts of a theorem-3 sample share
@@ -29,8 +31,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .catalog import DiskFunction
-from .errors import DiskClassError, NonFiniteValue, ParamOutOfRange, PartCPrecondition
+from .catalog import DiskFunction, zero_bracket
+from .errors import NonFiniteValue, ParamOutOfRange, PartCPrecondition
 from .operators import (
     convex_quotient,
     g_transform,
@@ -44,10 +46,15 @@ from .operators import (
 # whole disk.  Tighter than the membership scan radius so that radii equal
 # to 1 are reported within 1e-4.
 RADIUS_CAP = 1.0 - 2.0 ** -14
-# The radius walk starts at this radius (below it, real-part tags walk a
-# ladder of halvings) and scans this many radii per row-batched scan.
+# The radius search scans this radius and RADIUS_CAP first; the fallback
+# walk of real-part tags starts from a ladder of halvings below it.
 _WALK_START = 0.01
-_WALK_BLOCK = 16
+# Each tag's functional has its poles at the zeros of these factors of f
+# (see catalog.zero_bracket).  U = h^2 f' - 1 stays analytic at a pole of
+# f, but f itself does not, and the class asks for f analytic.
+_POLE_FACTORS = {"U": ("pole", "root"), "starlike": ("pole", "root"),
+                 "bounded_turning": ("pole",), "convex": ("pole", "crit"),
+                 "mocanu": ("pole", "root", "crit")}
 
 _ZOOM = np.linspace(-1.0, 1.0, 33)  # relative angles of a zoom-refine level
 
@@ -303,25 +310,84 @@ def _report(tag, value, witness, mode, threshold, policy) -> MembershipReport:
         grid_size=policy.grid, margin=policy.delta, boundary_estimate=estimate)
 
 
+def _first_pole(f, class_tag, alpha, tol):
+    """Where the radius search may bisect without a walk: RADIUS_CAP when the
+    tag's functional is proven analytic on |z| < RADIUS_CAP, or hi < RADIUS_CAP
+    when it is proven analytic on |z| < hi - tol/2 and has a pole in
+    |z| <= hi.  None when neither is proven.
+
+    For mocanu(alpha) a zero of f/z of order m is a pole of residue
+    (m - alpha) z0, a pole of f one of residue -(m + alpha) z0, and a zero
+    of f' of order k one of residue alpha k z0.  So the zeros of f' are no
+    poles at alpha = 0, and at a nonzero integer alpha a zero of f/z or a
+    pole of f may be removable; then a zero of that factor inside the disk
+    leaves nothing proven.
+    """
+    parts, removable = _POLE_FACTORS[class_tag], ()
+    if class_tag == "mocanu":
+        if alpha == 0:
+            parts = ("pole", "root")
+        elif float(alpha).is_integer():
+            removable = ("pole",) if alpha < 0 else ("root",)
+    lo = hi = RADIUS_CAP
+    for part in parts:
+        bracket = zero_bracket(f, part, RADIUS_CAP)
+        if bracket is None:
+            return None
+        if bracket[1] is not None:
+            if part in removable:
+                return None
+            lo, hi = min(lo, bracket[0]), min(hi, bracket[1])
+    return hi if hi - lo <= tol / 2.0 else None
+
+
+def _walk(clears, sup):
+    """The fallback search: the bracket (previous radius, first failing
+    radius) of an outward walk over a fixed list of radii, or None when
+    every radius clears.  Sup tags walk 0.01 and RADIUS_CAP; real-part tags
+    walk a ladder 0.01 * 2^-j (j = 8, ..., 1) and then 96 evenly spaced
+    radii from 0.01 to RADIUS_CAP, whose step bounds how narrow a failure
+    dip can be and still be detected."""
+    if sup:
+        radii = [_WALK_START, RADIUS_CAP]
+    else:
+        radii = np.concatenate((_WALK_START * 2.0 ** -np.arange(8.0, 0.0, -1.0),
+                                np.linspace(_WALK_START, RADIUS_CAP, 96)))
+    lo = 0.0
+    for r in radii:
+        if not clears(float(r)):
+            return lo, float(r)
+        lo = float(r)
+    return None
+
+
 def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
               policy: ScanPolicy | None = None, alpha=None) -> RadiusResult:
     """Largest radius on which the class property holds.
 
-    The first failure is bracketed by an outward walk over a fixed list of
-    radii and then bisected.  Sup-modulus predicates are monotone in the
-    radius by the maximum principle, so their walk is r = 0.01 and
-    RADIUS_CAP: if the property survives up to RADIUS_CAP the radius is
-    reported as 1.0 (error at most 2^-14).  Real-part quotients lose
-    monotonicity once the circle passes an interior singularity (a zero of
-    f or f' makes large circles look fine again), so their walk is a
-    ladder 0.01 * 2^-j (j = 8, ..., 1) followed by 96 evenly spaced radii
-    from 0.01 to RADIUS_CAP; the walk step bounds how narrow a failure dip
-    can be and still be detected.  A failure at the first radius brackets
-    (0, first radius).  The walk scans 16 radii per row-batched scan,
-    and a block whose scan raises is walked again one radius at a
-    time, so it stops or raises exactly where a serial walk would.  The
-    bisection stops at ``tol`` (which must be positive) or once the
-    bracket can no longer be split in floating point.
+    The search first proves a disk |z| < rho on which the tag's functional
+    is analytic (``catalog.zero_bracket`` places the zeros of the factors
+    of f where its poles lie).  On that disk the maximum principle (sup
+    tags) and the minimum principle for the harmonic real parts make the
+    verdict of a circle scan monotone in the radius, so a bracket of the
+    first failure is bisected.  With no pole below RADIUS_CAP, one
+    row-batched scan checks r = 0.01 and RADIUS_CAP: if the property holds
+    at RADIUS_CAP the radius is reported as 1.0 (error at most 2^-14),
+    else the bracket is (0.01, RADIUS_CAP), or (0, 0.01) when it fails at
+    0.01.  A proven pole is where the property fails for sure, so the
+    bracket is (0, hi) with hi an upper bound on the pole's modulus, and
+    no circle near the pole is scanned.  The bisection stops at ``tol``
+    (which must be positive) or once the bracket can no longer be split
+    in floating point.
+
+    Inputs without such a proof fall back to an outward walk over fixed
+    radii (``_walk``), one circle per scan, before the bisection: f whose
+    kernel has no proof source (a g-transform of a Blaschke, log_map,
+    series or g-transform function), a zero count that refuses (a zero of
+    a factor within rounding of RADIUS_CAP), a zero of h of a Blaschke
+    member inside the disk, which its winding count proves but cannot
+    place, a pole whose place is known less finely than tol/2, and mocanu
+    at a nonzero integer alpha with a possibly removable pole inside.
     """
     if not tol > 0.0:
         raise ParamOutOfRange(f"tol must be positive, got {tol}")
@@ -335,29 +401,17 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
                                       policy.refine_iters)
         return value < threshold if sup else value > threshold
 
-    def first_failure(radii, block):  # index of the first failing radius, or None
-        for start in range(0, len(radii), block):
-            rows = radii[start:start + block]
-            try:
-                failed = np.flatnonzero(~clears(rows))
-                hit = failed[0] if failed.size else None
-            except DiskClassError:
-                if block == 1:
-                    raise
-                hit = first_failure(rows, 1)
-            if hit is not None:
-                return start + hit
-        return None
-
-    if sup:
-        walk = np.array([_WALK_START, RADIUS_CAP])
+    pole = _first_pole(f, class_tag, alpha, tol)
+    if pole is None:
+        bracket = _walk(clears, sup)
+    elif pole < RADIUS_CAP:
+        bracket = 0.0, pole
     else:
-        walk = np.concatenate((_WALK_START * 2.0 ** -np.arange(8.0, 0.0, -1.0),
-                               np.linspace(_WALK_START, RADIUS_CAP, 96)))
-    hit = first_failure(walk, _WALK_BLOCK)
-    if hit is None:
+        near, cap = clears(np.array([_WALK_START, RADIUS_CAP]))
+        bracket = (0.0, _WALK_START) if not near else None if cap else (_WALK_START, RADIUS_CAP)
+    if bracket is None:
         return RadiusResult(tag, 1.0, (RADIUS_CAP, 1.0), tol, policy.grid)
-    lo, hi = (float(walk[hit - 1]) if hit else 0.0), float(walk[hit])
+    lo, hi = bracket
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

@@ -12,12 +12,13 @@ from diskclass import (
     catalog_ids,
     count_zeros_on_disk,
     decompose,
+    g_transform,
     hankel_det,
     make_catalog,
     sample_schwarz,
     seed_key,
 )
-from diskclass.catalog import CERT_RADIUS
+from diskclass.catalog import CERT_RADIUS, zero_bracket
 from diskclass.errors import (
     BoundaryTooClose,
     DenominatorVanishes,
@@ -219,6 +220,43 @@ class TestWindingCertificate:
     def test_callable_needs_a_lipschitz_bound(self):
         with pytest.raises(TypeError):
             count_zeros_on_disk(lambda z: 1.0 - 0.5 * z)
+
+
+class TestZeroBracket:
+    """zero_bracket places the zeros nearest the origin of the factors of f
+    whose zeros are the poles of the class functionals."""
+
+    def test_zero_free_factors_reach_the_circle(self):
+        # koebe: h = (1 - z)^2 and s = 1 - z^2 vanish only on |z| = 1
+        for f in (make_catalog("koebe"), make_catalog("log_map")):
+            for part in ("pole", "root", "crit"):
+                assert zero_bracket(f, part, 0.99) == (0.99, None), (f.id, part)
+
+    def test_simple_and_double_zeros_are_placed(self):
+        z0 = 0.4 * np.exp(1.1j)
+        for h in ([1.0, -1.0 / z0], np.polynomial.polynomial.polyfromroots([z0, z0]) / z0 ** 2):
+            f = DiskFunction("zeros", {}, quotient=ComplexSeries(h))
+            lo, hi = zero_bracket(f, "pole", 0.99)
+            assert lo <= 0.4 <= hi < 0.4 + 1e-6
+            assert zero_bracket(f, "root", 0.99) == (0.99, None)
+
+    def test_transform_and_series_factors(self):
+        # g of fb(b) is z (1 + z/b): f/z vanishes at -b and f' at -b/2
+        g = make_catalog("fb", {"b": 0.5})
+        for f in (g_transform(g), DiskFunction.from_series(g_transform(g).series)):
+            assert zero_bracket(f, "pole", 0.99) == (0.99, None)
+            for part, zero in (("root", 0.5), ("crit", 0.25)):
+                lo, hi = zero_bracket(f, part, 0.99)
+                assert lo <= zero <= hi < zero + 1e-9, (f.id, part)
+
+    def test_unplaced_or_unproven_zeros_give_none(self):
+        h, kernel = SchwarzGenerator.blaschke([0.5, -0.3j], 0.9, 0.4).member(1.8)
+        f = DiskFunction("blaschke_zero", {}, kernel, quotient=ComplexSeries(h))
+        assert zero_bracket(f, "pole", 0.99) is None  # counted, not placed
+        assert zero_bracket(f, "crit", 0.99) == (0.99, None)  # s = 1 + z^2 psi
+        # a zero of h within rounding of the circle: the count refuses
+        f = DiskFunction("edge", {}, quotient=ComplexSeries([1.0, -1.0 / 0.99]))
+        assert zero_bracket(f, "pole", 0.99) is None
 
 
 class TestBuildMember:

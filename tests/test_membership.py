@@ -17,7 +17,8 @@ from diskclass import (
     theorem3_check,
     u_operator,
 )
-from diskclass.errors import (EvalNearZeroDenominator, NonFiniteValue, ParamOutOfRange,
+from diskclass.catalog import SchwarzGenerator, zero_bracket
+from diskclass.errors import (DenominatorVanishes, NonFiniteValue, ParamOutOfRange,
                               PartCPrecondition)
 from diskclass.explorer import ALPHA_GRID, catalog_prepends
 from diskclass.membership import RADIUS_CAP, extremal_on_circle, theorem2_grid
@@ -290,31 +291,96 @@ class TestRadius:
         assert res.bracket[1] - res.bracket[0] <= 1e-4
 
     def test_koebe_starlike_walk_makes_few_scans(self, monkeypatch):
+        # holding up to RADIUS_CAP costs one scan of two circles
         scans = _record_scans(monkeypatch)
         assert radius_of(make_catalog("koebe"), "starlike").radius == 1.0
-        assert len(scans) <= 10
+        assert scans == [(2, None)]
 
-    def test_block_raising_past_the_first_failure_walks_serially(self, monkeypatch):
-        # h vanishes at z0, past which starlikeness fails, and exactly at the
-        # 31st walk radius on the positive axis, a grid node of that circle
+    def test_zero_of_h_inside_bounds_the_radius(self, monkeypatch):
+        # h vanishes at z0, past which starlikeness fails, and at z1 on the
+        # positive axis, on a grid node of the circle |z| = |z1|: the search
+        # bisects below the proven zero z0 and scans no circle near either
         z0 = 0.3 * np.exp(0.1234j)
         z1 = np.linspace(0.01, RADIUS_CAP, 96)[30]
         h = npp.polyfromroots([z0, z1]) / (z0 * z1)
         f = DiskFunction("two_zeros", {}, quotient=ComplexSeries(h))
         scans = _record_scans(monkeypatch)
         res = radius_of(f, "starlike")
-        assert (16, EvalNearZeroDenominator) in scans
         assert res.radius == pytest.approx(0.3, abs=1e-4)
         assert res.bracket[1] - res.bracket[0] <= 1e-4
+        assert all(error is None for _, error in scans)
+
+    def test_blaschke_zero_inside_falls_back_to_the_walk(self):
+        # a2 = 1.8 puts a zero of h near 0.556: its winding count proves it
+        # but cannot place it, so the search walks
+        gen = SchwarzGenerator.blaschke([0.5, -0.3j], 0.9, 0.4)
+        h, kernel = gen.member(1.8)
+        f = DiskFunction("blaschke_zero", {}, kernel, quotient=ComplexSeries(h))
+        assert zero_bracket(f, "pole", RADIUS_CAP) is None
+        zero = min(abs(npp.polyroots(h)))
+        assert 0.55 < zero < 0.56
+        policy = ScanPolicy(grid=512)
+        res = radius_of(f, "starlike", policy=policy)
+        lo, hi = res.bracket
+        assert hi - lo <= 1e-4 and lo < zero
+        fn, mode, _ = membership.class_functional(f, "starlike")
+        assert extremal_on_circle(fn, mode, lo, 512)[0] > 0.0
+
+    def test_removable_pole_of_mocanu_is_no_failure(self):
+        # f = z/(1 - z/z0) has mocanu(-1) = 1 although h(z0) = 0; starlikeness
+        # fails at the pole z0
+        z0 = 0.5 * np.exp(0.3j)
+        f = DiskFunction("mobius", {}, quotient=ComplexSeries([1.0, -1.0 / z0]))
+        assert radius_of(f, "mocanu", alpha=-1.0).radius == 1.0
+        assert radius_of(f, "starlike").radius == pytest.approx(0.5, abs=1e-4)
+        assert radius_of(f, "mocanu", alpha=0.5).radius == pytest.approx(0.5, abs=1e-4)
+
+    def test_pole_of_the_transform_bounds_u_radius(self):
+        # U of g = z + z^2/b is -z^2/(b + z)^2, with a pole at -b: |U| < 1
+        # on |z| < b/2
+        for b in (0.3, 1.0):
+            g = g_transform(make_catalog("fb", {"b": b}))
+            assert radius_of(g, "U").radius == pytest.approx(b / 2.0, abs=1e-4), b
 
     def test_gb2_starlike_radius_is_one(self):
         g = g_transform(make_catalog("fb", {"b": 2.0}))
         assert radius_of(g, "starlike").radius == 1.0
 
-    def test_koebe_convexity_radius(self):
-        # classical value 2 - sqrt(3)
+    def test_koebe_convexity_radius(self, monkeypatch):
+        # classical value 2 - sqrt(3), bisected after one two-circle scan
+        scans = _record_scans(monkeypatch)
         res = radius_of(make_catalog("koebe"), "convex")
         assert res.radius == pytest.approx(2.0 - np.sqrt(3.0), abs=1e-4)
+        assert scans[0] == (2, None) and len(scans) <= 16
+        assert set(scans[1:]) == {(1, None)}
+
+
+class TestRadiusAgainstWalk:
+    """The bisection on a proven analytic disk finds the radius the
+    fallback walk finds, within tol, on sampled members."""
+
+    @pytest.mark.parametrize("kind", ["scaled_unimodular", "random_polynomial",
+                                      "blaschke_product"])
+    def test_agrees_with_the_walk(self, monkeypatch, kind):
+        policy, tol = ScanPolicy(grid=256, refine_iters=4), 1e-4
+        members = []
+        for seed in range(40):
+            a2 = (0.6 + 0.9 * (0.37 * seed % 1.0)) * np.exp(0.7j * seed)
+            try:
+                members.append(build_member(a2, sample_schwarz(seed, kind, 3)))
+            except DenominatorVanishes:
+                continue
+            if len(members) == 2:
+                break
+        cases = [(f, tag, alpha) for f in members for tag, alpha in
+                 (("starlike", None), ("bounded_turning", None),
+                  ("convex", None), ("mocanu", 0.5))]
+        fast = [radius_of(f, tag, tol, policy, alpha).radius for f, tag, alpha in cases]
+        # with nothing proven, every search takes the fallback walk
+        monkeypatch.setattr(membership, "zero_bracket", lambda f, part, radius: None)
+        walked = [radius_of(f, tag, tol, policy, alpha).radius for f, tag, alpha in cases]
+        assert fast == pytest.approx(walked, abs=tol)
+        assert min(fast) < 1.0  # some bisection ran
 
 
 class TestPairedChecks:
