@@ -134,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--order", type=int)
     s.add_argument("--a2", help="range lo:hi of |a2|")
     s.add_argument("--shrink", type=float)
-    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--config", help="JSON file mirroring the campaign config")
     s.add_argument("--csv", help="also write per-sample rows to this CSV file")
     _policy_flags(s)
@@ -225,7 +224,7 @@ def cmd_campaign(args) -> int:
         raise DiskClassError("campaign kind missing: pass --kind or --config")
     cfg = CampaignConfig.from_dict(base)
     cfg = replace(cfg, policy=_policy(args, cfg.policy))
-    report = run_campaign(cfg, threads=args.threads, keep_rows=bool(args.csv))
+    report = run_campaign(cfg, keep_rows=bool(args.csv))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             write_rows_csv(report, fh)

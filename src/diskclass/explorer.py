@@ -2,8 +2,8 @@
 
 Every campaign draws (a2, generator) pairs from a per-index RNG stream,
 builds certified members, evaluates its quantities, and aggregates worst
-cases, violations, and a histogram into a report whose canonical JSON is
-independent of the worker thread count.  What differs between the kinds
+cases, violations, and a histogram into a report whose canonical JSON
+depends on the config alone.  What differs between the kinds
 lives in one spec per kind (``_SPECS``): the evaluator, the tracked
 quantities with their bounds, the histogram, the status words and any extra
 report sections.  Replay re-runs the same evaluator, so a certificate is
@@ -27,10 +27,8 @@ status to "counterexample-candidate".
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -52,7 +50,7 @@ from .errors import (
     SecondCoefficientVanishes,
 )
 from .hankel import h3_profile_bound, hankel_det, prokhorov_szynal_check, reduced_h2, reduced_h3
-from .membership import ScanPolicy, theorem2_grid, theorem3_check
+from .membership import ScanPolicy, _is_number, theorem2_grid, theorem3_check
 from .operators import decompose, phi_profile
 from .serialize import canonical_json, complex_pair
 
@@ -127,12 +125,13 @@ class CampaignConfig:
 
 
 def _numbers(name, value, kind):
-    """A JSON number as ``kind`` (int or float), or for kind tuple a list of
-    numbers as a tuple of floats; anything else raises ParamOutOfRange."""
+    """A JSON number as ``kind`` (int takes integers only), or for kind tuple a
+    list of numbers as a tuple of floats; a bool or anything else raises ParamOutOfRange."""
     is_list = isinstance(value, (list, tuple))
     items = value if is_list else [value]
-    if is_list != (kind is tuple) or not all(isinstance(v, Real) for v in items):
-        what = "a list of numbers" if kind is tuple else "a number"
+    number = Integral if kind is int else Real
+    if is_list != (kind is tuple) or not all(_is_number(v, number) for v in items):
+        what = {int: "an integer", float: "a number", tuple: "a list of numbers"}[kind]
         raise ParamOutOfRange(f"{name} must be {what}, got {value!r}")
     return tuple(map(float, items)) if is_list else kind(value)
 
@@ -449,21 +448,15 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1,
     """Execute the campaign and return its report as a plain dict.
 
     The report is deterministic for a given config: per-sample randomness
-    comes only from (seed, index) streams and aggregation runs in index
-    order, so the thread count changes wall time, never bytes.  With
-    keep_rows=True the raw per-sample results are attached under
-    "per_sample" (useful for CSV export; not part of the canonical report).
+    comes only from (seed, index) streams, and samples run and aggregate in
+    index order in the calling thread (``threads`` must be at least 1 and
+    does nothing else).  With keep_rows=True the raw per-sample rows go
+    under "per_sample" (for CSV export; not part of the canonical report).
     """
     if not threads >= 1:
         raise ParamOutOfRange(f"threads must be at least 1, got {threads}")
     prepends = catalog_prepends(cfg.campaign)
-    indices = range(len(prepends) + cfg.samples)
-    worker = partial(_run_one, cfg, prepends)
-    if threads <= 1:
-        results = [worker(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            results = list(pool.map(worker, indices))
+    results = [_run_one(cfg, prepends, i) for i in range(len(prepends) + cfg.samples)]
     report = _aggregate(cfg, results)
     if keep_rows:
         report["per_sample"] = results

@@ -74,10 +74,15 @@ __all__ = [
 ]
 
 
+def _is_number(value, kind=Real) -> bool:
+    """True when value is a ``kind`` (a numbers ABC) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _check_scan_size(grid, refine_iters):
-    if not isinstance(grid, Integral) or not grid >= 1:
+    if not _is_number(grid, Integral) or not grid >= 1:
         raise ParamOutOfRange(f"grid must be an integer of at least 1, got {grid}")
-    if not isinstance(refine_iters, Integral) or not refine_iters >= 0:
+    if not _is_number(refine_iters, Integral) or not refine_iters >= 0:
         raise ParamOutOfRange(
             f"refine_iters must be a nonnegative integer, got {refine_iters}")
 
@@ -93,10 +98,10 @@ class ScanPolicy:
 
     def __post_init__(self):
         _check_scan_size(self.grid, self.refine_iters)
-        if not isinstance(self.r_max, Real) or not 0.0 < self.r_max < 1.0:
-            raise ParamOutOfRange(f"r_max must lie in (0, 1), got {self.r_max}")
-        if not isinstance(self.delta, Real) or not self.delta >= 0.0:
-            raise ParamOutOfRange(f"delta must be nonnegative, got {self.delta}")
+        if not _is_number(self.r_max) or not 0.0 < self.r_max < 1.0:
+            raise ParamOutOfRange(f"r_max must be a number in (0, 1), got {self.r_max}")
+        if not _is_number(self.delta) or not self.delta >= 0.0:
+            raise ParamOutOfRange(f"delta must be a nonnegative number, got {self.delta}")
 
     def to_dict(self):
         return asdict(self)

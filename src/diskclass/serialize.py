@@ -2,7 +2,7 @@
 
 Dict keys are sorted and floats rendered as their shortest round-trip repr
 so that equal payloads serialize to identical bytes regardless of insertion
-order or thread count.
+order.
 """
 from __future__ import annotations
 

@@ -62,6 +62,8 @@ class ComplexSeries:
             order = int(data["order"])
         except (KeyError, TypeError, ValueError):
             raise ParamOutOfRange('a series is {"order": n, "coeffs": [[re, im], ...]}')
+        if not np.isfinite(s.coeffs).all():
+            raise ParamOutOfRange("series coefficients must be finite")
         if s.order != order:
             raise ParamOutOfRange("order field disagrees with coefficient count")
         return s

@@ -66,19 +66,19 @@ def sample_members(count, seed, t_range=(0.05, 2.0)):
 @pytest.fixture(scope="module")
 def theorem1_big():
     cfg = CampaignConfig("theorem1", samples=10_000, seed=20260815)
-    return run_campaign(cfg, threads=4)
+    return run_campaign(cfg)
 
 
 @pytest.fixture(scope="module")
 def theorem3_run():
     cfg = CampaignConfig("theorem3", samples=200, seed=5, a2_range=(0.01, 1.0))
-    return run_campaign(cfg, threads=4)
+    return run_campaign(cfg)
 
 
 @pytest.fixture(scope="module")
 def conjecture_run():
     cfg = CampaignConfig("conjecture", samples=1000, seed=31, a2_range=(1.0, 2.0))
-    return run_campaign(cfg, threads=4)
+    return run_campaign(cfg)
 
 
 def test_criterion_01_log_map_operator_value_and_verdict():

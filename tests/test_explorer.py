@@ -39,6 +39,16 @@ class TestConfig:
         {"campaign": "theorem2", "alpha_grid": ()},
         {"campaign": "theorem2", "alpha_grid": (0.5, float("nan"))},
         {"campaign": "theorem2", "alpha_grid": (float("inf"),)},
+        {"campaign": "theorem1", "samples": 2.7},
+        {"campaign": "theorem1", "samples": 3.0},
+        {"campaign": "theorem1", "seed": 1.9},
+        {"campaign": "theorem1", "order": 64.0},
+        {"campaign": "theorem1", "samples": True},
+        {"campaign": "theorem1", "seed": False},
+        {"campaign": "theorem3", "shrink": True},
+        {"campaign": "theorem1", "a2_range": (True, 1.0)},
+        {"campaign": "conjecture", "ladder": (True,)},
+        {"campaign": "theorem2", "alpha_grid": (0.5, False)},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ParamOutOfRange):
@@ -56,6 +66,9 @@ class TestConfig:
         {"campaign": "theorem1", "policy": {"grid": 512.5}},
         {"campaign": "theorem1", "policy": {"delta": None}},
         {"campaign": "theorem1", "policy": {"frobnicate": 1}},
+        {"campaign": "theorem1", "policy": {"grid": True}},
+        {"campaign": "theorem1", "policy": {"refine_iters": False}},
+        {"campaign": "theorem1", "policy": {"delta": True}},
     ])
     def test_from_dict_rejects_malformed_json(self, data):
         with pytest.raises(ParamOutOfRange):
