@@ -59,17 +59,23 @@ def _read_json_object(path: str) -> dict:
     return data
 
 
+def _order(args) -> int:
+    return DEFAULT_ORDER if args.order is None else args.order
+
+
 def _function_from(args) -> DiskFunction:
     if args.series_file:
         if args.id is not None or args.b is not None:
             raise DiskClassError("--series-file takes neither --id nor --b")
+        if args.order is not None:
+            raise DiskClassError("--series-file takes no --order: the file sets it")
         data = _read_json_object(args.series_file)
         f = DiskFunction.from_series(ComplexSeries.from_json_dict(data))
     elif args.id:
         if args.id == "fb" and args.b is None:
             raise DiskClassError("--id fb requires --b")
         params = None if args.b is None else {"b": args.b}
-        f = make_catalog(args.id, params, order=args.order)
+        f = make_catalog(args.id, params, order=_order(args))
     else:
         raise DiskClassError("provide --id or --series-file")
     if args.of_g:
@@ -83,7 +89,7 @@ def _fn_flags(sub):
     sub.add_argument("--series-file", help="JSON file with a Taylor series")
     sub.add_argument("--of-g", action="store_true",
                      help="apply the normalized transform g before testing")
-    sub.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    sub.add_argument("--order", type=int, help=f"series order (default {DEFAULT_ORDER})")
 
 
 def _policy_flags(sub):
@@ -177,7 +183,7 @@ def _parse_range(text: str):
 def _echo_function(args) -> dict:
     if args.series_file:
         return {"series_file": args.series_file, "of_g": bool(args.of_g)}
-    return {"id": args.id, "b": args.b, "of_g": bool(args.of_g), "order": args.order}
+    return {"id": args.id, "b": args.b, "of_g": bool(args.of_g), "order": _order(args)}
 
 
 def cmd_membership(args) -> int:

@@ -112,6 +112,8 @@ class CampaignConfig:
         if not all(np.isfinite(self.alpha_grid)):
             raise ParamOutOfRange(
                 f"alpha_grid entries must be finite, got {self.alpha_grid}")
+        if len({f"{a:g}" for a in self.alpha_grid}) < len(self.alpha_grid):
+            raise ParamOutOfRange(f"alpha_grid entries share a :g label: {self.alpha_grid}")
 
     def to_dict(self):
         return asdict(self)

@@ -9,20 +9,22 @@ Extremal members of the deviation class, whose sup tends to 1 only as
 |z| -> 1, legitimately return BOUNDARY: a scan cannot distinguish sup < 1
 from sup = 1, and pretending otherwise would be false precision.
 
-A scan can be row-batched, one zoom loop refining the brackets of all
-rows, and each row equals the one-row scan bit for bit.  The rows are
-either k radii of one functional, whose grids are evaluated one circle at
-a time, or k functionals that share their expensive parts on one circle,
-one coarse grid evaluation serving every row.  The radius search
-(``radius_of``) bisects on a disk where its functional is proven
-analytic, so that the same extremum principles make its verdict monotone
-in the radius, and a theorem-2 sample
-scans its whole alpha grid as rows (``theorem2_grid``): z f'/f and
-1 + z f''/f' are evaluated once per probe set and combined per alpha.
-``theorem3_check`` uses both: the three parts of a theorem-3 sample share
-one h jet of g on one circle, and a conjecture ladder is its radii.  A
-NaN or infinite value met by any scan raises NonFiniteValue instead of
-becoming a verdict.
+Each class tag is one ``_CLASSES`` row (operators factory, scan mode,
+threshold, pole factors), and every scan reads its grid and zoom levels
+from one ``ScanPolicy``.  A scan can be row-batched, one zoom loop
+refining the brackets of all rows, and each row equals the one-row scan
+bit for bit.  The rows are either k radii of one functional, whose grids
+are evaluated one circle at a time, or k functionals that share their
+expensive parts on one circle, one coarse grid evaluation serving every
+row.  The radius search (``radius_of``) bisects on a disk where its
+functional is proven analytic, so that the same extremum principles make
+its verdict monotone in the radius, and a theorem-2 sample scans its
+whole alpha grid as rows (``theorem2_grid``): z f'/f and 1 + z f''/f'
+are evaluated once per probe set and combined per alpha.
+``theorem3_check`` uses both: the three parts of a theorem-3 sample
+(``operators.theorem3_parts``) share one h jet of g on one circle, and a
+conjecture ladder is its radii.  A NaN or infinite value met by any scan
+raises NonFiniteValue instead of becoming a verdict.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from .operators import (
     g_transform,
     mocanu_real_part,
     starlike_quotient,
+    theorem3_parts,
     turning_derivative,
     u_operator,
 )
@@ -49,12 +52,18 @@ RADIUS_CAP = 1.0 - 2.0 ** -14
 # The radius search scans this radius and RADIUS_CAP first; the fallback
 # walk of real-part tags starts from a ladder of halvings below it.
 _WALK_START = 0.01
-# Each tag's functional has its poles at the zeros of these factors of f
-# (see catalog.zero_bracket).  U = h^2 f' - 1 stays analytic at a pole of
-# f, but f itself does not, and the class asks for f analytic.
-_POLE_FACTORS = {"U": ("pole", "root"), "starlike": ("pole", "root"),
-                 "bounded_turning": ("pole",), "convex": ("pole", "crit"),
-                 "mocanu": ("pole", "root", "crit")}
+# One row per class tag: its operators factory, scan mode and threshold,
+# and the factors of f at whose zeros its functional has its poles (see
+# catalog.zero_bracket).  U = h^2 f' - 1 stays analytic at a pole of f, but
+# f itself does not, and the class asks for f analytic.
+_CLASSES = {
+    "U": (u_operator, "sup_modulus", 1.0, ("pole", "root")),
+    "starlike": (starlike_quotient, "inf_real", 0.0, ("pole", "root")),
+    "convex": (convex_quotient, "inf_real", 0.0, ("pole", "crit")),
+    "mocanu": (mocanu_real_part, "inf_real", 0.0, ("pole", "root", "crit")),
+    "bounded_turning": (turning_derivative, "inf_real", 0.0, ("pole",)),
+}
+CLASS_TAGS = tuple(_CLASSES)
 
 _ZOOM = np.linspace(-1.0, 1.0, 33)  # relative angles of a zoom-refine level
 
@@ -79,29 +88,25 @@ def _is_number(value, kind=Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _check_scan_size(grid, refine_iters):
-    if not _is_number(grid, Integral) or not grid >= 1:
-        raise ParamOutOfRange(f"grid must be an integer of at least 1, got {grid}")
-    if not _is_number(refine_iters, Integral) or not refine_iters >= 0:
-        raise ParamOutOfRange(
-            f"refine_iters must be a nonnegative integer, got {refine_iters}")
-
-
 @dataclass(frozen=True)
 class ScanPolicy:
-    """Parameters of a verdict scan."""
+    """Parameters of a verdict scan, and of every circle scan's grid and zoom."""
 
     r_max: float = 1.0 - 2.0 ** -10
     grid: int = 4096
     delta: float = 1e-6
-    refine_iters: int = 9  # zoom-refine levels (see extremal_on_circle)
+    refine_iters: int = 9  # zoom-refine levels
 
     def __post_init__(self):
-        _check_scan_size(self.grid, self.refine_iters)
+        if not _is_number(self.grid, Integral) or not self.grid >= 1:
+            raise ParamOutOfRange(f"grid must be an integer of at least 1, got {self.grid}")
+        if not _is_number(self.refine_iters, Integral) or not self.refine_iters >= 0:
+            raise ParamOutOfRange(
+                f"refine_iters must be a nonnegative integer, got {self.refine_iters}")
         if not _is_number(self.r_max) or not 0.0 < self.r_max < 1.0:
             raise ParamOutOfRange(f"r_max must be a number in (0, 1), got {self.r_max}")
-        if not _is_number(self.delta) or not self.delta >= 0.0:
-            raise ParamOutOfRange(f"delta must be a nonnegative number, got {self.delta}")
+        if not _is_number(self.delta) or not 0.0 <= self.delta < np.inf:
+            raise ParamOutOfRange(f"delta must be a finite nonnegative number, got {self.delta}")
 
     def to_dict(self):
         return asdict(self)
@@ -173,16 +178,16 @@ def _require_finite(points, values, mode, radius):
             f"{mode} scan on |z| = {r} meets a non-finite value at z = {z!r}")
 
 
-def extremal_on_circle(functional, mode: str, radius, grid: int = 4096,
-                       refine_iters: int = 9):
+def extremal_on_circle(functional, mode: str, radius, policy: ScanPolicy | None = None):
     """Extremum of |F| (mode 'sup_modulus') or Re F (mode 'inf_real') on a circle.
 
-    Coarse grid scan, then a zoom refinement around the three best angles:
-    each of ``refine_iters`` levels samples 33 evenly spaced angles across
-    each bracket (one grid step either side at first), keeps the best and
-    narrows the bracket 16-fold.  The default 9 levels resolve an angle to
-    2 pi / 4096 / 16^9 ~ 2e-14 rad; 0 levels return the grid maxima.  Ties
-    within 1e-12 resolve to the smallest angle.  Returns (value, witness).
+    A coarse scan of ``policy.grid`` angles, then a zoom refinement around
+    the three best: each of ``policy.refine_iters`` levels samples 33
+    evenly spaced angles across each bracket (one grid step either side at
+    first), keeps the best and narrows the bracket 16-fold.  The default
+    9 levels resolve an angle to 2 pi / 4096 / 16^9 ~ 2e-14 rad; 0 levels
+    return the grid maxima.  Ties within 1e-12 resolve to the smallest
+    angle.  Returns (value, witness).
 
     A scan has k rows, each resolved as a one-row scan would be, and then
     returns a pair of length-k arrays (values, witnesses).  Rows come from
@@ -194,15 +199,14 @@ def extremal_on_circle(functional, mode: str, radius, grid: int = 4096,
     evaluated once per circle and one zoom loop refines all 3k brackets.
     A NaN or infinite value anywhere on the grid or among the refine probes
     raises NonFiniteValue; numpy's floating-point warnings are silenced
-    for the scan, since that check reports the same events.  ``grid`` must
-    be at least 1 and ``refine_iters`` nonnegative, else ParamOutOfRange.
+    for the scan, since that check reports the same events.
     """
     if mode not in ("sup_modulus", "inf_real"):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_scan_size(grid, refine_iters)
+    policy = policy or ScanPolicy()
     per_circle = np.ndim(radius) == 1
     radii = np.atleast_1d(np.asarray(radius, dtype=float))
-    theta = 2.0 * np.pi * np.arange(grid) / grid
+    theta = 2.0 * np.pi * np.arange(policy.grid) / policy.grid
 
     def quantity(z, r):
         vals = functional(z)
@@ -226,7 +230,7 @@ def extremal_on_circle(functional, mode: str, radius, grid: int = 4096,
         scale = radii[:, None] if per_circle else radius  # broadcasts to the rows
         ref_theta, ref_val = _zoom_refine(
             lambda angles: quantity(scale * np.exp(1j * angles), scale),
-            theta[best], best_val, 2.0 * np.pi / grid, refine_iters)
+            theta[best], best_val, 2.0 * np.pi / policy.grid, policy.refine_iters)
 
     rows = np.arange(len(best))
     cand_theta = np.concatenate((theta[best], ref_theta), axis=1) % (2.0 * np.pi)
@@ -242,9 +246,6 @@ def extremal_on_circle(functional, mode: str, radius, grid: int = 4096,
     return float(value[0]), complex(witness[0])
 
 
-CLASS_TAGS = ("U", "starlike", "convex", "mocanu", "bounded_turning")
-
-
 def class_functional(f: DiskFunction, class_tag: str, alpha=None):
     """(functional, mode, threshold) for a class tag.
 
@@ -254,19 +255,12 @@ def class_functional(f: DiskFunction, class_tag: str, alpha=None):
     """
     if alpha is not None and class_tag != "mocanu":
         raise ParamOutOfRange(f"class {class_tag!r} takes no alpha, got {alpha}")
-    if class_tag == "U":
-        return u_operator(f), "sup_modulus", 1.0
-    if class_tag == "starlike":
-        return starlike_quotient(f), "inf_real", 0.0
-    if class_tag == "convex":
-        return convex_quotient(f), "inf_real", 0.0
-    if class_tag == "mocanu":
-        if alpha is None or not np.all(np.isfinite(alpha)):
-            raise ParamOutOfRange(f"mocanu test requires a finite alpha, got {alpha}")
-        return mocanu_real_part(f, alpha), "inf_real", 0.0
-    if class_tag == "bounded_turning":
-        return turning_derivative(f), "inf_real", 0.0
-    raise ParamOutOfRange(f"unknown class tag {class_tag!r}; expected one of {CLASS_TAGS}")
+    if class_tag not in _CLASSES:
+        raise ParamOutOfRange(f"unknown class tag {class_tag!r}; expected one of {CLASS_TAGS}")
+    if class_tag == "mocanu" and (alpha is None or not np.all(np.isfinite(alpha))):
+        raise ParamOutOfRange(f"mocanu test requires a finite alpha, got {alpha}")
+    factory, mode, threshold, _ = _CLASSES[class_tag]
+    return (factory(f) if alpha is None else factory(f, alpha)), mode, threshold
 
 
 def _tag(class_tag, alpha):
@@ -300,8 +294,7 @@ def test_class(f: DiskFunction, class_tag: str, policy: ScanPolicy | None = None
     policy = policy or ScanPolicy()
     functional, mode, threshold = class_functional(f, class_tag, alpha)
     tag = _tag(class_tag, alpha)
-    value, witness = extremal_on_circle(
-        functional, mode, policy.r_max, policy.grid, policy.refine_iters)
+    value, witness = extremal_on_circle(functional, mode, policy.r_max, policy)
     return _report(tag, value, witness, mode, threshold, policy)
 
 
@@ -328,7 +321,7 @@ def _first_pole(f, class_tag, alpha, tol):
     pole of f may be removable; then a zero of that factor inside the disk
     leaves nothing proven.
     """
-    parts, removable = _POLE_FACTORS[class_tag], ()
+    parts, removable = _CLASSES[class_tag][3], ()
     if class_tag == "mocanu":
         if alpha == 0:
             parts = ("pole", "root")
@@ -382,8 +375,8 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     0.01.  A proven pole is where the property fails for sure, so the
     bracket is (0, hi) with hi an upper bound on the pole's modulus, and
     no circle near the pole is scanned.  The bisection stops at ``tol``
-    (which must be positive) or once the bracket can no longer be split
-    in floating point.
+    (positive and finite) or once the bracket can no longer be split in
+    floating point.
 
     Inputs without such a proof fall back to an outward walk over fixed
     radii (``_walk``), one circle per scan, before the bisection: f whose
@@ -394,16 +387,15 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     place, a pole whose place is known less finely than tol/2, and mocanu
     at a nonzero integer alpha with a possibly removable pole inside.
     """
-    if not tol > 0.0:
-        raise ParamOutOfRange(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ParamOutOfRange(f"tol must be positive and finite, got {tol}")
     policy = policy or ScanPolicy()
     functional, mode, threshold = class_functional(f, class_tag, alpha)
     tag = _tag(class_tag, alpha)
     sup = mode == "sup_modulus"
 
     def clears(r):
-        value, _ = extremal_on_circle(functional, mode, r, policy.grid,
-                                      policy.refine_iters)
+        value, _ = extremal_on_circle(functional, mode, r, policy)
         return value < threshold if sup else value > threshold
 
     pole = _first_pole(f, class_tag, alpha, tol)
@@ -428,39 +420,15 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     return RadiusResult(tag, 0.5 * (lo + hi), (lo, hi), tol, policy.grid)
 
 
-# The theorem-3 parts g' - 1, z g'/g - 1 and U_g from the h jet of g, with
-# s = h - z h': the arithmetic of turning_derivative, starlike_quotient and
-# u_operator.  (h ** 2 with a scalar exponent is h * h, bit for bit.)
-_THEOREM3_PARTS = {"a": lambda h, s: s / h ** 2 - 1.0, "b": lambda h, s: s / h - 1.0,
-                   "c": lambda h, s: s - 1.0}
-
-
-def _theorem3_functional(g: DiskFunction, parts: str):
-    """The theorem-3 parts of g, one h jet per call: a one-row functional
-    for one part, else row-batched with row i holding parts[i]."""
-    k = g.kernel
-    rows = [_THEOREM3_PARTS[p] for p in parts]
-
-    def fn(zz):
-        h, h1 = k.h_jet(zz, 1)
-        s = h - zz * h1
-        if len(rows) == 1:
-            return rows[0](h, s)
-        if zz.ndim == 1:
-            return np.array([part(h, s) for part in rows])
-        return np.array([part(h[i], s[i]) for i, part in enumerate(rows)])
-
-    return fn
-
-
 def theorem3_check(f: DiskFunction, part: str, shrink=0.01,
                    policy: ScanPolicy | None = None, allow_large_a2: bool = False):
     """Deviation-transform check on the circle |z| = (1 - shrink) |a2|/2.
 
     part 'a': sup |g' - 1|; part 'b': sup |z g'/g - 1|; part 'c': sup of the
-    deviation |U_g|, all read off one h jet of g = g_transform(f) and
-    compared against 1.  Part 'c' is proved only for |a2| <= 1; probing
-    beyond that needs allow_large_a2=True.  ``shrink`` must lie in (0, 1).
+    deviation |U_g|, all read off one h jet of g = g_transform(f)
+    (``operators.theorem3_parts``) and compared against 1.  Part 'c' is
+    proved only for |a2| <= 1; probing beyond that needs
+    allow_large_a2=True.  ``shrink`` must lie in (0, 1).
 
     One part and one shrink give one MembershipReport.  Otherwise the check
     is one row-batched scan and returns a list of reports, one per row: a
@@ -473,7 +441,7 @@ def theorem3_check(f: DiskFunction, part: str, shrink=0.01,
     shrinks = np.asarray(shrink, dtype=float)
     if shrinks.ndim > 1 or not np.all((shrinks > 0.0) & (shrinks < 1.0)) or not shrinks.size:
         raise ParamOutOfRange(f"shrink must lie in (0, 1), got {shrink}")
-    if not part or any(p not in _THEOREM3_PARTS for p in part):
+    if not part or any(p not in "abc" for p in part):
         raise ParamOutOfRange(f"part must be made of 'a', 'b' and 'c', not {part!r}")
     if len(part) > 1 and shrinks.ndim:
         raise ParamOutOfRange("theorem3_check takes several parts or several shrinks, not both")
@@ -482,8 +450,7 @@ def theorem3_check(f: DiskFunction, part: str, shrink=0.01,
             f"|a2| = {abs(f.a2):.6g} > 1; pass allow_large_a2=True to probe")
     radius = (1.0 - shrinks) * abs(f.a2) / 2.0
     values, witnesses = extremal_on_circle(
-        _theorem3_functional(g_transform(f), part), "sup_modulus", radius,
-        policy.grid, policy.refine_iters)
+        theorem3_parts(g_transform(f), part), "sup_modulus", radius, policy)
     reports = [MembershipReport(
         class_tag=f"theorem3.{p}", verdict=_verdict(v, 1.0, policy.delta, sup=True),
         extremal_value=float(v), witness=complex(w), scan_radius=float(r),
@@ -521,8 +488,7 @@ def theorem2_grid(f: DiskFunction, alphas,
     alphas = [float(a) for a in alphas]
     functional, mode, threshold = class_functional(f, "mocanu", np.array(alphas))
     u = test_class(f, "U", policy)
-    values, witnesses = extremal_on_circle(
-        functional, mode, policy.r_max, policy.grid, policy.refine_iters)
+    values, witnesses = extremal_on_circle(functional, mode, policy.r_max, policy)
     return [Theorem2Record(a, _report(f"mocanu({a:g})", value, witness, mode,
                                       threshold, policy), u)
             for a, value, witness in zip(alphas, values, witnesses)]

@@ -4,10 +4,10 @@ The central object is the deviation U(z) = (z/f(z))^2 f'(z) - 1.  Writing
 h = z/f it satisfies U = h - z h' - 1, which ``u_operator`` computes from
 one h jet of the kernel of f; the class test |U| < 1 then runs on boundary
 circles.  Also provided: the starlike quotient z f'/f, the convex quotient
-1 + z f''/f', their alpha-combination, the deviation transform
-g = (h - 1)/(-a2), and the decomposition h = 1 - a2 z - z omega1.  Every
-functional reads one jet of the kernel of f per call: the h jet or the f
-jet (convex quotient, f').
+1 + z f''/f', their alpha-combination, f', the theorem-3 parts of g built
+from the same formulas, the deviation transform g = (h - 1)/(-a2), and the
+decomposition h = 1 - a2 z - z omega1.  Every functional is a
+``PointFunctional`` that reads one jet of its kernel per call.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ __all__ = [
     "convex_quotient",
     "mocanu_real_part",
     "turning_derivative",
+    "theorem3_parts",
     "g_transform",
     "decompose",
     "phi_profile",
@@ -37,30 +38,23 @@ __all__ = [
 
 
 class PointFunctional:
-    """A vectorized map z -> complex: ``fn`` takes a 1-d array of points,
-    and a scalar point gives a complex result."""
+    """A vectorized map of complex points: ``fn`` takes a 1-d (or, row-batched,
+    a 2-d) array of points, and a scalar point gives a scalar (one per row).
+    Values keep the dtype ``fn`` gives them: a real-part map stays real."""
 
     def __init__(self, fn):
         self._fn = fn
 
     def __call__(self, z):
         zz = np.asarray(z, dtype=np.complex128)
-        values = np.asarray(self._fn(np.atleast_1d(zz)), dtype=np.complex128)
-        return complex(values[0]) if zz.ndim == 0 else values
+        values = self._fn(np.atleast_1d(zz))
+        if zz.ndim:
+            return values
+        return values[0].item() if values.ndim == 1 else values[:, 0]
 
 
-def u_operator(f: DiskFunction) -> PointFunctional:
-    """The deviation functional U = h - z h' - 1, through the kernel of f.
-
-    U(0) = 0 falls out of h(0) = 1 with no special casing.
-    """
-    k = f.kernel
-
-    def fn(zz):
-        h, h1 = k.h_jet(zz, 1)
-        return h - zz * h1 - 1.0
-
-    return PointFunctional(fn)
+def _deviation(zz, h):
+    return h[0] - zz * h[1] - 1.0
 
 
 def _starlike(zz, h):
@@ -71,6 +65,15 @@ def _starlike(zz, h):
 def _convex(zz, f):
     _guard(f[1], zz, "convex quotient")
     return 1.0 + zz * f[2] / f[1]
+
+
+def u_operator(f: DiskFunction) -> PointFunctional:
+    """The deviation functional U = h - z h' - 1, through the kernel of f.
+
+    U(0) = 0 falls out of h(0) = 1 with no special casing.
+    """
+    k = f.kernel
+    return PointFunctional(lambda zz: _deviation(zz, k.h_jet(zz, 1)))
 
 
 def starlike_quotient(f: DiskFunction) -> PointFunctional:
@@ -85,7 +88,7 @@ def convex_quotient(f: DiskFunction) -> PointFunctional:
     return PointFunctional(lambda zz: _convex(zz, k.f_jet(zz, 2)))
 
 
-def mocanu_real_part(f: DiskFunction, alpha):
+def mocanu_real_part(f: DiskFunction, alpha) -> PointFunctional:
     """Re of the alpha-convex functional, for one alpha or a 1-d array of them.
 
     The functional is (1 - alpha) z f'/f + alpha (1 + z f''/f').  One h
@@ -107,13 +110,35 @@ def mocanu_real_part(f: DiskFunction, alpha):
         out += a * cr
         return out
 
-    return fn
+    return PointFunctional(fn)
 
 
 def turning_derivative(f: DiskFunction) -> PointFunctional:
     """f'(z), whose real part is positive for bounded turning."""
     k = f.kernel
     return PointFunctional(lambda zz: k.f_jet(zz, 1)[1])
+
+
+def theorem3_parts(g: DiskFunction, parts: str) -> PointFunctional:
+    """The theorem-3 parts of g, one h jet per call: 'a' is g' - 1, 'b' is
+    z g'/g - 1 and 'c' is U of g, by the formulas of turning_derivative,
+    starlike_quotient and u_operator.  One part gives a one-row functional,
+    several a row-batched one: points of shape (m,) or (k, m) map to a
+    (k, m) array whose row i holds parts[i]."""
+    k = g.kernel
+    formulas = {"a": lambda zz, h: k.f_jet(zz, 1, h)[1] - 1.0,
+                "b": lambda zz, h: _starlike(zz, h) - 1.0, "c": _deviation}
+    rows = [formulas[p] for p in parts]
+
+    def fn(zz):
+        h = k.h_jet(zz, 1)
+        if len(rows) == 1:
+            return rows[0](zz, h)
+        if zz.ndim == 1:
+            return np.array([row(zz, h) for row in rows])
+        return np.array([row(zz[i], [j[i] for j in h]) for i, row in enumerate(rows)])
+
+    return PointFunctional(fn)
 
 
 def g_transform(f: DiskFunction) -> DiskFunction:

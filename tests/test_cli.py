@@ -200,6 +200,23 @@ class TestSeriesFile:
         assert out == ""
         assert "--series-file takes neither --id nor --b" in err
 
+    def test_series_file_with_order_exits_2(self, capsys, tmp_path):
+        # the file carries its own order; --order beside it would be ignored
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(make_catalog("koebe").series.to_json_dict()))
+        code, out, err = run_cli(capsys, "hankel", "--series-file", str(path),
+                                 "--order", "8", "--q", "1", "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert "--series-file takes no --order" in err
+
+    @pytest.mark.parametrize("flags, order", [([], 64), (["--order", "8"], 8)])
+    def test_catalog_order_is_echoed(self, capsys, flags, order):
+        code, payload = run_json(capsys, "hankel", "--id", "koebe", *flags,
+                                 "--q", "2", "--n", "2")
+        assert code == 0
+        assert payload["config"]["function"]["order"] == order
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "hankel", "--series-file",
                                  str(tmp_path / "absent.json"),
@@ -384,6 +401,7 @@ class TestUsageErrors:
         (["--r-max", "1.5"], "r_max"),
         (["--r-max", "0"], "r_max"),
         (["--delta=-1e-6"], "delta"),
+        (["--delta", "inf"], "delta"),  # used to end in a JSON encoder traceback
     ])
     def test_scan_policy_is_validated(self, capsys, flags, word):
         code, out, err = run_cli(capsys, "membership", "--id", "koebe",
@@ -410,7 +428,7 @@ def scan_budget(monkeypatch):
 
 
 class TestRadiusTolerance:
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_nonpositive_tolerance_is_rejected(self, capsys, scan_budget, tol):
         code, out, err = run_cli(capsys, "radius", "--id", "koebe",
                                  "--class", "convex", "--tol", tol)

@@ -49,6 +49,9 @@ class TestConfig:
         {"campaign": "theorem1", "a2_range": (True, 1.0)},
         {"campaign": "conjecture", "ladder": (True,)},
         {"campaign": "theorem2", "alpha_grid": (0.5, False)},
+        # alpha_summary counts each alpha under its :g label
+        {"campaign": "theorem2", "alpha_grid": (0.5, 0.5)},
+        {"campaign": "theorem2", "alpha_grid": (1e-7, 1.0000001e-7)},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ParamOutOfRange):

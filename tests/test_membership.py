@@ -15,6 +15,7 @@ from diskclass import (
     starlike_quotient,
     test_class as classify,
     theorem3_check,
+    turning_derivative,
     u_operator,
 )
 from diskclass.catalog import SchwarzGenerator, zero_bracket
@@ -22,7 +23,11 @@ from diskclass.errors import (DenominatorVanishes, NonFiniteValue, ParamOutOfRan
                               PartCPrecondition)
 from diskclass.explorer import ALPHA_GRID, catalog_prepends
 from diskclass.membership import RADIUS_CAP, extremal_on_circle, theorem2_grid
+from diskclass.operators import PointFunctional, theorem3_parts
 from diskclass.series import ComplexSeries
+
+
+GRID64 = ScanPolicy(grid=64)
 
 
 def _same_bits(a, b):
@@ -65,7 +70,7 @@ class TestExtremalOnCircle:
         # peak placed strictly between coarse grid nodes
         shift = np.exp(1j * (2 * np.pi * (10.5) / 64))
         fn = lambda z: 1.0 / (1.0 - 0.97 * (np.conj(shift) * z / 0.9))
-        value, witness = extremal_on_circle(fn, "sup_modulus", 0.9, grid=64)
+        value, witness = extremal_on_circle(fn, "sup_modulus", 0.9, GRID64)
         assert value == pytest.approx(1.0 / 0.03, rel=1e-6)
 
     @staticmethod
@@ -77,7 +82,7 @@ class TestExtremalOnCircle:
 
     def test_refine_finds_a_spike_between_grid_nodes(self):
         value, witness = extremal_on_circle(self._bump_and_spike, "sup_modulus",
-                                            0.5, grid=64)
+                                            0.5, GRID64)
         assert value == pytest.approx(1.2 + np.exp(-(0.6 / 12.0) ** 2), abs=1e-7)
         assert np.angle(witness) / (2 * np.pi / 64) == pytest.approx(10.6, abs=1e-4)
 
@@ -85,7 +90,7 @@ class TestExtremalOnCircle:
         theta = 2 * np.pi * np.arange(64) / 64
         grid_values = np.abs(self._bump_and_spike(0.5 * np.exp(1j * theta)))
         value, witness = extremal_on_circle(self._bump_and_spike, "sup_modulus",
-                                            0.5, grid=64, refine_iters=0)
+                                            0.5, ScanPolicy(grid=64, refine_iters=0))
         assert value == grid_values.max()
         assert witness == 0.5 * np.exp(1j * theta[np.argmax(grid_values)])
 
@@ -99,7 +104,7 @@ class TestExtremalOnCircle:
     def test_tie_breaks_to_smallest_angle(self):
         # |1/(1-z^2)| has two exactly equal peaks at angles 0 and pi
         value, witness = extremal_on_circle(lambda z: 1.0 / (1.0 - z ** 2),
-                                            "sup_modulus", 0.8, grid=64)
+                                            "sup_modulus", 0.8, GRID64)
         assert value == pytest.approx(1.0 / 0.36, abs=1e-10)
         assert np.angle(witness) == pytest.approx(0.0, abs=1e-9)
 
@@ -128,10 +133,9 @@ class TestExtremalOnCircle:
         # rows c z^2 for three c: one result per row, as three scans give
         cs = np.array([0.5, 2.0, 1.0])
         values, witnesses = extremal_on_circle(
-            lambda z: cs[:, None] * z ** 2, "sup_modulus", 0.5, grid=64)
+            lambda z: cs[:, None] * z ** 2, "sup_modulus", 0.5, GRID64)
         for c, value, witness in zip(cs, values, witnesses):
-            single = extremal_on_circle(lambda z: c * z ** 2, "sup_modulus", 0.5,
-                                        grid=64)
+            single = extremal_on_circle(lambda z: c * z ** 2, "sup_modulus", 0.5, GRID64)
             assert (value, witness) == single
 
     def test_per_radius_rows_equal_one_radius_scans_bit_for_bit(self):
@@ -154,13 +158,14 @@ class TestExtremalOnCircle:
         cs = np.array([0.5, 2.0])
         with pytest.raises(ValueError):
             extremal_on_circle(lambda z: cs[:, None] * z ** 2, "sup_modulus",
-                               np.array([0.3, 0.6]), grid=64)
+                               np.array([0.3, 0.6]), GRID64)
 
     @pytest.mark.parametrize("kwargs", [{"grid": 0}, {"grid": -4},
                                         {"refine_iters": -1}])
     def test_rejects_bad_grid_and_refine_iters(self, kwargs):
+        # the scan reads both from its policy, which validates them
         with pytest.raises(ParamOutOfRange):
-            extremal_on_circle(lambda z: z ** 2, "sup_modulus", 0.5, **kwargs)
+            extremal_on_circle(lambda z: z ** 2, "sup_modulus", 0.5, ScanPolicy(**kwargs))
 
 
 class TestVerdicts:
@@ -324,7 +329,7 @@ class TestRadius:
         lo, hi = res.bracket
         assert hi - lo <= 1e-4 and lo < zero
         fn, mode, _ = membership.class_functional(f, "starlike")
-        assert extremal_on_circle(fn, mode, lo, 512)[0] > 0.0
+        assert extremal_on_circle(fn, mode, lo, policy)[0] > 0.0
 
     def test_removable_pole_of_mocanu_is_no_failure(self):
         # f = z/(1 - z/z0) has mocanu(-1) = 1 although h(z0) = 0; starlikeness
@@ -507,12 +512,30 @@ class TestTheorem3Rows:
                 om, psi = f.kernel.omega_jet(zz, 1)
                 return (om + zz * psi) / a2, zz * psi / (a2 + om)
 
-            got = membership._theorem3_functional(g_transform(f), "ab")(z)
+            got = theorem3_parts(g_transform(f), "ab")(z)
             for row, ref in zip(got, closed_forms(z)):
                 assert np.max(np.abs(row - ref)) <= 1e-14, label
             for i, rep in enumerate(theorem3_check(f, "ab")):
                 ref = closed_forms(np.array([rep.witness]))[i][0]
                 assert rep.extremal_value == pytest.approx(abs(ref), abs=1e-14), label
+
+    def test_rows_are_the_operators_on_g(self):
+        # part a is g' - 1, part b z g'/g - 1 and part c U of g, bit for bit,
+        # with one row per part on one circle or on per-row points
+        for label, f in _small_a2_members():
+            g = g_transform(f)
+            z = 0.99 * abs(f.a2) / 2.0 * np.exp(2j * np.pi * np.arange(64) / 64)
+            refs = [turning_derivative(g)(z) - 1.0, starlike_quotient(g)(z) - 1.0,
+                    u_operator(g)(z)]
+            rows = theorem3_parts(g, "abc")
+            for part, row, ref in zip("abc", rows(z), refs):
+                assert np.array_equal(row, ref), (label, part)
+            batched = rows(np.array([z, 0.5 * z, z]))
+            assert np.array_equal(batched[0], refs[0]), label
+            assert np.array_equal(batched[1], starlike_quotient(g)(0.5 * z) - 1.0), label
+            assert np.array_equal(batched[2], refs[2]), label
+            for part, ref in zip("abc", refs):
+                assert np.array_equal(theorem3_parts(g, part)(z), ref), (label, part)
 
     def test_scalar_input_gives_one_report(self):
         f = make_catalog("fb", {"b": 0.8})
@@ -531,3 +554,53 @@ class TestTheorem3Rows:
     def test_part_c_precondition_covers_batched_parts(self):
         with pytest.raises(PartCPrecondition):
             theorem3_check(make_catalog("koebe"), "abc")
+
+
+class TestScanEvaluations:
+    """Every functional a scan sees is a PointFunctional, evaluated once per
+    circle on the coarse grid and once per zoom level."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        original = PointFunctional.__call__
+
+        def counting(self, z):
+            calls.append(np.shape(z))
+            return original(self, z)
+
+        monkeypatch.setattr(PointFunctional, "__call__", counting)
+        return calls
+
+    POLICIES = [ScanPolicy(), ScanPolicy(grid=256, refine_iters=4)]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_theorem2_grid_scans(self, monkeypatch, policy):
+        f = build_member(0.6 * np.exp(1j), sample_schwarz(2, "random_polynomial", 6))
+        calls = self.counted(monkeypatch)
+        theorem2_grid(f, ALPHA_GRID, policy)
+        # the deviation scan, then the alpha-convex scan of every alpha
+        assert len(calls) == 2 * (1 + policy.refine_iters)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_theorem3_check_scans(self, monkeypatch, policy):
+        f = make_catalog("fb", {"b": 0.8})
+        calls = self.counted(monkeypatch)
+        theorem3_check(f, "abc", 0.01, policy)
+        assert len(calls) == 1 + policy.refine_iters
+        calls.clear()
+        ladder = (0.1, 0.01, 0.001)
+        theorem3_check(f, "c", ladder, policy)
+        assert len(calls) == len(ladder) + policy.refine_iters
+
+
+class TestNonFiniteSettings:
+    def test_infinite_delta_is_rejected(self):
+        with pytest.raises(ParamOutOfRange, match="delta"):
+            ScanPolicy(delta=float("inf"))
+
+    def test_infinite_tolerance_is_rejected(self, monkeypatch):
+        scans = _record_scans(monkeypatch)
+        with pytest.raises(ParamOutOfRange, match="tol"):
+            radius_of(make_catalog("koebe"), "convex", tol=float("inf"))
+        assert scans == []

@@ -18,6 +18,7 @@ from diskclass import (
     u_operator,
 )
 from diskclass.catalog import _BlaschkeKernel, _PolyKernel
+from diskclass.operators import PointFunctional, theorem3_parts
 from diskclass.errors import (
     ArgumentOutOfDomain,
     EvalNearZeroDenominator,
@@ -109,6 +110,16 @@ class TestClassFunctionals:
             assert np.array_equal(row, mocanu_functional(f, alpha)(z).real)
             assert np.array_equal(mocanu_real_part(f, alpha)(z), row)
 
+    def test_mocanu_rows_stay_real(self):
+        # a PointFunctional casts no values: the real rows stay real
+        f = sampled_member(2)
+        functional = mocanu_real_part(f, np.array([-1.0, 0.5]))
+        assert isinstance(functional, PointFunctional)
+        assert functional(np.array(POINTS)).dtype == np.float64
+        assert type(mocanu_real_part(f, 0.5)(0.3)) is float
+        # a scalar point gives one value per row
+        assert np.array_equal(functional(0.3), functional(np.array([0.3]))[:, 0])
+
     def test_turning_derivative_identity(self):
         t = turning_derivative(make_catalog("identity"))
         assert t(0.5 + 0.2j) == pytest.approx(1.0, abs=1e-13)
@@ -147,6 +158,14 @@ class TestJetEvaluations:
         calls = self.counted(monkeypatch, _BlaschkeKernel, "omega_jet")
         functional(np.array(POINTS))
         assert len(calls) == 1
+
+    def test_one_omega_jet_per_theorem3_evaluation(self, monkeypatch):
+        # all three parts of g read one h jet of g, so one omega jet of f
+        gen = SchwarzGenerator.blaschke([0.4, 0.2 - 0.3j], rho=0.8, theta=1.1)
+        functional = theorem3_parts(g_transform(build_member(0.1, gen)), "abc")
+        calls = self.counted(monkeypatch, _BlaschkeKernel, "omega_jet")
+        functional(np.array(POINTS))
+        assert calls == [1]
 
     def test_one_h_jet_per_polynomial_mocanu_evaluation(self, monkeypatch):
         f = sampled_member(4, kind="random_polynomial")
