@@ -121,10 +121,10 @@ class _Kernel:
     the kernel belongs to.  The f jet is the reciprocal of the h jet,
     guarded against a vanishing h.
 
-    ``factor(part)`` is the kernel's proof source for the zeros of a factor
-    of f = z P/Q on the unit disk: "pole" is Q, whose zeros are the poles of
-    f, "root" is P, whose zeros are those of f/z, and "crit" the numerator
-    of f'.  It is polynomial coefficients with the same zeros on the disk,
+    Every subclass implements ``factor(part)``, the kernel's proof source
+    for the zeros of a factor of f = z P/Q on the unit disk: "pole" is Q,
+    whose zeros are the poles of f, "root" is P, whose zeros are those of
+    f/z, and "crit" the numerator of f'.  It is polynomial coefficients with the same zeros on the disk,
     a pair (fn, bounds) for a winding count, where bounds(radius) gives
     the (lipschitz, slack) of fn on |z| <= radius, or None when the kernel
     has no proof.
@@ -172,9 +172,6 @@ class _Kernel:
         h = self.h_jet(z, n) if h is None else h[:n + 1]
         _guard(h[0], z, ("z/f", "f'", "f''")[n])
         return _reciprocal(z, h)
-
-    def factor(self, part):
-        return None
 
 
 def _product_factor(q, part):

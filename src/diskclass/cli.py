@@ -38,8 +38,9 @@ def _emit(payload: dict, args) -> None:
 
 
 def _given(args, *keys) -> dict:
-    """The flags among ``keys`` given on the command line."""
-    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    """The flags among ``keys`` given on the command line; a flag that the
+    subcommand does not define is never given."""
+    return {key: value for key in keys if (value := getattr(args, key, None)) is not None}
 
 
 def _policy(args, base=None) -> ScanPolicy:
@@ -92,10 +93,11 @@ def _fn_flags(sub):
     sub.add_argument("--order", type=int, help=f"series order (default {DEFAULT_ORDER})")
 
 
-def _policy_flags(sub):
+def _policy_flags(sub, verdicts=True):
     sub.add_argument("--grid", type=int, help="circle grid size (default 4096)")
-    sub.add_argument("--r-max", type=float, help="scan radius (default 1 - 2^-10)")
-    sub.add_argument("--delta", type=float, help="verdict margin (default 1e-6)")
+    if verdicts:  # a radius search reads neither
+        sub.add_argument("--r-max", type=float, help="scan radius (default 1 - 2^-10)")
+        sub.add_argument("--delta", type=float, help="verdict margin (default 1e-6)")
 
 
 def _out_flags(sub):
@@ -130,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--class", dest="class_tag", required=True)
     s.add_argument("--alpha", type=float)
     s.add_argument("--tol", type=float, default=1e-4)
-    _policy_flags(s)
+    _policy_flags(s, verdicts=False)
     _out_flags(s)
 
     s = subs.add_parser("campaign", help="seeded randomized campaign")

@@ -112,8 +112,10 @@ class CampaignConfig:
         if not all(np.isfinite(self.alpha_grid)):
             raise ParamOutOfRange(
                 f"alpha_grid entries must be finite, got {self.alpha_grid}")
-        if len({f"{a:g}" for a in self.alpha_grid}) < len(self.alpha_grid):
-            raise ParamOutOfRange(f"alpha_grid entries share a :g label: {self.alpha_grid}")
+        for name in ("ladder", "alpha_grid"):  # report keys are :g labels
+            values = getattr(self, name)
+            if len({f"{v:g}" for v in values}) < len(values):
+                raise ParamOutOfRange(f"{name} entries share a :g label: {values}")
 
     def to_dict(self):
         return asdict(self)
@@ -364,7 +366,8 @@ _SPECS = {
             if v is not None), 0.0, 1.2, 30)),
     "conjecture": _CampaignSpec(
         _eval_conjecture, _conjecture_tracked,
-        ("ug_sup_tightest", lambda rec: rec["rungs"][-1]["sup"], 0.0, 1.1, 22),
+        ("ug_sup_tightest", lambda rec: min(rec["rungs"], key=lambda r: r["eps"])["sup"],
+         0.0, 1.1, 22),
         status=("evidence", "counterexample-candidate")),
 }
 CAMPAIGNS = tuple(_SPECS)

@@ -49,9 +49,13 @@ from .operators import (
 # whole disk.  Tighter than the membership scan radius so that radii equal
 # to 1 are reported within 1e-4.
 RADIUS_CAP = 1.0 - 2.0 ** -14
-# The radius search scans this radius and RADIUS_CAP first; the fallback
-# walk of real-part tags starts from a ladder of halvings below it.
+# The radius search scans this radius and RADIUS_CAP first.
 _WALK_START = 0.01
+# The fallback walk of real-part tags: a ladder of halvings 0.01 * 2^-j
+# (j = 8, ..., 1), then 96 evenly spaced radii from 0.01 to RADIUS_CAP,
+# whose step bounds how narrow a failure dip can be and still be detected.
+_WALK_RADII = np.concatenate((_WALK_START * 2.0 ** -np.arange(8.0, 0.0, -1.0),
+                              np.linspace(_WALK_START, RADIUS_CAP, 96)))
 # One row per class tag: its operators factory, scan mode and threshold,
 # and the factors of f at whose zeros its functional has its poles (see
 # catalog.zero_bracket).  U = h^2 f' - 1 stays analytic at a pole of f, but
@@ -339,20 +343,12 @@ def _first_pole(f, class_tag, alpha, tol):
     return hi if hi - lo <= tol / 2.0 else None
 
 
-def _walk(clears, sup):
-    """The fallback search: the bracket (previous radius, first failing
-    radius) of an outward walk over a fixed list of radii, or None when
-    every radius clears.  Sup tags walk 0.01 and RADIUS_CAP; real-part tags
-    walk a ladder 0.01 * 2^-j (j = 8, ..., 1) and then 96 evenly spaced
-    radii from 0.01 to RADIUS_CAP, whose step bounds how narrow a failure
-    dip can be and still be detected."""
-    if sup:
-        radii = [_WALK_START, RADIUS_CAP]
-    else:
-        radii = np.concatenate((_WALK_START * 2.0 ** -np.arange(8.0, 0.0, -1.0),
-                                np.linspace(_WALK_START, RADIUS_CAP, 96)))
+def _walk(clears):
+    """The fallback search of real-part tags: the bracket (previous radius,
+    first failing radius) of an outward walk over ``_WALK_RADII``, one circle
+    per scan, or None when every radius clears."""
     lo = 0.0
-    for r in radii:
+    for r in _WALK_RADII:
         if not clears(float(r)):
             return lo, float(r)
         lo = float(r)
@@ -378,14 +374,16 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     (positive and finite) or once the bracket can no longer be split in
     floating point.
 
-    Inputs without such a proof fall back to an outward walk over fixed
-    radii (``_walk``), one circle per scan, before the bisection: f whose
-    kernel has no proof source (a g-transform of a Blaschke, log_map,
+    Real-part tags without such a proof fall back to an outward walk over
+    fixed radii (``_walk``), one circle per scan, before the bisection: f
+    whose kernel has no proof source (a g-transform of a Blaschke, log_map,
     series or g-transform function), a zero count that refuses (a zero of
     a factor within rounding of RADIUS_CAP), a zero of h of a Blaschke
     member inside the disk, which its winding count proves but cannot
     place, a pole whose place is known less finely than tol/2, and mocanu
-    at a nonzero integer alpha with a possibly removable pole inside.
+    at a nonzero integer alpha with a possibly removable pole inside.  U
+    without a proof takes the same two-circle scan as a proven disk: a walk
+    over 0.01 and RADIUS_CAP, one circle at a time, gives the same bracket.
     """
     if not 0.0 < tol < np.inf:
         raise ParamOutOfRange(f"tol must be positive and finite, got {tol}")
@@ -399,9 +397,9 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
         return value < threshold if sup else value > threshold
 
     pole = _first_pole(f, class_tag, alpha, tol)
-    if pole is None:
-        bracket = _walk(clears, sup)
-    elif pole < RADIUS_CAP:
+    if pole is None and not sup:
+        bracket = _walk(clears)
+    elif pole is not None and pole < RADIUS_CAP:
         bracket = 0.0, pole
     else:
         near, cap = clears(np.array([_WALK_START, RADIUS_CAP]))

@@ -7,8 +7,8 @@ order; the order is bookkeeping for the truncation window, not part of the
 mathematical value.  Instances are immutable: every operation returns a new
 series.
 
->>> z = ComplexSeries.variable(4)
->>> ((ComplexSeries.one(4) - z) * (ComplexSeries.one(4) + z)).coeffs.real.tolist()
+>>> one, z = ComplexSeries([1, 0, 0, 0, 0]), ComplexSeries([0, 1, 0, 0, 0])
+>>> ((one - z) * (one + z)).coeffs.real.tolist()
 [1.0, 0.0, -1.0, 0.0, 0.0]
 """
 from __future__ import annotations
@@ -39,21 +39,6 @@ class ComplexSeries:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
-    @classmethod
-    def one(cls, order: int = DEFAULT_ORDER) -> "ComplexSeries":
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[0] = 1.0
-        return cls(c)
-
-    @classmethod
-    def variable(cls, order: int = DEFAULT_ORDER) -> "ComplexSeries":
-        """The series of f(z) = z."""
-        if order < 1:
-            raise ValueError("order must be >= 1 for the variable series")
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[1] = 1.0
-        return cls(c)
-
     @classmethod
     def from_json_dict(cls, data) -> "ComplexSeries":
         """Inverse of ``to_json_dict``; malformed data raises ParamOutOfRange."""

@@ -337,6 +337,15 @@ class TestUsageErrors:
             main(["membership", "--id", "koebe"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--r-max", "--delta"])
+    def test_radius_takes_no_verdict_flags(self, capsys, flag):
+        # a radius search reads neither the scan radius nor the margin
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", "--id", "koebe", "--class", "convex", flag, "0.5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
+
     def test_unknown_catalog_id(self, capsys):
         code, out, err = run_cli(capsys, "membership", "--id", "zeta",
                                  "--class", "U")

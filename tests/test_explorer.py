@@ -52,6 +52,9 @@ class TestConfig:
         # alpha_summary counts each alpha under its :g label
         {"campaign": "theorem2", "alpha_grid": (0.5, 0.5)},
         {"campaign": "theorem2", "alpha_grid": (1e-7, 1.0000001e-7)},
+        # worst_case keys each rung by its :g label
+        {"campaign": "conjecture", "ladder": (0.1, 0.1)},
+        {"campaign": "conjecture", "ladder": (1e-7, 1.0000001e-7)},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ParamOutOfRange):
@@ -262,6 +265,13 @@ class TestConjectureReport:
 
     def test_histogram_uses_tightest_rung(self, conj_report):
         assert conj_report["histogram"]["quantity"] == "ug_sup_tightest"
+
+    def test_histogram_does_not_depend_on_ladder_order(self):
+        # the tightest rung is the one of smallest eps, wherever it sits
+        hists = [run_campaign(CampaignConfig("conjecture", samples=3, seed=4,
+                                             a2_range=(1.0, 2.0), ladder=ladder))["histogram"]
+                 for ladder in ((0.001, 0.1), (0.1, 0.001), (0.001,))]
+        assert hists[0] == hists[1] == hists[2]
 
 
 class TestWorstCaseTies:

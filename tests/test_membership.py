@@ -331,6 +331,18 @@ class TestRadius:
         fn, mode, _ = membership.class_functional(f, "starlike")
         assert extremal_on_circle(fn, mode, lo, policy)[0] > 0.0
 
+    def test_unproven_u_takes_one_two_circle_scan(self, monkeypatch):
+        # nothing proves where U of g of log_map has its poles; the search
+        # scans 0.01 and RADIUS_CAP in one call, as a walk over the two would
+        g = g_transform(make_catalog("log_map"))
+        assert membership._first_pole(g, "U", None, 1e-4) is None
+        scans = _record_scans(monkeypatch)
+        res = radius_of(g, "U")
+        assert res.radius == pytest.approx(0.9659521076828241, abs=1e-12)
+        assert res.bracket[1] - res.bracket[0] <= 1e-4
+        assert scans[0] == (2, None) and len(scans) == 15
+        assert set(scans[1:]) == {(1, None)}
+
     def test_removable_pole_of_mocanu_is_no_failure(self):
         # f = z/(1 - z/z0) has mocanu(-1) = 1 although h(z0) = 0; starlikeness
         # fails at the pole z0
