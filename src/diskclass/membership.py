@@ -9,18 +9,19 @@ Extremal members of the deviation class, whose sup tends to 1 only as
 |z| -> 1, legitimately return BOUNDARY: a scan cannot distinguish sup < 1
 from sup = 1, and pretending otherwise would be false precision.
 
-Each class tag is one ``_CLASSES`` row (operators factory, scan mode,
-threshold, pole factors), and every scan reads its grid and zoom levels
-from one ``ScanPolicy``.  A scan can be row-batched, one zoom loop
-refining the brackets of all rows, and each row equals the one-row scan
-bit for bit.  The rows are either k radii of one functional, whose grids
-are evaluated one circle at a time, or k functionals that share their
-expensive parts on one circle, one coarse grid evaluation serving every
-row.  The radius search (``radius_of``) bisects on a disk where its
-functional is proven analytic, so that the same extremum principles make
-its verdict monotone in the radius, and a theorem-2 sample scans its
-whole alpha grid as rows (``theorem2_grid``): z f'/f and 1 + z f''/f'
-are evaluated once per probe set and combined per alpha.
+A scan only maximizes: each class tag is one ``_CLASSES`` row (operators
+factory, whether the scan maximizes |F| or -Re F, threshold, pole
+factors), the report maps the maximum back, and every scan reads its
+grid and zoom levels from one ``ScanPolicy``.  A scan can be
+row-batched, one zoom loop refining the brackets of all rows, and each
+row equals the one-row scan bit for bit.  The rows are either k radii of
+one functional, whose grids are evaluated one circle at a time, or k
+functionals that share their expensive parts on one circle, one coarse
+grid evaluation serving every row.  The radius search (``radius_of``)
+bisects on a disk where its functional is proven analytic, so that the
+same extremum principles make its verdict monotone in the radius, and a
+theorem-2 sample is one scan (``theorem2_grid``): |U| and the whole
+alpha grid are rows read off one h jet per probe set.
 ``theorem3_check`` uses both: the three parts of a theorem-3 sample
 (``operators.theorem3_parts``) share one h jet of g on one circle, and a
 conjecture ladder is its radii.  A NaN or infinite value met by any scan
@@ -36,6 +37,9 @@ import numpy as np
 from .catalog import DiskFunction, zero_bracket
 from .errors import NonFiniteValue, ParamOutOfRange, PartCPrecondition
 from .operators import (
+    PointFunctional,
+    _alpha_convex,
+    _deviation,
     convex_quotient,
     g_transform,
     mocanu_real_part,
@@ -56,16 +60,17 @@ _WALK_START = 0.01
 # whose step bounds how narrow a failure dip can be and still be detected.
 _WALK_RADII = np.concatenate((_WALK_START * 2.0 ** -np.arange(8.0, 0.0, -1.0),
                               np.linspace(_WALK_START, RADIUS_CAP, 96)))
-# One row per class tag: its operators factory, scan mode and threshold,
-# and the factors of f at whose zeros its functional has its poles (see
-# catalog.zero_bracket).  U = h^2 f' - 1 stays analytic at a pole of f, but
-# f itself does not, and the class asks for f analytic.
+# One row per class tag: its operators factory F, whether its scan
+# maximizes |F| (the sup tag) or -Re F, the threshold that members keep
+# that maximum below, and the factors of f at whose zeros F has its poles
+# (see catalog.zero_bracket).  U = h^2 f' - 1 stays analytic at a pole of
+# f, but f itself does not, and the class asks for f analytic.
 _CLASSES = {
-    "U": (u_operator, "sup_modulus", 1.0, ("pole", "root")),
-    "starlike": (starlike_quotient, "inf_real", 0.0, ("pole", "root")),
-    "convex": (convex_quotient, "inf_real", 0.0, ("pole", "crit")),
-    "mocanu": (mocanu_real_part, "inf_real", 0.0, ("pole", "root", "crit")),
-    "bounded_turning": (turning_derivative, "inf_real", 0.0, ("pole",)),
+    "U": (u_operator, True, 1.0, ("pole", "root")),
+    "starlike": (starlike_quotient, False, 0.0, ("pole", "root")),
+    "convex": (convex_quotient, False, 0.0, ("pole", "crit")),
+    "mocanu": (mocanu_real_part, False, 0.0, ("pole", "root", "crit")),
+    "bounded_turning": (turning_derivative, False, 0.0, ("pole",)),
 }
 CLASS_TAGS = tuple(_CLASSES)
 
@@ -163,27 +168,29 @@ def _zoom_refine(fn, center, value, half, levels):
     center: a level samples center + half * _ZOOM for all brackets in one
     call, keeps the first best angle and narrows half 16-fold, so a level's
     spacing is the next level's half-width.  Returns (center, value)."""
+    cells = tuple(np.indices(center.shape))
     for _ in range(levels):
         angles = center[..., None] + half * _ZOOM
         vals = fn(angles.reshape(len(angles), -1)).reshape(angles.shape)
-        i = np.argmax(vals, axis=-1)[..., None]
-        center = np.take_along_axis(angles, i, -1)[..., 0]
-        value = np.take_along_axis(vals, i, -1)[..., 0]
+        best = cells + (np.argmax(vals, axis=-1),)
+        center, value = angles[best], vals[best]
         half /= 16.0
     return center, value
 
 
-def _require_finite(points, values, mode, radius):
+def _require_finite(functional, points, radius):
+    """functional at points; a NaN or infinite value raises NonFiniteValue."""
+    values = functional(points)
     bad = ~np.isfinite(values)
     if bad.any():
         z = complex(np.broadcast_to(points, values.shape)[bad][0])
         r = float(np.broadcast_to(radius, values.shape)[bad][0])
-        raise NonFiniteValue(
-            f"{mode} scan on |z| = {r} meets a non-finite value at z = {z!r}")
+        raise NonFiniteValue(f"scan on |z| = {r} meets a non-finite value at z = {z!r}")
+    return values
 
 
-def extremal_on_circle(functional, mode: str, radius, policy: ScanPolicy | None = None):
-    """Extremum of |F| (mode 'sup_modulus') or Re F (mode 'inf_real') on a circle.
+def extremal_on_circle(functional, radius, policy: ScanPolicy | None = None):
+    """Maximum on a circle of the real values that ``functional`` returns.
 
     A coarse scan of ``policy.grid`` angles, then a zoom refinement around
     the three best: each of ``policy.refine_iters`` levels samples 33
@@ -205,24 +212,16 @@ def extremal_on_circle(functional, mode: str, radius, policy: ScanPolicy | None 
     raises NonFiniteValue; numpy's floating-point warnings are silenced
     for the scan, since that check reports the same events.
     """
-    if mode not in ("sup_modulus", "inf_real"):
-        raise ValueError(f"unknown mode {mode!r}")
     policy = policy or ScanPolicy()
     per_circle = np.ndim(radius) == 1
     radii = np.atleast_1d(np.asarray(radius, dtype=float))
     theta = 2.0 * np.pi * np.arange(policy.grid) / policy.grid
 
-    def quantity(z, r):
-        vals = functional(z)
-        q = np.abs(vals) if mode == "sup_modulus" else -np.real(vals)  # maximize
-        _require_finite(z, q, mode, r)
-        return q
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         unit = np.exp(1j * theta)
         best, best_val = [], []
         for r in radii:  # one circle at a time: no (k, grid) temporaries
-            coarse = quantity(r * unit, r)
+            coarse = _require_finite(functional, r * unit, r)
             if per_circle and coarse.ndim != 1:
                 raise ValueError("a row-batched functional scans a single radius")
             for row in np.atleast_2d(coarse):
@@ -233,7 +232,7 @@ def extremal_on_circle(functional, mode: str, radius, policy: ScanPolicy | None 
         best, best_val = np.array(best), np.array(best_val)
         scale = radii[:, None] if per_circle else radius  # broadcasts to the rows
         ref_theta, ref_val = _zoom_refine(
-            lambda angles: quantity(scale * np.exp(1j * angles), scale),
+            lambda angles: _require_finite(functional, scale * np.exp(1j * angles), scale),
             theta[best], best_val, 2.0 * np.pi / policy.grid, policy.refine_iters)
 
     rows = np.arange(len(best))
@@ -243,45 +242,39 @@ def extremal_on_circle(functional, mode: str, radius, policy: ScanPolicy | None 
     pick = np.argmin(np.where(ties, cand_theta, np.inf), axis=1)
     witness = radii * np.exp(1j * cand_theta[rows, pick])
     value = cand_val[rows, pick]
-    if mode == "inf_real":
-        value = -value
     if per_circle or coarse.ndim == 2:
         return value, witness
     return float(value[0]), complex(witness[0])
 
 
 def class_functional(f: DiskFunction, class_tag: str, alpha=None):
-    """(functional, mode, threshold) for a class tag.
-
-    For 'mocanu', ``alpha`` may also be a 1-d array of alphas, which gives
-    the row-batched functional with one row per alpha.  Every other tag
-    takes no alpha.
+    """The functional whose maximum on a circle decides the tagged class:
+    |F| for U and -Re F for the real-part tags, which members keep below
+    the tag's threshold.  'mocanu' takes one finite ``alpha``; every other
+    tag takes none.
     """
     if alpha is not None and class_tag != "mocanu":
         raise ParamOutOfRange(f"class {class_tag!r} takes no alpha, got {alpha}")
     if class_tag not in _CLASSES:
         raise ParamOutOfRange(f"unknown class tag {class_tag!r}; expected one of {CLASS_TAGS}")
-    if class_tag == "mocanu" and (alpha is None or not np.all(np.isfinite(alpha))):
-        raise ParamOutOfRange(f"mocanu test requires a finite alpha, got {alpha}")
-    factory, mode, threshold, _ = _CLASSES[class_tag]
-    return (factory(f) if alpha is None else factory(f, alpha)), mode, threshold
+    if class_tag == "mocanu" and (alpha is None or np.ndim(alpha) or not np.isfinite(alpha)):
+        raise ParamOutOfRange(f"mocanu test requires one finite alpha, got {alpha}")
+    factory, sup, _, _ = _CLASSES[class_tag]
+    fn = factory(f) if alpha is None else factory(f, alpha)
+    if sup:
+        return lambda z: np.abs(fn(z))
+    return lambda z: -np.real(fn(z))
 
 
 def _tag(class_tag, alpha):
-    """Report tag of a one-alpha test; an array of alphas is refused."""
-    if alpha is None:
-        return class_tag
-    if np.ndim(alpha) != 0:
-        raise ParamOutOfRange(f"one alpha expected, got {alpha!r}")
-    return f"{class_tag}({alpha:g})"
+    """Report tag of a one-alpha test."""
+    return class_tag if alpha is None else f"{class_tag}({alpha:g})"
 
 
-def _verdict(estimate, threshold, delta, sup):
-    """IN or OUT when the estimate clears the threshold by more than delta;
-    members lie below it for sup tests and above it otherwise."""
-    below, above = estimate < threshold - delta, estimate > threshold + delta
-    inside, outside = (below, above) if sup else (above, below)
-    return "IN" if inside else "OUT" if outside else "BOUNDARY"
+def _verdict(peak, threshold, delta):
+    """IN or OUT when a maximized quantity clears the threshold that
+    members keep it below by more than delta."""
+    return "IN" if peak < threshold - delta else "OUT" if peak > threshold + delta else "BOUNDARY"
 
 
 def test_class(f: DiskFunction, class_tag: str, policy: ScanPolicy | None = None,
@@ -296,20 +289,22 @@ def test_class(f: DiskFunction, class_tag: str, policy: ScanPolicy | None = None
     circle stops short of |z| = 1.
     """
     policy = policy or ScanPolicy()
-    functional, mode, threshold = class_functional(f, class_tag, alpha)
-    tag = _tag(class_tag, alpha)
-    value, witness = extremal_on_circle(functional, mode, policy.r_max, policy)
-    return _report(tag, value, witness, mode, threshold, policy)
+    functional = class_functional(f, class_tag, alpha)
+    peak, witness = extremal_on_circle(functional, policy.r_max, policy)
+    return _report(class_tag, alpha, peak, witness, policy)
 
 
-def _report(tag, value, witness, mode, threshold, policy) -> MembershipReport:
-    sup = mode == "sup_modulus"
-    value = float(value)
-    estimate = value / policy.r_max ** 2 if sup else value
+def _report(class_tag, alpha, peak, witness, policy) -> MembershipReport:
+    """Report of the maximum ``peak`` of ``class_functional``: max |U|, whose
+    verdict reads peak/r^2, or max -Re F, reported as min Re F."""
+    _, sup, threshold, _ = _CLASSES[class_tag]
+    peak = float(peak)
+    estimate = peak / policy.r_max ** 2 if sup else peak
+    sign = 1.0 if sup else -1.0
     return MembershipReport(
-        class_tag=tag, verdict=_verdict(estimate, threshold, policy.delta, sup),
-        extremal_value=value, witness=complex(witness), scan_radius=policy.r_max,
-        grid_size=policy.grid, margin=policy.delta, boundary_estimate=estimate)
+        class_tag=_tag(class_tag, alpha), verdict=_verdict(estimate, threshold, policy.delta),
+        extremal_value=sign * peak, witness=complex(witness), scan_radius=policy.r_max,
+        grid_size=policy.grid, margin=policy.delta, boundary_estimate=sign * estimate)
 
 
 def _first_pole(f, class_tag, alpha, tol):
@@ -388,13 +383,12 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     if not 0.0 < tol < np.inf:
         raise ParamOutOfRange(f"tol must be positive and finite, got {tol}")
     policy = policy or ScanPolicy()
-    functional, mode, threshold = class_functional(f, class_tag, alpha)
+    functional = class_functional(f, class_tag, alpha)
+    _, sup, threshold, _ = _CLASSES[class_tag]
     tag = _tag(class_tag, alpha)
-    sup = mode == "sup_modulus"
 
     def clears(r):
-        value, _ = extremal_on_circle(functional, mode, r, policy)
-        return value < threshold if sup else value > threshold
+        return extremal_on_circle(functional, r, policy)[0] < threshold
 
     pole = _first_pole(f, class_tag, alpha, tol)
     if pole is None and not sup:
@@ -447,10 +441,10 @@ def theorem3_check(f: DiskFunction, part: str, shrink=0.01,
         raise PartCPrecondition(
             f"|a2| = {abs(f.a2):.6g} > 1; pass allow_large_a2=True to probe")
     radius = (1.0 - shrinks) * abs(f.a2) / 2.0
-    values, witnesses = extremal_on_circle(
-        theorem3_parts(g_transform(f), part), "sup_modulus", radius, policy)
+    parts = theorem3_parts(g_transform(f), part)
+    values, witnesses = extremal_on_circle(lambda z: np.abs(parts(z)), radius, policy)
     reports = [MembershipReport(
-        class_tag=f"theorem3.{p}", verdict=_verdict(v, 1.0, policy.delta, sup=True),
+        class_tag=f"theorem3.{p}", verdict=_verdict(v, 1.0, policy.delta),
         extremal_value=float(v), witness=complex(w), scan_radius=float(r),
         grid_size=policy.grid, margin=policy.delta, boundary_estimate=float(v))
         for p, r, v, w in np.broadcast(list(part), radius, values, witnesses)]
@@ -478,15 +472,22 @@ def theorem2_grid(f: DiskFunction, alphas,
                   policy: ScanPolicy | None = None) -> list:
     """Theorem-2 records of f for every alpha of a grid, in grid order.
 
-    One deviation scan serves every record and one row-batched scan of the
-    alpha-convex functional gives every alpha's verdict; each record's
-    alpha-convex report equals ``test_class(f, "mocanu", policy, alpha)``.
+    One row-batched scan gives every verdict: row 0 is |U| and row 1 + i
+    is -Re of the alpha-convex functional at alphas[i], read off one h jet
+    of f per call, each row on its own points.  The reports equal those of
+    ``test_class`` for "U" and for "mocanu" at each alpha, bit for bit.
     """
     policy = policy or ScanPolicy()
     alphas = [float(a) for a in alphas]
-    functional, mode, threshold = class_functional(f, "mocanu", np.array(alphas))
-    u = test_class(f, "U", policy)
-    values, witnesses = extremal_on_circle(functional, mode, policy.r_max, policy)
-    return [Theorem2Record(a, _report(f"mocanu({a:g})", value, witness, mode,
-                                      threshold, policy), u)
-            for a, value, witness in zip(alphas, values, witnesses)]
+    k, a = f.kernel, np.array(alphas)[:, None]
+
+    def rows(zz):
+        h = k.h_jet(zz, 2)
+        first, rest = (..., ...) if zz.ndim == 1 else (0, np.s_[1:])  # zoom probes are per row
+        dev = np.abs(_deviation(zz[first], [j[first] for j in h]))
+        return np.concatenate((dev[None], -_alpha_convex(k, zz[rest], [j[rest] for j in h], a)))
+
+    values, witnesses = extremal_on_circle(PointFunctional(rows), policy.r_max, policy)
+    u = _report("U", None, values[0], witnesses[0], policy)
+    return [Theorem2Record(alpha, _report("mocanu", alpha, value, witness, policy), u)
+            for alpha, value, witness in zip(alphas, values[1:], witnesses[1:])]

@@ -88,29 +88,27 @@ def convex_quotient(f: DiskFunction) -> PointFunctional:
     return PointFunctional(lambda zz: _convex(zz, k.f_jet(zz, 2)))
 
 
+def _alpha_convex(kernel, zz, h, a):
+    """(1 - a) Re s + a Re c at zz, with s = z f'/f from the order-2 h jet
+    of kernel there and c = 1 + z f''/f' from the f jet derived from it
+    (or the kernel's closed-form one); a column of k alphas gives k rows."""
+    cr = _convex(zz, kernel.f_jet(zz, 2, h)).real
+    out = (1.0 - a) * _starlike(zz, h).real
+    out += a * cr
+    return out
+
+
 def mocanu_real_part(f: DiskFunction, alpha) -> PointFunctional:
     """Re of the alpha-convex functional, for one alpha or a 1-d array of them.
 
-    The functional is (1 - alpha) z f'/f + alpha (1 + z f''/f').  One h
-    jet per call gives z f'/f and, through the f jet derived from it (or
-    the kernel's closed-form one), 1 + z f''/f'; they are combined as
-    (1 - alpha) Re s + alpha Re c in one real array.  For a single alpha
-    the values have the shape of the points; for k alphas the map is
-    row-batched: points of shape (m,) or (k, m) give a (k, m) array whose
-    row i belongs to alpha[i].
+    The functional is (1 - alpha) z f'/f + alpha (1 + z f''/f'), read off
+    one h jet per call.  For a single alpha the values have the shape of
+    the points; for k alphas the map is row-batched: points of shape (m,)
+    or (k, m) give a (k, m) array whose row i belongs to alpha[i].
     """
     k = f.kernel
     a = np.asarray(alpha, dtype=float)[..., None]
-    b = 1.0 - a
-
-    def fn(zz):
-        h = k.h_jet(zz, 2)
-        cr = _convex(zz, k.f_jet(zz, 2, h)).real
-        out = b * _starlike(zz, h).real
-        out += a * cr
-        return out
-
-    return PointFunctional(fn)
+    return PointFunctional(lambda zz: _alpha_convex(k, zz, k.h_jet(zz, 2), a))
 
 
 def turning_derivative(f: DiskFunction) -> PointFunctional:

@@ -341,9 +341,9 @@ class TestReplayCoverage:
 
 
 class TestTheorem2Scans:
-    def test_two_scans_per_sample(self, monkeypatch):
-        # one deviation scan and one row-batched alpha-convex scan per row,
-        # whatever the size of the alpha grid
+    def test_one_scan_per_sample(self, monkeypatch):
+        # |U| and every alpha-convex row share one row-batched scan per
+        # sample, whatever the size of the alpha grid
         import diskclass.membership as membership
 
         scans = []
@@ -356,7 +356,7 @@ class TestTheorem2Scans:
         monkeypatch.setattr(membership, "extremal_on_circle", counted)
         report = run_campaign(CampaignConfig("theorem2", samples=3, seed=5))
         assert report["rejected"] == report["inapplicable"] == 0
-        assert len(scans) == 2 * report["samples_run"]
+        assert len(scans) == report["samples_run"]
 
 
 class TestTheorem3Scans:

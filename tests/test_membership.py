@@ -39,9 +39,9 @@ def _record_scans(monkeypatch):
     scans = []
     original = membership.extremal_on_circle
 
-    def recorded(functional, mode, radius, *args, **kwargs):
+    def recorded(functional, radius, *args, **kwargs):
         try:
-            out = original(functional, mode, radius, *args, **kwargs)
+            out = original(functional, radius, *args, **kwargs)
         except Exception as exc:
             scans.append((np.size(radius), type(exc)))
             raise
@@ -54,23 +54,22 @@ def _record_scans(monkeypatch):
 
 class TestExtremalOnCircle:
     def test_sup_of_monomial(self):
-        value, witness = extremal_on_circle(lambda z: z ** 2, "sup_modulus", 0.5)
+        value, witness = extremal_on_circle(lambda z: np.abs(z ** 2), 0.5)
         assert type(value) is float and type(witness) is complex
         assert value == pytest.approx(0.25, abs=1e-12)
         assert abs(witness) == pytest.approx(0.5)
 
     def test_sup_witness_of_pole_like_peak(self):
         # |1/(1.5 - z)| peaks at z = 1.5 r/|1.5| direction, angle 0
-        value, witness = extremal_on_circle(lambda z: 1.0 / (1.5 - z),
-                                            "sup_modulus", 0.9)
+        value, witness = extremal_on_circle(lambda z: np.abs(1.0 / (1.5 - z)), 0.9)
         assert value == pytest.approx(1.0 / 0.6, abs=1e-10)
         assert witness == pytest.approx(0.9, abs=1e-6)
 
     def test_refinement_beats_coarse_grid(self):
         # peak placed strictly between coarse grid nodes
         shift = np.exp(1j * (2 * np.pi * (10.5) / 64))
-        fn = lambda z: 1.0 / (1.0 - 0.97 * (np.conj(shift) * z / 0.9))
-        value, witness = extremal_on_circle(fn, "sup_modulus", 0.9, GRID64)
+        fn = lambda z: np.abs(1.0 / (1.0 - 0.97 * (np.conj(shift) * z / 0.9)))
+        value, witness = extremal_on_circle(fn, 0.9, GRID64)
         assert value == pytest.approx(1.0 / 0.03, rel=1e-6)
 
     @staticmethod
@@ -81,61 +80,60 @@ class TestExtremalOnCircle:
         return np.exp(-(t / 12.0) ** 2) + 1.2 * np.exp(-((t - 0.6) / 0.025) ** 2)
 
     def test_refine_finds_a_spike_between_grid_nodes(self):
-        value, witness = extremal_on_circle(self._bump_and_spike, "sup_modulus",
-                                            0.5, GRID64)
+        value, witness = extremal_on_circle(self._bump_and_spike, 0.5, GRID64)
         assert value == pytest.approx(1.2 + np.exp(-(0.6 / 12.0) ** 2), abs=1e-7)
         assert np.angle(witness) / (2 * np.pi / 64) == pytest.approx(10.6, abs=1e-4)
 
     def test_no_refine_returns_the_grid_maximum(self):
         theta = 2 * np.pi * np.arange(64) / 64
         grid_values = np.abs(self._bump_and_spike(0.5 * np.exp(1j * theta)))
-        value, witness = extremal_on_circle(self._bump_and_spike, "sup_modulus",
-                                            0.5, ScanPolicy(grid=64, refine_iters=0))
+        value, witness = extremal_on_circle(self._bump_and_spike, 0.5,
+                                            ScanPolicy(grid=64, refine_iters=0))
         assert value == grid_values.max()
         assert witness == 0.5 * np.exp(1j * theta[np.argmax(grid_values)])
 
     def test_inf_real_of_moebius(self):
-        # Re (1+z)/(1-z) on |z| = r has minimum (1-r)/(1+r) at z = -r
-        value, witness = extremal_on_circle(
-            lambda z: (1 + z) / (1 - z), "inf_real", 0.8)
-        assert value == pytest.approx(0.2 / 1.8, abs=1e-10)
+        # Re (1+z)/(1-z) on |z| = r has minimum (1-r)/(1+r) at z = -r, where
+        # -Re (1+z)/(1-z) has its maximum
+        value, witness = extremal_on_circle(lambda z: -np.real((1 + z) / (1 - z)), 0.8)
+        assert value == pytest.approx(-0.2 / 1.8, abs=1e-10)
         assert witness == pytest.approx(-0.8, abs=1e-6)
 
     def test_tie_breaks_to_smallest_angle(self):
         # |1/(1-z^2)| has two exactly equal peaks at angles 0 and pi
-        value, witness = extremal_on_circle(lambda z: 1.0 / (1.0 - z ** 2),
-                                            "sup_modulus", 0.8, GRID64)
+        value, witness = extremal_on_circle(lambda z: np.abs(1.0 / (1.0 - z ** 2)),
+                                            0.8, GRID64)
         assert value == pytest.approx(1.0 / 0.36, abs=1e-10)
         assert np.angle(witness) == pytest.approx(0.0, abs=1e-9)
 
     def test_all_nan_functional_raises(self):
         with pytest.raises(NonFiniteValue):
-            extremal_on_circle(lambda z: np.full(z.shape, np.nan), "sup_modulus", 0.5)
+            extremal_on_circle(lambda z: np.full(z.shape, np.nan), 0.5)
 
     def test_nan_spike_at_the_maximum_raises(self):
         # |1/(1.5 - z)| peaks at angle 0, exactly where the values are NaN
         def fn(z):
-            return np.where(np.abs(np.angle(z)) < 1e-3, np.nan, 1.0 / (1.5 - z))
+            return np.where(np.abs(np.angle(z)) < 1e-3, np.nan, np.abs(1.0 / (1.5 - z)))
 
         with pytest.raises(NonFiniteValue):
-            extremal_on_circle(fn, "sup_modulus", 0.9)
+            extremal_on_circle(fn, 0.9)
 
     def test_nan_refine_probe_raises(self):
         # the grid node at angle 0 is finite; only the probes beside it are not
         def fn(z):
             angle = np.abs(np.angle(z))
-            return np.where((angle > 0) & (angle < 1e-4), np.nan, 1.0 / (1.5 - z))
+            return np.where((angle > 0) & (angle < 1e-4), np.nan, np.abs(1.0 / (1.5 - z)))
 
         with pytest.raises(NonFiniteValue):
-            extremal_on_circle(fn, "sup_modulus", 0.9)
+            extremal_on_circle(fn, 0.9)
 
     def test_row_batched_functional(self):
         # rows c z^2 for three c: one result per row, as three scans give
         cs = np.array([0.5, 2.0, 1.0])
         values, witnesses = extremal_on_circle(
-            lambda z: cs[:, None] * z ** 2, "sup_modulus", 0.5, GRID64)
+            lambda z: np.abs(cs[:, None] * z ** 2), 0.5, GRID64)
         for c, value, witness in zip(cs, values, witnesses):
-            single = extremal_on_circle(lambda z: c * z ** 2, "sup_modulus", 0.5, GRID64)
+            single = extremal_on_circle(lambda z: np.abs(c * z ** 2), 0.5, GRID64)
             assert (value, witness) == single
 
     def test_per_radius_rows_equal_one_radius_scans_bit_for_bit(self):
@@ -145,19 +143,19 @@ class TestExtremalOnCircle:
         radii = np.array([0.004, 0.05, 0.31, 0.62, RADIUS_CAP])
         for label, f in (("polynomial", poly), ("blaschke", blaschke),
                          ("g of polynomial", g_transform(poly))):
-            for fn, mode in ((u_operator(f), "sup_modulus"),
-                             (starlike_quotient(f), "inf_real")):
-                values, witnesses = extremal_on_circle(fn, mode, radii)
+            for tag in ("U", "starlike"):
+                fn = membership.class_functional(f, tag)
+                values, witnesses = extremal_on_circle(fn, radii)
                 for r, value, witness in zip(radii, values, witnesses):
-                    single, at = extremal_on_circle(fn, mode, float(r))
-                    assert _same_bits(value, single), (label, mode, r)
-                    assert _same_bits(witness.real, at.real), (label, mode, r)
-                    assert _same_bits(witness.imag, at.imag), (label, mode, r)
+                    single, at = extremal_on_circle(fn, float(r))
+                    assert _same_bits(value, single), (label, tag, r)
+                    assert _same_bits(witness.real, at.real), (label, tag, r)
+                    assert _same_bits(witness.imag, at.imag), (label, tag, r)
 
     def test_row_batched_functional_takes_one_radius(self):
         cs = np.array([0.5, 2.0])
         with pytest.raises(ValueError):
-            extremal_on_circle(lambda z: cs[:, None] * z ** 2, "sup_modulus",
+            extremal_on_circle(lambda z: np.abs(cs[:, None] * z ** 2),
                                np.array([0.3, 0.6]), GRID64)
 
     @pytest.mark.parametrize("kwargs", [{"grid": 0}, {"grid": -4},
@@ -165,7 +163,7 @@ class TestExtremalOnCircle:
     def test_rejects_bad_grid_and_refine_iters(self, kwargs):
         # the scan reads both from its policy, which validates them
         with pytest.raises(ParamOutOfRange):
-            extremal_on_circle(lambda z: z ** 2, "sup_modulus", 0.5, ScanPolicy(**kwargs))
+            extremal_on_circle(lambda z: np.abs(z ** 2), 0.5, ScanPolicy(**kwargs))
 
 
 class TestVerdicts:
@@ -273,8 +271,8 @@ class TestRadius:
         assert 0.5 < res.radius < 1.0
         assert res.bracket[1] - res.bracket[0] <= 1e-4 + 1e-12
         # the scan value at the bracketed radius sits at the threshold
-        fn = u_operator(make_catalog("log_map"))
-        value, _ = extremal_on_circle(fn, "sup_modulus", res.radius)
+        fn = membership.class_functional(make_catalog("log_map"), "U")
+        value, _ = extremal_on_circle(fn, res.radius)
         assert value == pytest.approx(1.0, abs=2e-3)
 
     def test_gb_starlike_radius_matches_half_b(self):
@@ -328,8 +326,9 @@ class TestRadius:
         res = radius_of(f, "starlike", policy=policy)
         lo, hi = res.bracket
         assert hi - lo <= 1e-4 and lo < zero
-        fn, mode, _ = membership.class_functional(f, "starlike")
-        assert extremal_on_circle(fn, mode, lo, policy)[0] > 0.0
+        # the scan maximizes -Re z f'/f, so a starlike circle reads below 0
+        fn = membership.class_functional(f, "starlike")
+        assert extremal_on_circle(fn, lo, policy)[0] < 0.0
 
     def test_unproven_u_takes_one_two_circle_scan(self, monkeypatch):
         # nothing proves where U of g of log_map has its poles; the search
@@ -463,6 +462,9 @@ def _theorem2_functions():
                build_member(a2, sample_schwarz(seed, "random_polynomial", 6)))
         yield (f"blaschke{seed}",
                build_member(a2, sample_schwarz(seed, "blaschke_product", 3)))
+    # g's kernel serves the U row its order-2 h jet
+    yield "g of fb(1)", g_transform(make_catalog("fb", {"b": 1.0}))
+    yield "g of blaschke", g_transform(build_member(0.8, sample_schwarz(3, "blaschke_product")))
 
 
 class TestBatchedAlphaGrid:
@@ -471,7 +473,7 @@ class TestBatchedAlphaGrid:
         for label, f in _theorem2_functions():
             records = theorem2_grid(f, ALPHA_GRID, policy)
             assert [rec.alpha for rec in records] == list(ALPHA_GRID)
-            assert records[0].u == classify(f, "U", policy), label
+            assert _same_report_bits(records[0].u, classify(f, "U", policy)), label
             for rec in records:
                 single = classify(f, "mocanu", policy, alpha=rec.alpha)
                 assert rec.m_alpha == single, (label, rec.alpha)
@@ -569,8 +571,8 @@ class TestTheorem3Rows:
 
 
 class TestScanEvaluations:
-    """Every functional a scan sees is a PointFunctional, evaluated once per
-    circle on the coarse grid and once per zoom level."""
+    """Every scan reads one PointFunctional, evaluated once per circle on the
+    coarse grid and once per zoom level."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -591,8 +593,8 @@ class TestScanEvaluations:
         f = build_member(0.6 * np.exp(1j), sample_schwarz(2, "random_polynomial", 6))
         calls = self.counted(monkeypatch)
         theorem2_grid(f, ALPHA_GRID, policy)
-        # the deviation scan, then the alpha-convex scan of every alpha
-        assert len(calls) == 2 * (1 + policy.refine_iters)
+        # one scan of |U| and of the alpha-convex functional of every alpha
+        assert len(calls) == 1 + policy.refine_iters
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_theorem3_check_scans(self, monkeypatch, policy):
