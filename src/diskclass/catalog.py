@@ -10,7 +10,8 @@ quotient h = z/f:
 * one truncated Taylor series drives coefficient work.  A DiskFunction
   keeps the series its constructor knows exactly (h for functions defined
   by their quotient, f for functions defined by their expansion) and
-  derives the other one by a single series inversion on first use.
+  derives the other one by series inversion, f only through the highest
+  coefficient a caller reads.
 
 The quotient always admits the normal form h(z) = 1 - a2 z - z omega1(z)
 where a2 is the second Taylor coefficient of f and omega1 is analytic with
@@ -374,13 +375,15 @@ class DiskFunction:
 
     Combines a closed-form kernel for the quotient h = z/f with the Taylor
     series of h (``quotient``) and of f (``series``).  The constructor takes
-    the one series its caller knows exactly; h and f/z are reciprocal
-    series, so the other one is derived by a single inversion on first use
-    and cached.  Without a kernel the closed forms are the polynomial the
-    constructor was given: h for a quotient, f for a series.  Values at
-    points are read from the jets of
-    ``kernel`` on 1-d arrays: ``f.kernel.f_jet(z, 2)`` is [f, f', f''] and
-    ``f.kernel.h_jet(z, 0)[0]`` is h = z/f.
+    the one series its caller knows exactly, whose order is the declared
+    ``order``; h and f/z are reciprocal series, so the other one is derived
+    by inversion and cached.  f is derived only through the highest
+    coefficient a caller reads (``taylor``), and ``series`` is that cache
+    read at full order.  Without a kernel the closed forms are the
+    polynomial the constructor was given: h for a quotient, f for a series.
+    Values at points are read from the jets of ``kernel`` on 1-d arrays:
+    ``f.kernel.f_jet(z, 2)`` is [f, f', f''] and ``f.kernel.h_jet(z, 0)[0]``
+    is h = z/f.
     """
 
     def __init__(self, fid, params, kernel=None, *, series=None, quotient=None):
@@ -394,33 +397,37 @@ class DiskFunction:
             raise ParamOutOfRange(f"series of {fid!r} is not normalized")
         else:
             self.a2 = complex(series.coefficient(2))
+        self.order = (series if quotient is None else quotient).order
         if kernel is None:
             kernel = (_PolyKernel(quotient.coeffs) if quotient is not None
                       else _SeriesKernel(series.div_z(NORMALIZATION_TOL).coeffs))
         self.kernel = kernel
         self.kernel.owner = self
 
+    def taylor(self, top: int) -> ComplexSeries:
+        """Taylor series of f through z^top, or through ``order`` if lower.
+
+        From a quotient only its terms up to z^top are inverted: term k of
+        the inversion reads terms <= k, so the result has the bits of the
+        full inversion.  The derived series is cached and re-derived when a
+        caller asks for more.
+        """
+        top = min(top, self.order)
+        if self._f is None or self._f.order < top:
+            self._f = self._h.truncate(top).reciprocal().mul_z()
+        return self._f
+
     @property
     def series(self) -> ComplexSeries:
-        """Taylor series of f."""
-        if self._f is None:
-            self._derive()
-        return self._f
+        """Taylor series of f at the declared order."""
+        return self.taylor(self.order)
 
     @property
     def quotient(self) -> ComplexSeries:
         """Taylor series of h = z/f."""
         if self._h is None:
-            self._derive()
+            self._h = self._f.div_z(NORMALIZATION_TOL).reciprocal()
         return self._h
-
-    def _derive(self):
-        known = self._f.div_z(NORMALIZATION_TOL) if self._h is None else self._h
-        other = known.reciprocal()
-        if self._h is None:
-            self._h = other
-        else:
-            self._f = other.mul_z()
 
     def __repr__(self):
         return f"DiskFunction(id={self.id!r}, params={self.params!r}, a2={self.a2:.6g})"

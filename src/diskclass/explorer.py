@@ -193,8 +193,10 @@ def _materialize(cfg: CampaignConfig, prepends, index: int):
 # ---------------------------------------------------------------------------
 def _eval_theorem1(f: DiskFunction, cfg: CampaignConfig) -> dict:
     dec = decompose(f)
-    h2 = hankel_det(f, 2, 2)
+    # H3(1) reads a_1..a_5, H2(2) a_2..a_4: the wider window first derives
+    # the one f prefix both read
     h3 = hankel_det(f, 3, 1)
+    h2 = hankel_det(f, 2, 2)
     red2 = reduced_h2(dec.a2, dec.c)
     red3 = reduced_h3(dec.c)
     ps = prokhorov_szynal_check(*dec.c)

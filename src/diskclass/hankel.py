@@ -63,17 +63,19 @@ class HankelReport:
 def hankel_det(f: DiskFunction, q: int, n: int) -> HankelReport:
     """det [a_{n+i+j}] for i, j in 0..q-1, expanded exactly by cofactors.
 
-    Requires 1 <= q <= 4 and a series order of at least n + 2q - 2.
+    Requires 1 <= q <= 4 and ``f.order`` >= n + 2q - 2, checked before
+    anything is derived; the window is read from ``f.taylor(n + 2q - 2)``.
     """
     if not 1 <= q <= 4:
         raise ParamOutOfRange(f"q = {q} outside the supported range 1..4")
     if n < 1:
         raise ParamOutOfRange(f"n = {n} must be positive")
     top = n + 2 * q - 2
-    if f.series.order < top:
+    if f.order < top:
         raise InsufficientOrder(
-            f"series order {f.series.order} < required coefficient index {top}")
-    a = [f.series.coefficient(k) for k in range(n, top + 1)]
+            f"series order {f.order} < required coefficient index {top}")
+    series = f.taylor(top)
+    a = [series.coefficient(k) for k in range(n, top + 1)]
     m = [[a[i + j] for j in range(q)] for i in range(q)]
     value = _det(m)
     return HankelReport(q=q, n=n, value=complex(value), modulus=abs(value),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import DiskFunction, _guard, _GTransformKernel, _omega_coeffs
-from .errors import ArgumentOutOfDomain, SecondCoefficientVanishes
+from .errors import ArgumentOutOfDomain, InsufficientOrder, SecondCoefficientVanishes
 from .series import ComplexSeries
 
 # |a2| below this cannot be divided by in the deviation transform.
@@ -175,8 +175,15 @@ class OmegaDecomposition:
 
 
 def decompose(f: DiskFunction) -> OmegaDecomposition:
-    """Split f into (a2, omega1) via its quotient series; exact for class members."""
+    """Split f into (a2, omega1) via its quotient series; exact for class members.
+
+    c1..c3 are -h_2..-h_4, so a quotient of order below 4 raises
+    InsufficientOrder rather than report truncated zeros.
+    """
     h = f.quotient
+    if h.order < 4:
+        raise InsufficientOrder(
+            f"quotient order {h.order} < required coefficient index 4 (c3 = -h_4)")
     omega = ComplexSeries(_omega_coeffs(h.coeffs))
     c = tuple(omega.coefficient(k) for k in (1, 2, 3))
     return OmegaDecomposition(a2=complex(h.coefficient(1)) * -1.0, omega1=omega, c=c)

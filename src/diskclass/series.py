@@ -117,7 +117,11 @@ class ComplexSeries:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "ComplexSeries":
-        """Series of 1/f, same order, via the convolution recurrence."""
+        """Series of 1/f, same order, via the convolution recurrence.
+
+        Term k reads only terms <= k, so inverting ``truncate(n)`` gives the
+        first n + 1 terms of the full inversion, bit for bit.
+        """
         c = self._c
         if abs(c[0]) <= EPS_DIV:
             raise NearZeroConstantTerm(

@@ -19,15 +19,30 @@ from diskclass import (
     seed_key,
 )
 from diskclass.catalog import CERT_RADIUS, zero_bracket
+from diskclass.hankel import _det
 from diskclass.errors import (
     BoundaryTooClose,
     DenominatorVanishes,
+    InsufficientOrder,
     ParamOutOfRange,
     UnknownId,
 )
 from oracles import c_coefficients, jet_at
 
 RNG_KINDS = ("scaled_unimodular", "blaschke_product", "random_polynomial")
+
+
+def count_inversions(monkeypatch):
+    """Patch ComplexSeries.reciprocal to log the term count of each inversion."""
+    calls = []
+    reciprocal = ComplexSeries.reciprocal
+
+    def counted(series, *args, **kwargs):
+        calls.append(series.order + 1)
+        return reciprocal(series, *args, **kwargs)
+
+    monkeypatch.setattr(ComplexSeries, "reciprocal", counted)
+    return calls
 
 
 def psi(gen, z):
@@ -339,19 +354,15 @@ class TestBuildMember:
 
     def test_one_series_inversion_per_polynomial_member(self, monkeypatch):
         gen = SchwarzGenerator.polynomial([0.2, -0.3, 0.1j])
-        calls = []
-        reciprocal = ComplexSeries.reciprocal
-
-        def counted(series):
-            calls.append(series.order)
-            return reciprocal(series)
-
-        monkeypatch.setattr(ComplexSeries, "reciprocal", counted)
+        calls = count_inversions(monkeypatch)
         f = build_member(0.6 - 0.2j, gen)
+        # in the order a theorem-1 row reads them: H3(1) reads a_1..a_5,
+        # so H2(2) reuses its prefix
         decompose(f)
-        hankel_det(f, 2, 2)
         hankel_det(f, 3, 1)
+        hankel_det(f, 2, 2)
         assert len(calls) == 1
+        assert max(calls) <= 6  # terms of 1/h: a_0..a_5, never the full quotient
 
     def test_one_series_inversion_per_blaschke_member(self, monkeypatch):
         # the generator expands psi only when a member is built
@@ -375,6 +386,77 @@ class TestBuildMember:
         z = 0.5 + 0.2j
         assert jet_at(g.kernel, "h", 0, z) == pytest.approx(jet_at(f.kernel, "h", 0, z),
                                                             abs=1e-12)
+
+
+def prefix_cases(order):
+    """(label, factory) for every catalog id and seeded members of each kind."""
+    cases = [(cid, lambda cid=cid: make_catalog(cid, {"b": 1.3} if cid == "fb" else None,
+                                                 order=order))
+             for cid in catalog_ids()]
+    cases += [(f"{kind}:{seed}",
+               lambda kind=kind, seed=seed: build_member(
+                   0.3, sample_schwarz(seed, kind), order=order))
+              for kind in RNG_KINDS for seed in (1, 2)]
+    return cases
+
+
+def full_inversion(f):
+    """f's coefficients from inverting the whole quotient, or the series f was built from."""
+    if f.id == "log_map":
+        return f.series.coeffs
+    return f.quotient.reciprocal().mul_z().coeffs
+
+
+def hexes(values):
+    return [(float(np.real(v)).hex(), float(np.imag(v)).hex()) for v in values]
+
+
+class TestTaylorPrefix:
+    @pytest.mark.parametrize("order", [8, 64])
+    def test_prefix_has_the_bits_of_the_full_inversion(self, order):
+        for label, make in prefix_cases(order):
+            full = full_inversion(make())
+            for top in (1, 2, 4, 5, order):
+                prefix = make().taylor(top)
+                assert prefix.order >= top, (label, top)
+                assert hexes(prefix.coeffs[: top + 1]) == hexes(full[: top + 1]), (label, top)
+
+    @pytest.mark.parametrize("order", [8, 64])
+    def test_extended_prefix_and_series_keep_the_bits(self, order):
+        for label, make in prefix_cases(order):
+            f = make()
+            full = full_inversion(make())
+            for top in (4, 5, order):
+                assert hexes(f.taylor(top).coeffs[: top + 1]) == hexes(full[: top + 1]), label
+            assert f.series.order == f.order == order
+            assert hexes(f.series.coeffs) == hexes(full), label
+
+    @pytest.mark.parametrize("q, n", [(2, 2), (3, 1), (4, 1)])
+    def test_hankel_values_match_the_full_inversion(self, q, n):
+        for label, make in prefix_cases(64):
+            a = full_inversion(make())
+            expected = _det([[complex(a[n + i + j]) for j in range(q)] for i in range(q)])
+            rep = hankel_det(make(), q, n)
+            assert hexes([rep.value]) == hexes([expected]), label
+            assert hexes(rep.coefficients) == hexes(a[n : n + 2 * q - 1]), label
+
+    def test_insufficient_order_raised_before_any_inversion(self, monkeypatch):
+        calls = count_inversions(monkeypatch)
+        koebe = make_catalog("koebe", order=4)
+        member = build_member(0.3, SchwarzGenerator.polynomial([0.2, -0.3]), order=4)
+        for f in (koebe, member):
+            for q, n in ((3, 2), (4, 1), (1, 5)):
+                with pytest.raises(InsufficientOrder):
+                    hankel_det(f, q, n)
+        assert calls == []
+
+    def test_prefix_past_the_declared_order_is_derived_once(self, monkeypatch):
+        calls = count_inversions(monkeypatch)
+        f = make_catalog("koebe", order=8)
+        for top in (100, 100, 8, 5):
+            assert f.taylor(top).order == 8
+        assert f.series.coefficient(8) == 8.0
+        assert calls == [9]
 
 
 @given(st.floats(min_value=0.0, max_value=0.999),

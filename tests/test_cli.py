@@ -358,6 +358,15 @@ class TestUsageErrors:
         assert code == 2
         assert "--b" in err
 
+    @pytest.mark.parametrize("order", ["3", "4"])
+    def test_decompose_below_order_five_exits_2(self, capsys, order):
+        # c3 reads h_4; the quotient of an order-N series has order N - 1
+        code, out, err = run_cli(capsys, "decompose", "--id", "log_map",
+                                 "--order", order, "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_function_source_required(self, capsys):
         code, out, err = run_cli(capsys, "decompose")
         assert code == 2

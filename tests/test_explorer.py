@@ -14,7 +14,7 @@ from diskclass import (
     write_rows_csv,
 )
 from diskclass.errors import ParamOutOfRange, ReplayMismatch
-from diskclass.catalog import make_catalog
+from diskclass.catalog import SchwarzGenerator, make_catalog
 from diskclass.explorer import (ALPHA_GRID, FB_GRID, LADDER, TIE_RTOL, _SPECS, _aggregate,
                                 _beats)
 from diskclass.series import ComplexSeries
@@ -408,3 +408,28 @@ class TestSeriesInversions:
         monkeypatch.setattr(ComplexSeries, "reciprocal", counted)
         run_campaign(CampaignConfig(kind, samples=20, seed=7, **kwargs))
         assert len(calls) == expected
+
+    def test_theorem1_rows_invert_only_f_prefixes(self, monkeypatch):
+        # a row derives a_0..a_5 once (six terms of 1/h); only a Blaschke
+        # member's psi expansion inverts a series to the full order
+        f_terms, psi_terms, expanding = [], [], []
+        reciprocal = ComplexSeries.reciprocal
+        member = SchwarzGenerator.member
+
+        def counted(series, *args, **kwargs):
+            (psi_terms if expanding else f_terms).append(series.order + 1)
+            return reciprocal(series, *args, **kwargs)
+
+        def expand(gen, *args, **kwargs):
+            expanding.append(gen.kind)
+            try:
+                return member(gen, *args, **kwargs)
+            finally:
+                expanding.pop()
+
+        monkeypatch.setattr(ComplexSeries, "reciprocal", counted)
+        monkeypatch.setattr(SchwarzGenerator, "member", expand)
+        report = run_campaign(CampaignConfig("theorem1", samples=20, seed=7))
+        assert max(f_terms) <= 6
+        assert len(f_terms) == report["accepted"]
+        assert set(psi_terms) == {65}

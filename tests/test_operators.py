@@ -22,6 +22,7 @@ from diskclass.operators import PointFunctional, theorem3_parts
 from diskclass.errors import (
     ArgumentOutOfDomain,
     EvalNearZeroDenominator,
+    InsufficientOrder,
     SecondCoefficientVanishes,
 )
 from oracles import c_coefficients, jet_at, mocanu_functional, u_series
@@ -226,6 +227,18 @@ class TestDecomposition:
         for k in range(1, 6):
             assert dec.omega1.coefficient(k) == pytest.approx(
                 -h.coefficient(k + 1), abs=1e-12)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_low_order_raises_instead_of_truncated_zeros(self, order):
+        # c1..c3 are -h_2..-h_4: a shorter quotient would report c3 = 0
+        with pytest.raises(InsufficientOrder):
+            decompose(make_catalog("log_map", order=order))
+
+    def test_order_five_reads_the_true_c(self):
+        got, full = (decompose(make_catalog("log_map", order=k)) for k in (5, 64))
+        for a, b in zip(got.c, full.c):
+            assert a == pytest.approx(b, abs=1e-15)
+        assert full.c[1] == pytest.approx(1 / 24) and full.c[2] == pytest.approx(19 / 720)
 
 
 class TestScalarHelpers:
