@@ -4,6 +4,10 @@ Every subcommand prints a JSON report (pretty by default, canonical
 single-line with --json) that echoes its full effective configuration, so
 any run can be reproduced from its own output.  Exit codes: 0 success/IN,
 3 OUT, 4 BOUNDARY, 2 usage or input errors.
+
+``main`` builds its parser once per process and reuses it: parsing keeps
+no state in the parser, and building it costs far more than a parse.
+``build_parser`` returns a new parser on every call.
 """
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -292,9 +297,14 @@ _COMMANDS = {
 }
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses for the life of the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (DiskClassError, OSError) as exc:

@@ -189,16 +189,35 @@ def _require_finite(functional, points, radius):
     return values
 
 
-def extremal_on_circle(functional, radius, policy: ScanPolicy | None = None):
+def _top3(row):
+    """Indices of the 3 largest values of row, in the order of a stable
+    sort of -row (ties to the smaller index), without sorting all of it."""
+    neg, k = -row, min(2, row.size - 1)
+    cut = np.partition(neg, k)[k]
+    cand = np.flatnonzero(neg <= cut)
+    return cand[np.argsort(neg[cand], kind="stable")[:3]]
+
+
+def extremal_on_circle(functional, radius, policy: ScanPolicy | None = None,
+                       threshold=None):
     """Maximum on a circle of the real values that ``functional`` returns.
 
     A coarse scan of ``policy.grid`` angles, then a zoom refinement around
-    the three best: each of ``policy.refine_iters`` levels samples 33
+    the three best (picked as a stable sort would pick them, ties to the
+    smallest angle): each of ``policy.refine_iters`` levels samples 33
     evenly spaced angles across each bracket (one grid step either side at
     first), keeps the best and narrows the bracket 16-fold.  The default
     9 levels resolve an angle to 2 pi / 4096 / 16^9 ~ 2e-14 rad; 0 levels
     return the grid maxima.  Ties within 1e-12 resolve to the smallest
     angle.  Returns (value, witness).
+
+    ``threshold``, when given, skips the refinement of a scan already known
+    to reach it: if every row's grid maximum G has G - 1e-12 >= threshold,
+    the scan returns its grid pick, as with 0 levels.  The refined value
+    would be at least fl(M - 1e-12) with M >= G, so it too would not be
+    below the threshold; the radius search, which asks only that, passes
+    its threshold.  Such a scan evaluates no refine probes, so it raises
+    NonFiniteValue only for a grid value.
 
     A scan has k rows, each resolved as a one-row scan would be, and then
     returns a pair of length-k arrays (values, witnesses).  Rows come from
@@ -225,15 +244,17 @@ def extremal_on_circle(functional, radius, policy: ScanPolicy | None = None):
             if per_circle and coarse.ndim != 1:
                 raise ValueError("a row-batched functional scans a single radius")
             for row in np.atleast_2d(coarse):
-                # a copy: a view would keep the row's whole argsort alive
-                top = np.argsort(-row, kind="stable")[:3].copy()
+                top = _top3(row)
                 best.append(top)
                 best_val.append(row[top])
         best, best_val = np.array(best), np.array(best_val)
+        levels = policy.refine_iters
+        if threshold is not None and np.all(best_val[:, 0] - 1e-12 >= threshold):
+            levels = 0
         scale = radii[:, None] if per_circle else radius  # broadcasts to the rows
         ref_theta, ref_val = _zoom_refine(
             lambda angles: _require_finite(functional, scale * np.exp(1j * angles), scale),
-            theta[best], best_val, 2.0 * np.pi / policy.grid, policy.refine_iters)
+            theta[best], best_val, 2.0 * np.pi / policy.grid, levels)
 
     rows = np.arange(len(best))
     cand_theta = np.concatenate((theta[best], ref_theta), axis=1) % (2.0 * np.pi)
@@ -367,7 +388,9 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     bracket is (0, hi) with hi an upper bound on the pole's modulus, and
     no circle near the pole is scanned.  The bisection stops at ``tol``
     (positive and finite) or once the bracket can no longer be split in
-    floating point.
+    floating point.  Every scan is passed the tag's threshold, so a circle
+    whose grid already fails is not refined (see ``extremal_on_circle``);
+    the radius is the one full scans give, bit for bit.
 
     Real-part tags without such a proof fall back to an outward walk over
     fixed radii (``_walk``), one circle per scan, before the bisection: f
@@ -388,7 +411,7 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     tag = _tag(class_tag, alpha)
 
     def clears(r):
-        return extremal_on_circle(functional, r, policy)[0] < threshold
+        return extremal_on_circle(functional, r, policy, threshold=threshold)[0] < threshold
 
     pole = _first_pole(f, class_tag, alpha, tol)
     if pole is None and not sup:

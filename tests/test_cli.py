@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from diskclass import make_catalog
-from diskclass.cli import main
+from diskclass import cli, make_catalog
+from diskclass.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -462,6 +462,37 @@ class TestRadiusTolerance:
         lo, hi = payload["bracket"]
         assert 0.9 < lo < hi < 1.0
         assert (lo + hi) / 2 in (lo, hi)
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process; no call leaves state in it."""
+
+    MOCANU = ["radius", "--id", "fb", "--b", "1", "--class", "mocanu"]
+
+    def test_omitted_flag_reads_its_default_again(self, capsys):
+        _, first = run_json(capsys, *self.MOCANU, "--alpha", "0.5")
+        assert first["config"]["alpha"] == 0.5
+        # mocanu takes one alpha: a leaked 0.5 would let this call succeed
+        code, out, err = run_cli(capsys, *self.MOCANU, "--json")
+        assert code == 2 and "mocanu" in err and out == ""
+        _, second = run_json(capsys, "radius", "--id", "fb", "--b", "1", "--class",
+                             "starlike")
+        assert second["config"]["alpha"] is None
+
+    def test_usage_error_leaves_the_parser_as_built(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", "--id", "koebe", "--class", "convex", "--grid", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        argv = ["radius", "--id", "koebe", "--class", "convex", "--grid", "64", "--json"]
+        reused = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        assert run_cli(capsys, *argv) == reused
+
+    def test_main_keeps_one_parser_and_build_parser_makes_new_ones(self):
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+        assert build_parser() is not cli._parser()
 
 
 def test_module_entry_point():

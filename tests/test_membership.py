@@ -1,6 +1,8 @@
 """Circle scans, verdicts, radius searches, and the paired-class checks."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
 import diskclass.membership as membership
@@ -151,6 +153,55 @@ class TestExtremalOnCircle:
                     assert _same_bits(value, single), (label, tag, r)
                     assert _same_bits(witness.real, at.real), (label, tag, r)
                     assert _same_bits(witness.imag, at.imag), (label, tag, r)
+
+    # few distinct values, so rows repeat values, hold plateaus and mix +-0.0
+    tied_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 2.5 + 2.0 ** -51, 1e-300])
+
+    @given(st.lists(tied_values, min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_top3_pick_matches_a_stable_sort_on_short_rows(self, values):
+        row = np.array(values)
+        expected = np.argsort(-row, kind="stable")[:3]
+        assert membership._top3(row).tolist() == expected.tolist()
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_top3_pick_matches_a_stable_sort_on_grid_rows(self, seed, distinct):
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 3.0, 3.0 - 2.0 ** -51, -7.5])[:distinct]
+        for row in (rng.choice(pool, 4096), rng.standard_normal(4096),
+                    np.full(4096, pool[-1])):
+            expected = np.argsort(-row, kind="stable")[:3]
+            assert membership._top3(row).tolist() == expected.tolist()
+
+    def test_constant_modulus_circle_keeps_its_bits(self):
+        # |U| of koebe is r^2 on every circle, so its whole grid ties
+        rep = classify(make_catalog("koebe"), "U")
+        assert rep.extremal_value.hex() == "0x1.ff00200000006p-1"
+        assert rep.witness.real.hex() == "-0x1.2ece6a4c3159bp-1"
+        assert rep.witness.imag.hex() == "0x1.9c3d0efa0caa1p-1"
+
+    def test_threshold_reached_on_the_grid_skips_the_refine(self):
+        # the bump and spike peaks at 1.2 + ..., its grid maximum 1 sits at node 10
+        fn = self._bump_and_spike
+        grid_pick = extremal_on_circle(fn, 0.5, ScanPolicy(grid=64, refine_iters=0))
+        assert extremal_on_circle(fn, 0.5, GRID64, threshold=0.5) == grid_pick
+        assert (extremal_on_circle(fn, 0.5, GRID64, threshold=1.1)
+                == extremal_on_circle(fn, 0.5, GRID64))
+        # one row below the threshold refines every row
+        radii = np.array([0.5, 0.7])
+        both = extremal_on_circle(lambda z: np.abs(z), radii, GRID64, threshold=0.6)
+        full = extremal_on_circle(lambda z: np.abs(z), radii, GRID64)
+        assert all((a == b).all() for a, b in zip(both, full))
+
+    def test_threshold_reached_evaluates_no_refine_probe(self):
+        # the NaN probes of test_nan_refine_probe_raises are never evaluated
+        def fn(z):
+            angle = np.abs(np.angle(z))
+            return np.where((angle > 0) & (angle < 1e-4), np.nan, np.abs(1.0 / (1.5 - z)))
+
+        value, _ = extremal_on_circle(fn, 0.9, threshold=1.0)
+        assert value == 1.0 / 0.6
 
     def test_row_batched_functional_takes_one_radius(self):
         cs = np.array([0.5, 2.0])
@@ -397,6 +448,63 @@ class TestRadiusAgainstWalk:
         walked = [radius_of(f, tag, tol, policy, alpha).radius for f, tag, alpha in cases]
         assert fast == pytest.approx(walked, abs=tol)
         assert min(fast) < 1.0  # some bisection ran
+
+
+def _radius_matrix_functions():
+    for cid in ("example_sec1", "f1", "f2", "half_plane", "identity", "koebe", "log_map"):
+        yield cid, make_catalog(cid)
+    for b in (0.3, 1.0, 2.0):
+        yield f"fb({b})", make_catalog("fb", {"b": b})
+    for kind in ("scaled_unimodular", "random_polynomial", "blaschke_product"):
+        yield kind, build_member(0.9 * np.exp(0.7j), sample_schwarz(3, kind, 3))
+
+
+RADIUS_MATRIX = list(_radius_matrix_functions())
+RADIUS_MATRIX += [(f"g of {name}", g_transform(f)) for name, f in RADIUS_MATRIX
+                  if abs(f.a2) > 1e-8]  # g needs a2 != 0
+
+
+class TestRadiusEarlyExit:
+    """A bisection circle whose grid already fails skips the zoom refine,
+    and every radius stays what full scans give."""
+
+    TAGS = [("U", None), ("starlike", None), ("convex", None), ("bounded_turning", None),
+            ("mocanu", 0.5), ("mocanu", -1.0), ("mocanu", 1.0)]
+
+    @pytest.mark.parametrize("name, f", RADIUS_MATRIX, ids=[n for n, _ in RADIUS_MATRIX])
+    def test_radius_bits_equal_full_scans(self, monkeypatch, name, f):
+        policy = ScanPolicy(grid=256, refine_iters=4)
+        fast = [radius_of(f, tag, policy=policy, alpha=alpha) for tag, alpha in self.TAGS]
+        original = membership.extremal_on_circle
+
+        def full_scan(functional, radius, policy=None, threshold=None):
+            return original(functional, radius, policy)
+
+        monkeypatch.setattr(membership, "extremal_on_circle", full_scan)
+        full = [radius_of(f, tag, policy=policy, alpha=alpha) for tag, alpha in self.TAGS]
+        for (tag, alpha), a, b in zip(self.TAGS, fast, full):
+            assert [x.hex() for x in (a.radius, *a.bracket)] == \
+                [x.hex() for x in (b.radius, *b.bracket)], (name, tag, alpha)
+
+    def test_koebe_convexity_skips_the_refine_on_failing_circles(self, monkeypatch):
+        # a scan without refine evaluates its functional once, on the grid
+        per_scan = []
+        scan, call = membership.extremal_on_circle, PointFunctional.__call__
+
+        def recorded(*args, **kwargs):
+            per_scan.append(0)
+            return scan(*args, **kwargs)
+
+        def counted(self, z):
+            per_scan[-1] += 1
+            return call(self, z)
+
+        monkeypatch.setattr(membership, "extremal_on_circle", recorded)
+        monkeypatch.setattr(PointFunctional, "__call__", counted)
+        radius_of(make_catalog("koebe"), "convex")
+        assert len(per_scan) <= 16
+        assert per_scan.count(1) >= 5
+        assert set(per_scan) <= {1, 1 + ScanPolicy().refine_iters, 2 + ScanPolicy().refine_iters}
 
 
 class TestPairedChecks:
