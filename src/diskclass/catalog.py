@@ -77,8 +77,7 @@ def _guard(values, points, what):
     small = np.abs(values) <= EPS_DENOM
     if np.any(small):
         bad = complex(np.asarray(points)[small][0])
-        raise EvalNearZeroDenominator(
-            f"{what} denominator below {EPS_DENOM} at z = {bad!r}", point=bad)
+        raise EvalNearZeroDenominator(f"{what} denominator below {EPS_DENOM} at z = {bad!r}")
 
 
 def _polyder(c):
@@ -122,12 +121,13 @@ class _Kernel:
     the kernel belongs to.  The f jet is the reciprocal of the h jet,
     guarded against a vanishing h.
 
-    Every subclass implements ``factor(part)``, the kernel's proof source
-    for the zeros of a factor of f = z P/Q on the unit disk: "pole" is Q,
-    whose zeros are the poles of f, "root" is P, whose zeros are those of
-    f/z, and "crit" the numerator of f'.  It is polynomial coefficients with the same zeros on the disk,
-    a pair (fn, bounds) for a winding count, where bounds(radius) gives
-    the (lipschitz, slack) of fn on |z| <= radius, or None when the kernel
+    Every subclass implements ``factor(part)``, the kernel's zero source
+    for a factor of f = z P/Q on the unit disk: "pole" is Q, whose zeros
+    are the poles of f, "root" is P, whose zeros are those of f/z, and
+    "crit" the numerator of f'.  A source is polynomial coefficients with
+    the same zeros on the disk, or a pair (fn, bounds) for a winding count,
+    where bounds(radius) gives the (lipschitz, slack) of fn on |z| <=
+    radius; ``count_zeros_on_disk`` takes either.  None means the kernel
     has no proof.
     """
 
@@ -434,6 +434,8 @@ class DiskFunction:
 
     # -- serialization ----------------------------------------------------
     def to_spec(self) -> dict:
+        """JSON spec of a catalog function or a ``build_member`` member,
+        read back by ``from_spec``."""
         if self.id == "sampled":
             gen = self.params["generator"]
             return {
@@ -444,10 +446,6 @@ class DiskFunction:
                     "order": int(self.params["order"]),
                 },
             }
-        if self.id == "series":
-            return {"id": "series", "series": self.series.to_json_dict()}
-        if self.id == "g_transform":
-            return {"id": "g_transform", "of": self.params["of"]}
         return {"id": self.id, "params": dict(self.params)}
 
     @classmethod
@@ -458,12 +456,6 @@ class DiskFunction:
             gen = SchwarzGenerator.from_dict(p["generator"])
             a2 = complex(p["a2"][0], p["a2"][1])
             return build_member(a2, gen, order or int(p["order"]))
-        if fid == "series":
-            return cls.from_series(ComplexSeries.from_json_dict(spec["series"]))
-        if fid == "g_transform":
-            from .operators import g_transform
-
-            return g_transform(cls.from_spec(spec["of"], order=order))
         return make_catalog(fid, spec.get("params") or None,
                             order=order or DEFAULT_ORDER)
 
@@ -790,22 +782,21 @@ def _winding_count(h, radius, lipschitz, slack):
         w0, w1 = np.concatenate([w0, mid]), np.concatenate([mid, w1])
 
 
-def count_zeros_on_disk(h, radius: float = CERT_RADIUS, lipschitz: float | None = None,
-                        slack: float = 0.0) -> int:
-    """Zeros of h inside |z| < radius, proven or refused.
+def count_zeros_on_disk(source, radius: float = CERT_RADIUS) -> int:
+    """Zeros inside |z| < radius of a kernel's zero source, proven or refused.
 
-    ``h`` is either the coefficients of a polynomial (low to high), whose
-    zeros are enclosed in Weierstrass inclusion disks, or a vectorized
-    callable analytic on the closed disk, counted by a winding number;
-    then ``lipschitz`` bounds |h'| on the disk and ``slack`` the rounding
-    error of the values of h.  A zero too close to the circle for the
-    proof raises BoundaryTooClose; no count is returned unproven.
+    ``source`` is what a kernel's ``factor`` returns: the coefficients of a
+    polynomial (low to high), whose zeros are enclosed in Weierstrass
+    inclusion disks, or a pair (fn, bounds) of a vectorized callable
+    analytic on the closed disk, counted by a winding number, and the map
+    from a radius to the (lipschitz, slack) of fn on that disk.  A zero too
+    close to the circle for the proof raises BoundaryTooClose; no count is
+    returned unproven.
     """
-    if not callable(h):
-        return _inclusion_count(h, radius)
-    if lipschitz is None:
-        raise TypeError("a callable h needs a Lipschitz bound on |h'|")
-    return _winding_count(h, radius, lipschitz, slack)
+    if isinstance(source, tuple):
+        fn, bounds = source
+        return _winding_count(fn, radius, *bounds(radius))
+    return _inclusion_count(source, radius)
 
 
 def zero_bracket(f: DiskFunction, part: str, radius: float):
@@ -823,8 +814,7 @@ def zero_bracket(f: DiskFunction, part: str, radius: float):
         return None
     try:
         if isinstance(source, tuple):
-            fn, bounds = source
-            return None if _winding_count(fn, radius, *bounds(radius)) else (radius, None)
+            return None if count_zeros_on_disk(source, radius) else (radius, None)
         return _nearest_zero(_inclusion_disks(source), radius)
     except BoundaryTooClose:
         return None
@@ -847,13 +837,8 @@ def build_member(a2, generator: SchwarzGenerator,
     if order < 1:
         raise ParamOutOfRange(f"series order must be at least 1, got {order}")
     h, kernel = generator.member(a2, order)
-    source = kernel.factor("pole")
     try:
-        if isinstance(source, tuple):
-            fn, bounds = source
-            zeros = count_zeros_on_disk(fn, CERT_RADIUS, *bounds(CERT_RADIUS))
-        else:
-            zeros = count_zeros_on_disk(source)
+        zeros = count_zeros_on_disk(kernel.factor("pole"))
     except BoundaryTooClose as exc:
         raise DenominatorVanishes(f"quotient vanishes on the certification circle: {exc}") from exc
     if zeros != 0:

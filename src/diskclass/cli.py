@@ -82,6 +82,8 @@ def _function_from(args) -> DiskFunction:
             raise DiskClassError("--id fb requires --b")
         params = None if args.b is None else {"b": args.b}
         f = make_catalog(args.id, params, order=_order(args))
+        if args.of_g and f.quotient.order < f.order:  # g takes the quotient's order
+            f = make_catalog(args.id, params, order=f.order + 1)
     else:
         raise DiskClassError("provide --id or --series-file")
     if args.of_g:

@@ -31,10 +31,6 @@ class BoundaryTooClose(DiskClassError):
 class EvalNearZeroDenominator(DiskClassError):
     """A pointwise functional hit a denominator below the safe threshold."""
 
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
-
 
 class SecondCoefficientVanishes(DiskClassError):
     """The deviation transform needs a nonzero second Taylor coefficient."""

@@ -155,7 +155,7 @@ def g_transform(f: DiskFunction) -> DiskFunction:
     g_coeffs[2:] = -h[2:] / f.a2
     g_series = ComplexSeries(g_coeffs)
     kernel = _GTransformKernel(f.kernel, f.a2, g_series.coefficient(2))
-    return DiskFunction("g_transform", {"of": f.to_spec()}, kernel, series=g_series)
+    return DiskFunction("g_transform", {}, kernel, series=g_series)
 
 
 @dataclass(frozen=True)

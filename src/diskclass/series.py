@@ -109,12 +109,8 @@ class ComplexSeries:
         return self + (-other if isinstance(other, ComplexSeries) else -complex(other))
 
     def __mul__(self, other):
-        if isinstance(other, ComplexSeries):
-            m = min(self.order, other.order) + 1
-            return ComplexSeries(np.convolve(self._c[:m], other._c[:m])[:m])
-        return ComplexSeries(self._c * complex(other))
-
-    __rmul__ = __mul__
+        m = min(self.order, other.order) + 1
+        return ComplexSeries(np.convolve(self._c[:m], other._c[:m])[:m])
 
     def reciprocal(self) -> "ComplexSeries":
         """Series of 1/f, same order, via the convolution recurrence.

@@ -19,6 +19,7 @@ from diskclass import (
     seed_key,
 )
 from diskclass.catalog import CERT_RADIUS, zero_bracket
+from diskclass.membership import RADIUS_CAP
 from diskclass.hankel import _det
 from diskclass.errors import (
     BoundaryTooClose,
@@ -194,6 +195,11 @@ class TestSchwarzGenerators:
         assert r0 != r1
 
 
+def winding(fn, lipschitz, slack=0.0):
+    """A winding source (fn, bounds) whose bounds hold on every radius."""
+    return fn, lambda radius: (lipschitz, slack)
+
+
 class TestWindingCertificate:
     def test_zero_free_quotient(self):
         assert count_zeros_on_disk([1.0, -0.5]) == 0
@@ -219,22 +225,25 @@ class TestWindingCertificate:
             if form == "coefficients":
                 zeros = count_zeros_on_disk([1.0, -1.0 / z0])
             else:
-                zeros = count_zeros_on_disk(lambda z: 1.0 - z / z0, lipschitz=1.0 / abs(z0))
+                zeros = count_zeros_on_disk(winding(lambda z: 1.0 - z / z0, 1.0 / abs(z0)))
         except BoundaryTooClose:
             return
         assert zeros == 1
 
     def test_winding_counts_with_a_lipschitz_bound(self):
         r = CERT_RADIUS
-        assert count_zeros_on_disk(lambda z: 1.0 - 0.5 * z, lipschitz=0.5) == 0
-        assert count_zeros_on_disk(lambda z: (1.0 - 2.0 * z) ** 2,
-                                   lipschitz=4.0 * (1.0 + 2.0 * r)) == 2
+        assert count_zeros_on_disk(winding(lambda z: 1.0 - 0.5 * z, 0.5)) == 0
+        assert count_zeros_on_disk(winding(lambda z: (1.0 - 2.0 * z) ** 2,
+                                           4.0 * (1.0 + 2.0 * r))) == 2
         with pytest.raises(BoundaryTooClose):
-            count_zeros_on_disk(lambda z: z - r, lipschitz=1.0)
+            count_zeros_on_disk(winding(lambda z: z - r, 1.0))
 
-    def test_callable_needs_a_lipschitz_bound(self):
-        with pytest.raises(TypeError):
-            count_zeros_on_disk(lambda z: 1.0 - 0.5 * z)
+    def test_kernel_sources_are_counted_as_given(self):
+        # a kernel's factor("pole") is the whole input, polynomial or winding
+        assert count_zeros_on_disk(make_catalog("koebe").kernel.factor("pole"), 0.99) == 0
+        kernel = SchwarzGenerator.blaschke([0.5, -0.3j], 0.9, 0.4).member(1.8)[1]
+        assert count_zeros_on_disk(kernel.factor("pole"), 0.99) > 0
+        assert count_zeros_on_disk(kernel.factor("pole"), 0.3) == 0
 
 
 class TestZeroBracket:
@@ -272,6 +281,19 @@ class TestZeroBracket:
         # a zero of h within rounding of the circle: the count refuses
         f = DiskFunction("edge", {}, quotient=ComplexSeries([1.0, -1.0 / 0.99]))
         assert zero_bracket(f, "pole", 0.99) is None
+
+    def test_refused_winding_count_gives_none(self):
+        # a Blaschke member whose h vanishes within rounding of RADIUS_CAP:
+        # h(z0) = 1 - a2 z0 - z0 omega1(z0) = 0 solved for a2
+        z0 = RADIUS_CAP * np.exp(0.7j)
+        gen = SchwarzGenerator.blaschke([0.4 - 0.2j], 0.8, 1.1)
+        omega = gen.member(0.0)[1].omega_jet(np.array([z0]), 0)[0][0]
+        h, kernel = gen.member((1.0 - z0 * omega) / z0)
+        f = DiskFunction("edge", {}, kernel, quotient=ComplexSeries(h))
+        with pytest.raises(BoundaryTooClose):
+            count_zeros_on_disk(kernel.factor("pole"), RADIUS_CAP)
+        assert zero_bracket(f, "pole", RADIUS_CAP) is None
+        assert zero_bracket(f, "pole", 0.9) is not None
 
 
 class TestBuildMember:

@@ -65,6 +65,32 @@ class TestHankelCommand:
         assert payload["modulus"] == pytest.approx(0.25, abs=1e-12)
 
 
+class TestOutFile:
+    def test_out_writes_the_canonical_line_and_prints_nothing(self, capsys, tmp_path):
+        argv = ["hankel", "--id", "koebe", "--q", "2", "--n", "2"]
+        _, expected, _ = run_cli(capsys, *argv, "--json")
+        path = tmp_path / "h.json"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert path.read_text(encoding="utf-8") == expected
+        assert expected.endswith("}\n") and "\n" not in expected[:-1]
+
+
+class TestTransformOrder:
+    """--of-g at --order N gives a g of order N, for series-defined ids too."""
+
+    @pytest.mark.parametrize("cid", ["log_map", "koebe"])
+    def test_g_takes_the_requested_order(self, cid):
+        args = build_parser().parse_args(["decompose", "--id", cid, "--of-g", "--order", "5"])
+        assert cli._function_from(args).order == 5
+
+    @pytest.mark.parametrize("argv", [["hankel", "--q", "3", "--n", "1"], ["decompose"]])
+    def test_log_map_at_order_five_exits_0(self, capsys, argv):
+        code, payload = run_json(capsys, *argv, "--id", "log_map", "--of-g", "--order", "5")
+        assert code == 0
+        assert payload["config"]["function"]["order"] == 5
+
+
 class TestRadiusCommand:
     def test_transform_starlike_radius(self, capsys):
         code, payload = run_json(capsys, "radius", "--id", "fb", "--b", "1",

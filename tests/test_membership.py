@@ -402,6 +402,16 @@ class TestRadius:
         assert radius_of(f, "starlike").radius == pytest.approx(0.5, abs=1e-4)
         assert radius_of(f, "mocanu", alpha=0.5).radius == pytest.approx(0.5, abs=1e-4)
 
+    def test_zeros_of_f_prime_are_no_poles_of_mocanu_at_alpha_zero(self):
+        # h = 1 + z^3 vanishes only on |z| = 1, and f' = (1 - 2 z^3)/h^2 at
+        # |z| = 2^(-1/3): a pole of the convex part, which alpha = 0 drops
+        f = DiskFunction("cubic", {}, quotient=ComplexSeries([1.0, 0.0, 0.0, 1.0]))
+        assert membership._first_pole(f, "mocanu", 0.0, 1e-4) == RADIUS_CAP
+        hi = membership._first_pole(f, "mocanu", 0.5, 1e-4)
+        assert 2.0 ** (-1.0 / 3.0) <= hi < 2.0 ** (-1.0 / 3.0) + 1e-9
+        assert _same_bits(radius_of(f, "mocanu", alpha=0.0).radius,
+                          radius_of(f, "starlike").radius)
+
     def test_pole_of_the_transform_bounds_u_radius(self):
         # U of g = z + z^2/b is -z^2/(b + z)^2, with a pole at -b: |U| < 1
         # on |z| < b/2
