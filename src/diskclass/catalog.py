@@ -6,7 +6,9 @@ quotient h = z/f:
 
 * a kernel of closed forms drives boundary scans; it is the one place
   where values at points are computed, as the jets [h, h', h''],
-  [f, f', f''] and [omega1, psi = omega1', psi'] of the omega data;
+  [f, f', f''] and [omega1, psi = omega1', psi'] of the omega data.  One
+  kernel serves every rational h = N/M: a polynomial quotient has M = 1,
+  a series f = z q has N = 1 and M = q, and g of N/M is a2 M/((M - N)/z);
 * one truncated Taylor series drives coefficient work.  A DiskFunction
   keeps the series its constructor knows exactly (h for functions defined
   by their quotient, f for functions defined by their expansion) and
@@ -85,13 +87,6 @@ def _polyder(c):
     return d if d.size else np.zeros(1, dtype=np.complex128)
 
 
-def _omega_coeffs(h):
-    """Coefficients of omega1 in h = 1 - a2 z - z omega1: omega1_k = -h_{k+1}."""
-    om = np.zeros(max(h.size - 1, 1), dtype=np.complex128)
-    om[1:] = -h[2:]
-    return om
-
-
 # ---------------------------------------------------------------------------
 # kernels: jets of h = z/f, f and the omega data at arrays of points
 # ---------------------------------------------------------------------------
@@ -140,7 +135,7 @@ class _Kernel:
         near = np.abs(z) < self.mask_radius
         if near.any():
             if self._near_origin is None:
-                self._near_origin = _PolyKernel(self.owner.quotient.coeffs)
+                self._near_origin = _RationalKernel(self.owner.quotient.coeffs)
             out[:, near] = getattr(self._near_origin, jet)(z[near], n)
         far = ~near
         if far.any():
@@ -174,79 +169,87 @@ class _Kernel:
         _guard(h[0], z, ("z/f", "f'", "f''")[n])
         return _reciprocal(z, h)
 
-
-def _product_factor(q, part):
-    """The factor ``part`` of f = z q for a polynomial q: f has no poles,
-    f/z = q and f' = q + z q'."""
-    return {"pole": _ONE, "root": q, "crit": q * (1.0 + np.arange(q.size))}[part]
+    def g_kernel(self, a2, g_a2):
+        """The kernel of g = (h - 1)/(-a2), whose own a2 is g_a2."""
+        return _GTransformKernel(self, a2, g_a2)
 
 
-class _PolyKernel(_Kernel):
-    """h is an explicit polynomial (or a truncated quotient series); both
-    jets are the matching polynomials, exact in the first case."""
+def _ratio(num, den):
+    """The jet of num/den from the jets [x, x', x''] of num and den, to the
+    same length."""
+    out = [num[0] / den[0]]
+    if len(num) > 1:
+        out.append((num[1] * den[0] - num[0] * den[1]) / den[0] ** 2)
+        if len(num) > 2:
+            out.append((num[2] * den[0] ** 2 - num[0] * (den[2] * den[0] - 2.0 * den[1] ** 2)
+                        - 2.0 * num[1] * den[1] * den[0]) / den[0] ** 3)
+    return out
 
-    def __init__(self, h_coeffs):
-        h = ComplexSeries(h_coeffs)
-        self._h = (h,)
-        self._omega = (ComplexSeries(_omega_coeffs(h.coeffs)),)
 
-    @staticmethod
-    def _grown(chain, n):
-        """The series and its derivatives up to order n, each derivative
-        built once, on the first request that needs it."""
+class _RationalKernel(_Kernel):
+    """h = N/M for polynomials N and M with N(0) = M(0) != 0 and no common
+    zero; without M (M = 1) the h jet is N's polynomial jet.  The omega jet
+    is W/M with W = R - a2 M and R = (M - N)/z, exact at the origin.  Each
+    polynomial's derivatives are built on the first request for them."""
+
+    def __init__(self, numer, denom=None):
+        self._chains = {"N": (ComplexSeries(numer),)}
+        if denom is not None:
+            self._chains["M"] = (ComplexSeries(denom),)
+
+    def _coeffs(self, name):
+        return self._chains[name][0].coeffs if name in self._chains else _ONE
+
+    def _jet(self, name, z, n):
+        chain = self._chains[name]
         while len(chain) <= n:
-            chain = chain + (chain[-1].derivative(),)
-        return chain
+            chain += (chain[-1].derivative(),)
+        self._chains[name] = chain
+        return [p(z) for p in chain[:n + 1]]
+
+    def _over_m(self, name, z, n):
+        """The jet of the polynomial ``name`` over M at z, to order n."""
+        top = self._jet(name, z, n)
+        if "M" not in self._chains:
+            return top
+        m = self._jet("M", z, n)
+        _guard(m[0], z, "N/M")
+        return _ratio(top, m)
+
+    def _r(self):
+        """R = (M - N)/z, exact since M(0) = N(0), with at least M's size."""
+        n, m = self._coeffs("N"), self._coeffs("M")
+        r = np.zeros(max(n.size, m.size + 1), dtype=np.complex128)
+        r[:n.size] = -n
+        r[:m.size] += m
+        return r[1:]
 
     def h_jet(self, z, n):
-        self._h = chain = self._grown(self._h, n)
-        return [p(z) for p in chain[:n + 1]]
+        return self._over_m("N", z, n)
 
     def omega_jet(self, z, n):
-        self._omega = chain = self._grown(self._omega, n)
-        return [p(z) for p in chain[:n + 1]]
+        if "W" not in self._chains:  # W = R - a2 M, and R(0) = a2 M(0)
+            w, m = self._r(), self._coeffs("M")
+            w[1:m.size] -= w[0] / m[0] * m[1:]
+            w[0] = 0.0
+            self._chains["W"] = (ComplexSeries(w),)
+        return self._over_m("W", z, n)
 
     def factor(self, part):
-        """f = z/h: its poles are the zeros of h, and f' = s/h^2 with
-        s = h - z h'."""
-        h = self._h[0].coeffs
-        return {"pole": h, "root": _ONE, "crit": h * (1.0 - np.arange(h.size))}[part]
+        """f = z M/N: its poles are the zeros of N, those of f/z the zeros
+        of M, and f' = (MN + z (M'N - MN'))/N^2, whose numerator has the
+        coefficients sum over i + j = k of (1 + i - j) M_i N_j."""
+        n, m = self._coeffs("N"), self._coeffs("M")
+        if part != "crit":
+            return n if part == "pole" else m
+        terms = np.fliplr(np.multiply.outer(m, n) * np.add.outer(1.0 + np.arange(m.size),
+                                                                -np.arange(n.size)))
+        return np.array([terms.trace(n.size - 1 - k) for k in range(m.size + n.size - 1)])
 
-
-class _SeriesKernel(_Kernel):
-    """f = z q for an explicit polynomial q, the truncated Taylor series of
-    f/z: the f jet is that polynomial and the h jet its reciprocal."""
-
-    def __init__(self, q_coeffs):
-        q = ComplexSeries(q_coeffs)
-        self.a2 = q.coefficient(1)
-        self._q = (q,)
-
-    def _q_jet(self, z, n):
-        self._q = chain = _PolyKernel._grown(self._q, n)
-        return [p(z) for p in chain[:n + 1]]
-
-    def h_jet(self, z, n):
-        q = self._q_jet(z, n)
-        _guard(q[0], z, "f/z")
-        jet = [1.0 / q[0]]
-        if n > 0:
-            jet.append(-q[1] / q[0] ** 2)
-        if n > 1:
-            jet.append((2.0 * q[1] ** 2 - q[0] * q[2]) / q[0] ** 3)
-        return jet
-
-    def f_jet(self, z, n, h=None):
-        q = self._q_jet(z, n)
-        jet = [z * q[0]]
-        if n > 0:
-            jet.append(q[0] + z * q[1])
-        if n > 1:
-            jet.append(2.0 * q[1] + z * q[2])
-        return jet
-
-    def factor(self, part):
-        return _product_factor(self._q[0].coeffs, part)
+    def g_kernel(self, a2, g_a2):
+        """g of N/M is a2 M/R: a common zero of a2 M and R would be one of M
+        and N, so the two stay coprime."""
+        return _RationalKernel(a2 * self._coeffs("M"), self._r())
 
 
 class _BlaschkeKernel(_Kernel):
@@ -358,13 +361,8 @@ class _GTransformKernel(_Kernel):
         return jet
 
     def factor(self, part):
-        """g = z D/a2 with D = a2 + omega1, a polynomial when the parent's
-        omega1 is one."""
-        if not isinstance(self.parent, _PolyKernel):
-            return None
-        d = self.parent._omega[0].coeffs.copy()
-        d[0] += self.parent_a2
-        return _product_factor(d, part)
+        """Nothing proves where the zeros of a2 + omega1 lie for these parents."""
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +397,8 @@ class DiskFunction:
             self.a2 = complex(series.coefficient(2))
         self.order = (series if quotient is None else quotient).order
         if kernel is None:
-            kernel = (_PolyKernel(quotient.coeffs) if quotient is not None
-                      else _SeriesKernel(series.div_z(NORMALIZATION_TOL).coeffs))
+            kernel = (_RationalKernel(quotient.coeffs) if quotient is not None
+                      else _RationalKernel(_ONE, series.div_z(NORMALIZATION_TOL).coeffs))
         self.kernel = kernel
         self.kernel.owner = self
 
@@ -435,7 +433,7 @@ class DiskFunction:
     # -- serialization ----------------------------------------------------
     def to_spec(self) -> dict:
         """JSON spec of a catalog function or a ``build_member`` member,
-        read back by ``from_spec``."""
+        read back by ``from_spec``; any other function raises UnknownId."""
         if self.id == "sampled":
             gen = self.params["generator"]
             return {
@@ -446,6 +444,8 @@ class DiskFunction:
                     "order": int(self.params["order"]),
                 },
             }
+        if self.id not in catalog_ids():
+            raise UnknownId(f"{self.id!r} is neither a catalog id nor a member: no spec")
         return {"id": self.id, "params": dict(self.params)}
 
     @classmethod
@@ -473,11 +473,6 @@ class DiskFunction:
 # ---------------------------------------------------------------------------
 # named catalog
 # ---------------------------------------------------------------------------
-def _polynomial_quotient(cid, params, h_coeffs, order):
-    return DiskFunction(cid, params, _PolyKernel(h_coeffs),
-                        quotient=ComplexSeries(h_coeffs).pad_to(order))
-
-
 # id -> polynomial coefficients of h = z/f (low to high)
 _RATIONAL_H = {
     "koebe": [1.0, -2.0, 1.0],
@@ -509,16 +504,18 @@ def make_catalog(cid: str, params=None, order: int = DEFAULT_ORDER) -> DiskFunct
         b = float(b)
         if not 0.0 < b <= 2.0:
             raise ParamOutOfRange(f"fb parameter b = {b} outside (0, 2]")
-        return _polynomial_quotient("fb", {"b": b}, [1.0, b, 1.0], order)
-    if params:
+        h, params = [1.0, b, 1.0], {"b": b}
+    elif params:
         raise ParamOutOfRange(f"catalog id {cid!r} takes no parameters")
-    if cid == "log_map":
+    elif cid == "log_map":
         f = np.zeros(order + 1, dtype=np.complex128)
         f[1:] = 1.0 / np.arange(1, order + 1)
         return DiskFunction("log_map", {}, _LogQuotientKernel(), series=ComplexSeries(f))
-    if cid in _RATIONAL_H:
-        return _polynomial_quotient(cid, {}, _RATIONAL_H[cid], order)
-    raise UnknownId(f"unknown catalog id {cid!r}")
+    elif cid in _RATIONAL_H:
+        h = _RATIONAL_H[cid]
+    else:
+        raise UnknownId(f"unknown catalog id {cid!r}")
+    return DiskFunction(cid, params, _RationalKernel(h), quotient=ComplexSeries(h).pad_to(order))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +601,7 @@ class SchwarzGenerator:
         h[0] = 1.0
         h[1] = -a2
         h[2:] = -psi / np.arange(1, psi.size + 1)
-        return h, kernel if kernel is not None else _PolyKernel(h)
+        return h, kernel if kernel is not None else _RationalKernel(h)
 
     # -- serialization ------------------------------------------------------
     def to_dict(self):

@@ -394,8 +394,8 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
 
     Real-part tags without such a proof fall back to an outward walk over
     fixed radii (``_walk``), one circle per scan, before the bisection: f
-    whose kernel has no proof source (a g-transform of a Blaschke, log_map,
-    series or g-transform function), a zero count that refuses (a zero of
+    whose kernel has no proof source (a g-transform of a Blaschke member
+    or of log_map), a zero count that refuses (a zero of
     a factor within rounding of RADIUS_CAP), a zero of h of a Blaschke
     member inside the disk, which its winding count proves but cannot
     place, a pole whose place is known less finely than tol/2, and mocanu

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import DiskFunction, _guard, _GTransformKernel, _omega_coeffs
+from .catalog import DiskFunction, _guard
 from .errors import ArgumentOutOfDomain, InsufficientOrder, SecondCoefficientVanishes
 from .series import ComplexSeries
 
@@ -91,10 +91,11 @@ def convex_quotient(f: DiskFunction) -> PointFunctional:
 def _alpha_convex(kernel, zz, h, a):
     """(1 - a) Re s + a Re c at zz, with s = z f'/f from the order-2 h jet
     of kernel there and c = 1 + z f''/f' from the f jet derived from it
-    (or the kernel's closed-form one); a column of k alphas gives k rows."""
-    cr = _convex(zz, kernel.f_jet(zz, 2, h)).real
+    (or the kernel's closed-form one); a column of k alphas gives k rows.
+    With every alpha 0, c is not evaluated: a zero of f' is no pole then."""
     out = (1.0 - a) * _starlike(zz, h).real
-    out += a * cr
+    if a.any():
+        out += a * _convex(zz, kernel.f_jet(zz, 2, h)).real
     return out
 
 
@@ -154,7 +155,7 @@ def g_transform(f: DiskFunction) -> DiskFunction:
     # omega1 coefficients are -h_{j+1}, so g_k = omega1_{k-1}/a2 = -h_k/a2
     g_coeffs[2:] = -h[2:] / f.a2
     g_series = ComplexSeries(g_coeffs)
-    kernel = _GTransformKernel(f.kernel, f.a2, g_series.coefficient(2))
+    kernel = f.kernel.g_kernel(f.a2, g_series.coefficient(2))
     return DiskFunction("g_transform", {}, kernel, series=g_series)
 
 
@@ -184,7 +185,7 @@ def decompose(f: DiskFunction) -> OmegaDecomposition:
     if h.order < 4:
         raise InsufficientOrder(
             f"quotient order {h.order} < required coefficient index 4 (c3 = -h_4)")
-    omega = ComplexSeries(_omega_coeffs(h.coeffs))
+    omega = ComplexSeries(np.concatenate(([0j], -h.coeffs[2:])))  # omega1_k = -h_{k+1}
     c = tuple(omega.coefficient(k) for k in (1, 2, 3))
     return OmegaDecomposition(a2=complex(h.coefficient(1)) * -1.0, omega1=omega, c=c)
 

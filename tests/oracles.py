@@ -71,6 +71,32 @@ def c3_envelope(c1: float, c2_abs: float) -> float:
     return (1.0 - c1 * c1 - 4.0 * c2_abs * c2_abs / (1.0 + c1)) / 3.0
 
 
+def constant_psi(spec):
+    """(a2, c) of a campaign function with constant psi = c, read off its
+    spec, or None: koebe (a2 = 2) and fb(b) (a2 = -b) have omega1 = -z, and
+    a scaled_unimodular member has psi = rho e^{i theta}."""
+    p = spec["params"]
+    if spec["id"] == "koebe":
+        return 2.0, -1.0
+    if spec["id"] == "fb":
+        return -p["b"], -1.0
+    if spec["id"] == "sampled" and p["generator"]["kind"] == "scaled_unimodular":
+        g = p["generator"]["params"]
+        return complex(*p["a2"]), g["rho"] * np.exp(1j * g["theta"])
+    return None
+
+
+def moebius_deviation_sup(a2, c, r: float) -> float:
+    """sup of |U_g| on |z| = r for g of a constant-psi member.
+
+    h = 1 - a2 z - c z^2 gives g = z + b z^2 with b = c/a2, whose quotient
+    1/(1 + b z) has U_g = -b^2 z^2/(1 + b z)^2, so the sup is
+    (|b| r/(1 - |b| r))^2 for |b| r < 1.
+    """
+    t = abs(c / a2) * r
+    return (t / (1.0 - t)) ** 2
+
+
 def mocanu_functional(f, alpha: float) -> PointFunctional:
     """(1 - alpha) z f'/f + alpha (1 + z f''/f')."""
     s = starlike_quotient(f)

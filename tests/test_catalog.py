@@ -123,6 +123,12 @@ class TestCatalogEntries:
             assert g.id == f.id
             assert np.allclose(g.series.coeffs, f.series.coeffs, atol=1e-14)
 
+    def test_transform_and_series_functions_have_no_spec(self):
+        koebe = make_catalog("koebe")
+        for f in (g_transform(koebe), DiskFunction.from_series(koebe.series)):
+            with pytest.raises(UnknownId, match="no spec"):
+                f.to_spec()
+
 
 class TestSchwarzGenerators:
     def test_constant_kind(self):

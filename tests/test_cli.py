@@ -99,6 +99,16 @@ class TestRadiusCommand:
         assert payload["radius"] == pytest.approx(0.5, abs=1e-4)
         assert payload["config"]["function"]["of_g"] is True
 
+    @pytest.mark.parametrize("b", ["0.3", "0.7"])
+    def test_mocanu_at_alpha_zero_is_the_starlike_radius(self, capsys, b):
+        # the bisection's first midpoint is -b/2, a zero of g', which is no
+        # pole of the alpha = 0 functional
+        argv = ("radius", "--id", "fb", "--b", b, "--of-g", "--class")
+        code, mocanu = run_json(capsys, *argv, "mocanu", "--alpha", "0")
+        assert code == 0
+        _, starlike = run_json(capsys, *argv, "starlike")
+        assert float.hex(mocanu["radius"]) == float.hex(starlike["radius"])
+
 
 class TestEvalCommand:
     def test_point_and_functionals(self, capsys):
@@ -166,6 +176,17 @@ class TestEvalClosedForms:
         z = -0.5 + 0.3j
         self.check(payload, z, z + c2 * z * z + c3 * z ** 3, 1 + 2 * c2 * z + 3 * c3 * z * z,
                    2 * c2 + 6 * c3 * z)
+
+    @pytest.mark.parametrize("point", ["0.0001", "(0.5+0.2j)"])
+    def test_g_of_a_series_file(self, capsys, tmp_path, point):
+        # g of f = z + c z^2 is z/(1 + c z), exactly, near the origin too
+        c, z = 0.25 + 0.1j, complex(point)
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"order": 2, "coeffs": [[0, 0], [1, 0], [c.real, c.imag]]}))
+        code, payload = run_json(capsys, "eval", "--series-file", str(path), "--of-g", point)
+        assert code == 0
+        w = 1 + c * z
+        self.check(payload, z, z / w, w ** -2, -2 * c / w ** 3)
 
 
 class TestDecomposeCommand:

@@ -18,6 +18,7 @@ from diskclass.catalog import SchwarzGenerator, make_catalog
 from diskclass.explorer import (ALPHA_GRID, FB_GRID, LADDER, TIE_RTOL, _SPECS, _aggregate,
                                 _beats)
 from diskclass.series import ComplexSeries
+from oracles import constant_psi, moebius_deviation_sup
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +273,30 @@ class TestConjectureReport:
                                              a2_range=(1.0, 2.0), ladder=ladder))["histogram"]
                  for ladder in ((0.001, 0.1), (0.1, 0.001), (0.001,))]
         assert hists[0] == hists[1] == hists[2]
+
+
+class TestMoebiusClosedForm:
+    """On a constant-psi member g is a Moebius map, so every theorem-3
+    part-c sup and conjecture rung has a closed form to match."""
+
+    @pytest.mark.parametrize("kind, a2_range", [("theorem3", (0.05, 2.0)),
+                                                ("conjecture", (1.0, 2.0))])
+    def test_constant_psi_rows_match_the_closed_form(self, kind, a2_range):
+        report = run_campaign(CampaignConfig(kind, samples=100, seed=0, a2_range=a2_range),
+                              keep_rows=True)
+        checked = 0
+        for row in report["per_sample"]:
+            moebius = row["status"] == "ok" and constant_psi(row["function"])
+            if not moebius:
+                continue
+            rec = row["record"]
+            rungs = rec.get("rungs") or [{"radius": rec["radius"], "sup": rec["part_c_sup"]}]
+            for rung in rungs:
+                if rung["sup"] is not None:
+                    want = moebius_deviation_sup(*moebius, rung["radius"])
+                    assert abs(rung["sup"] - want) <= 1e-10 * want, (row["index"], rung)
+                    checked += 1
+        assert checked >= 40
 
 
 class TestWorstCaseTies:

@@ -20,7 +20,7 @@ from diskclass import (
     turning_derivative,
     u_operator,
 )
-from diskclass.catalog import SchwarzGenerator, zero_bracket
+from diskclass.catalog import SchwarzGenerator, _inclusion_disks, zero_bracket
 from diskclass.errors import (DenominatorVanishes, NonFiniteValue, ParamOutOfRange,
                               PartCPrecondition)
 from diskclass.explorer import ALPHA_GRID, catalog_prepends
@@ -432,32 +432,60 @@ class TestRadius:
         assert set(scans[1:]) == {(1, None)}
 
 
+def _sampled_pair(kind):
+    """The first two certified members of a sampled kind."""
+    members = []
+    for seed in range(40):
+        a2 = (0.6 + 0.9 * (0.37 * seed % 1.0)) * np.exp(0.7j * seed)
+        try:
+            members.append(build_member(a2, sample_schwarz(seed, kind, 3)))
+        except DenominatorVanishes:
+            continue
+        if len(members) == 2:
+            return members
+
+
+def _g_of_g_parents():
+    return [make_catalog("fb", {"b": 0.5}), _sampled_pair("random_polynomial")[0]]
+
+
+def _rational_transforms():
+    """g of a series polynomial, and g of g of fb(0.5) and of a sampled
+    polynomial member: the g-transforms whose zeros the rational kernel
+    places."""
+    series = DiskFunction.from_series(ComplexSeries([0.0, 1.0, 0.4 + 0.1j, -0.2 + 0.05j, 0.1]))
+    return [g_transform(series)] + [g_transform(g_transform(f)) for f in _g_of_g_parents()]
+
+
 class TestRadiusAgainstWalk:
     """The bisection on a proven analytic disk finds the radius the
-    fallback walk finds, within tol, on sampled members."""
+    fallback walk finds, within tol, on sampled members and on the
+    g-transforms of rational functions."""
 
     @pytest.mark.parametrize("kind", ["scaled_unimodular", "random_polynomial",
-                                      "blaschke_product"])
+                                      "blaschke_product", "rational_g"])
     def test_agrees_with_the_walk(self, monkeypatch, kind):
         policy, tol = ScanPolicy(grid=256, refine_iters=4), 1e-4
-        members = []
-        for seed in range(40):
-            a2 = (0.6 + 0.9 * (0.37 * seed % 1.0)) * np.exp(0.7j * seed)
-            try:
-                members.append(build_member(a2, sample_schwarz(seed, kind, 3)))
-            except DenominatorVanishes:
-                continue
-            if len(members) == 2:
-                break
+        members = _rational_transforms() if kind == "rational_g" else _sampled_pair(kind)
         cases = [(f, tag, alpha) for f in members for tag, alpha in
                  (("starlike", None), ("bounded_turning", None),
                   ("convex", None), ("mocanu", 0.5))]
+        assert all(membership._first_pole(f, tag, alpha, tol) for f, tag, alpha in cases)
         fast = [radius_of(f, tag, tol, policy, alpha).radius for f, tag, alpha in cases]
         # with nothing proven, every search takes the fallback walk
         monkeypatch.setattr(membership, "zero_bracket", lambda f, part, radius: None)
         walked = [radius_of(f, tag, tol, policy, alpha).radius for f, tag, alpha in cases]
         assert fast == pytest.approx(walked, abs=tol)
         assert min(fast) < 1.0  # some bisection ran
+
+    @pytest.mark.parametrize("parent", _g_of_g_parents(), ids=["fb(0.5)", "random_polynomial"])
+    def test_g_of_g_keeps_its_quotient_coprime(self, parent):
+        # a common zero of N and M in h = N/M would read as a pole of g o g
+        kernel = g_transform(g_transform(parent)).kernel
+        n, m = kernel.factor("pole"), kernel.factor("root")
+        centres = [z for z, _ in _inclusion_disks(n)]
+        assert centres
+        assert min(abs(npp.polyval(z, m)) for z in centres) > 1e-3 * np.abs(m).max()
 
 
 def _radius_matrix_functions():

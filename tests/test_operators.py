@@ -17,7 +17,7 @@ from diskclass import (
     turning_derivative,
     u_operator,
 )
-from diskclass.catalog import _BlaschkeKernel, _PolyKernel
+from diskclass.catalog import _BlaschkeKernel, _RationalKernel
 from diskclass.operators import PointFunctional, theorem3_parts
 from diskclass.errors import (
     ArgumentOutOfDomain,
@@ -171,7 +171,7 @@ class TestJetEvaluations:
     def test_one_h_jet_per_polynomial_mocanu_evaluation(self, monkeypatch):
         f = sampled_member(4, kind="random_polynomial")
         functional = mocanu_real_part(f, self.ALPHAS)
-        calls = self.counted(monkeypatch, _PolyKernel, "h_jet")
+        calls = self.counted(monkeypatch, _RationalKernel, "h_jet")
         functional(np.array(POINTS))
         assert calls == [2]
 
