@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 from functools import cache
@@ -306,6 +307,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["eval"]:
+        # argparse takes a point such as -0.4j or -0.1-0.2j for an option; a
+        # leading space, which complex() and float() ignore, keeps it a value
+        argv = [" " + a if re.match(r"-\.?\d", a) else a for a in argv]
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

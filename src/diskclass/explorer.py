@@ -27,6 +27,10 @@ status to "counterexample-candidate".
 """
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
 from typing import Callable
@@ -450,20 +454,103 @@ def _aggregate(cfg: CampaignConfig, results) -> dict:
     return report
 
 
+def _fork_rows(cfg, prepends, chunk):
+    """Fork a child that runs the rows ``chunk`` and pickles back
+    ``(True, rows)``, or ``(False, exception)`` if one of them raised.
+    Returns the child's pid and the read end of its pipe."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = (True, [_run_one(cfg, prepends, i) for i in chunk])
+        except BaseException as exc:
+            payload = (False, exc)
+        try:
+            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        except Exception:  # an exception that does not pickle
+            exc = payload[1]
+            data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with os.fdopen(write_fd, "wb") as out:
+            out.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _unpickle_rows(data, status):
+    """The rows a child sent, or its exception raised here."""
+    try:
+        ok, value = pickle.loads(data)
+    except Exception:
+        raise RuntimeError(
+            f"a campaign worker process (exit code {os.waitstatus_to_exitcode(status)}) "
+            f"sent no rows that could be read") from None
+    if not ok:
+        raise value
+    return value
+
+
+def _run_rows(cfg, prepends, rows: int, workers: int) -> list:
+    """Rows 0..rows-1 in index order, split into ``workers`` contiguous
+    chunks: the caller runs the first, a child forked for this call each of
+    the others.  Every child is reaped before this returns or raises."""
+    if workers == 1 or not hasattr(os, "fork"):
+        return [_run_one(cfg, prepends, i) for i in range(rows)]
+    cuts = [rows * k // workers for k in range(workers + 1)]
+    chunks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    # numpy imports numpy.random (about 13 ms) on first use, and the sampled
+    # rows come last: import it here once, not again in every child
+    import numpy.random  # noqa: F401
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    children = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for chunk in chunks[1:]:
+            pid, reader = _fork_rows(cfg, prepends, chunk)
+            children[pid] = reader
+        results = [_run_one(cfg, prepends, i) for i in chunks[0]]
+        for pid in list(children):
+            with children[pid] as reader:
+                data = reader.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            results += _unpickle_rows(data, status)
+        return results
+    finally:
+        for pid, reader in children.items():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_campaign(cfg: CampaignConfig, threads: int = 1,
                  keep_rows: bool = False) -> dict:
     """Execute the campaign and return its report as a plain dict.
 
     The report is deterministic for a given config: per-sample randomness
-    comes only from (seed, index) streams, and samples run and aggregate in
-    index order in the calling thread (``threads`` must be at least 1 and
-    does nothing else).  With keep_rows=True the raw per-sample rows go
-    under "per_sample" (for CSV export; not part of the canonical report).
+    comes only from (seed, index) streams, and samples aggregate in index
+    order in the calling process.  ``threads`` is the number of processes
+    that run the samples: with k > 1 the rows are split into k contiguous
+    chunks (at most one per row), the caller runs the first and a child
+    forked for this call runs each of the others, and the rows come back in
+    index order, so the report bytes are the same for every k.
+    Without ``os.fork`` every row runs in the caller.  Do not pass k > 1
+    from a process that runs other threads: a forked child holds only the
+    calling thread, and a lock another thread held at the fork stays held.
+    With keep_rows=True the raw per-sample rows go under "per_sample" (for
+    CSV export; not part of the canonical report).
     """
-    if not threads >= 1:
-        raise ParamOutOfRange(f"threads must be at least 1, got {threads}")
+    if not (_is_number(threads, Integral) and threads >= 1):
+        raise ParamOutOfRange(f"threads must be an integer of at least 1, got {threads!r}")
     prepends = catalog_prepends(cfg.campaign)
-    results = [_run_one(cfg, prepends, i) for i in range(len(prepends) + cfg.samples)]
+    rows = len(prepends) + cfg.samples
+    results = _run_rows(cfg, prepends, rows, min(int(threads), rows))
     report = _aggregate(cfg, results)
     if keep_rows:
         report["per_sample"] = results

@@ -127,6 +127,28 @@ class TestEvalCommand:
         assert code == 2
         assert "cannot parse point" in err
 
+    @pytest.mark.parametrize("point", ["-0.4j", "-0.1-0.2j", "-0.15", "-1e-1+0.2j"])
+    def test_point_with_a_leading_minus(self, capsys, point):
+        # argparse reads "-0.4j" as an unknown option unless main keeps it positional
+        z = complex(point)
+        code, payload = run_json(capsys, "eval", "--id", "koebe", point)
+        assert code == 0
+        assert payload["config"]["point"] == [z.real, z.imag]
+        assert complex(*payload["f"]) == pytest.approx(z / (1 - z) ** 2, rel=1e-12)
+
+    def test_point_with_a_leading_minus_before_flags(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "-0.1-0.2j", "--id", "fb", "--b",
+                                 "-0.5", "--json")
+        assert code == 2 and out == ""
+        assert "outside (0, 2]" in err
+
+    def test_process_argv_goes_through_the_same_path(self):
+        proc = subprocess.run([sys.executable, "-m", "diskclass", "eval", "--id", "koebe",
+                               "-0.4j", "--json"], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["config"]["point"] == [0.0, -0.4]
+
 
 class TestEvalClosedForms:
     """eval against closed forms of f, f', f'', h = z/f and U = h^2 f' - 1,
@@ -274,7 +296,7 @@ class TestSeriesFile:
 
 class TestCampaignCommand:
     def test_threads_flag_is_gone(self, capsys):
-        # campaigns run in the calling thread; the flag is a usage error
+        # the CLI has no worker flag (campaign runs serially); the flag is a usage error
         with pytest.raises(SystemExit) as exc:
             main(["campaign", "--kind", "theorem1", "--samples", "1",
                   "--threads", "2"])

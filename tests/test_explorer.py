@@ -1,6 +1,10 @@
 """Campaign pipeline: determinism, aggregation, certificates, replay."""
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,10 +17,11 @@ from diskclass import (
     run_campaign,
     write_rows_csv,
 )
+from diskclass import explorer
 from diskclass.errors import ParamOutOfRange, ReplayMismatch
 from diskclass.catalog import SchwarzGenerator, make_catalog
-from diskclass.explorer import (ALPHA_GRID, FB_GRID, LADDER, TIE_RTOL, _SPECS, _aggregate,
-                                _beats)
+from diskclass.explorer import (ALPHA_GRID, CAMPAIGNS, FB_GRID, LADDER, TIE_RTOL, _SPECS,
+                                _aggregate, _beats)
 from diskclass.series import ComplexSeries
 from oracles import constant_psi, moebius_deviation_sup
 
@@ -86,6 +91,11 @@ class TestConfig:
         with pytest.raises(ParamOutOfRange, match="threads"):
             run_campaign(CampaignConfig("theorem1", samples=1), threads=threads)
 
+    @pytest.mark.parametrize("threads", [1.5, 2.0, True, "2"])
+    def test_rejects_a_thread_count_that_is_no_integer(self, threads):
+        with pytest.raises(ParamOutOfRange, match="threads"):
+            run_campaign(CampaignConfig("theorem1", samples=1), threads=threads)
+
     def test_round_trips_through_json(self):
         cfg = CampaignConfig("theorem3", samples=7, seed=42,
                              a2_range=(0.1, 0.9), shrink=0.05)
@@ -121,6 +131,105 @@ class TestDeterminism:
         a = run_campaign(CampaignConfig("theorem1", samples=12, seed=3))
         b = run_campaign(CampaignConfig("theorem1", samples=12, seed=4))
         assert canonical_json(a) != canonical_json(b)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """``threads=k`` runs rows in k - 1 forked children plus the caller."""
+
+    CONFIGS = {kind: CampaignConfig(kind, samples=3, seed=2, **extra) for kind, extra in (
+        ("theorem1", {}), ("theorem2", {}), ("theorem3", {}),
+        ("conjecture", {"a2_range": (1.0, 2.0)}))}
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return {kind: canonical_json(run_campaign(cfg, threads=1, keep_rows=True))
+                for kind, cfg in self.CONFIGS.items()}
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("kind", CAMPAIGNS)
+    def test_reports_and_rows_are_byte_identical(self, serial, kind, workers):
+        report = run_campaign(self.CONFIGS[kind], threads=workers, keep_rows=True)
+        assert canonical_json(report) == serial[kind]
+        _assert_no_child_left()
+
+    @staticmethod
+    def _failing_rows(monkeypatch, fail_at, action):
+        """Make ``_run_one`` call ``action(index)`` at the row ``fail_at``."""
+        real = explorer._run_one
+
+        def run_one(cfg, prepends, index):
+            if index == fail_at:
+                action(index)
+            return real(cfg, prepends, index)
+
+        monkeypatch.setattr(explorer, "_run_one", run_one)
+
+    def test_a_row_error_in_a_child_reaches_the_caller(self, monkeypatch):
+        cfg = CampaignConfig("theorem1", samples=2)
+        last = len(catalog_prepends("theorem1")) + 1
+
+        def fail(index):
+            raise RuntimeError(os.getpid(), index)
+
+        self._failing_rows(monkeypatch, last, fail)
+        with pytest.raises(RuntimeError) as exc:
+            run_campaign(cfg, threads=2)
+        pid, index = exc.value.args
+        assert pid != os.getpid() and index == last
+        _assert_no_child_left()
+
+    def test_an_error_that_does_not_pickle_keeps_its_name(self, monkeypatch):
+        class LocalError(Exception):
+            pass
+
+        def fail(index):
+            raise LocalError("local")
+
+        self._failing_rows(monkeypatch, len(catalog_prepends("theorem1")), fail)
+        with pytest.raises(RuntimeError, match="LocalError: local"):
+            run_campaign(CampaignConfig("theorem1", samples=1), threads=2)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("death, code", [
+        (lambda index: os._exit(7), "7"),
+        (lambda index: os.kill(os.getpid(), signal.SIGKILL), "-9")])
+    def test_a_child_that_dies_makes_the_call_raise(self, monkeypatch, death, code):
+        self._failing_rows(monkeypatch, len(catalog_prepends("theorem1")), death)
+        with pytest.raises(RuntimeError, match=f"exit code {code}\\)"):
+            run_campaign(CampaignConfig("theorem1", samples=3), threads=3)
+        _assert_no_child_left()
+
+    def test_an_error_in_the_callers_chunk_reaps_every_child(self, monkeypatch):
+        def fail(index):
+            raise ValueError("caller")
+
+        self._failing_rows(monkeypatch, 0, fail)
+        with pytest.raises(ValueError, match="caller"):
+            run_campaign(CampaignConfig("theorem2", samples=4), threads=4)
+        _assert_no_child_left()
+
+    def test_the_caller_imports_numpy_random_before_forking(self):
+        # numpy imports numpy.random on first use, and with one sample every
+        # sampled row falls in the child's chunk
+        code = ("import sys, diskclass as dc\n"
+                "assert 'numpy.random' not in sys.modules\n"
+                "dc.run_campaign(dc.CampaignConfig('theorem1', samples=1), threads=2)\n"
+                "print('numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
+
+    def test_rows_run_in_the_caller_without_fork(self, monkeypatch):
+        cfg = self.CONFIGS["theorem1"]
+        expected = canonical_json(run_campaign(cfg))
+        monkeypatch.delattr(os, "fork")
+        assert canonical_json(run_campaign(cfg, threads=3)) == expected
 
 
 class TestTheorem1Report:
