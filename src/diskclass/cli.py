@@ -311,7 +311,7 @@ def main(argv=None) -> int:
     if argv[:1] == ["eval"]:
         # argparse takes a point such as -0.4j or -0.1-0.2j for an option; a
         # leading space, which complex() and float() ignore, keeps it a value
-        argv = [" " + a if re.match(r"-\.?\d", a) else a for a in argv]
+        argv = [" " + a if re.fullmatch(r"-\.?\d[\d.eEjJ+,-]*", a) else a for a in argv]
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

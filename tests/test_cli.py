@@ -142,6 +142,18 @@ class TestEvalCommand:
         assert code == 2 and out == ""
         assert "outside (0, 2]" in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--series-file"])
+    def test_a_file_name_that_starts_like_a_number_is_left_alone(self, capsys, tmp_path,
+                                                                 monkeypatch, flag):
+        # only a token made of point characters is kept positional; "-1.json"
+        # stays an option-like string, which argparse refuses as before
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--id", "koebe", "0.1", flag, "-1.json"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_process_argv_goes_through_the_same_path(self):
         proc = subprocess.run([sys.executable, "-m", "diskclass", "eval", "--id", "koebe",
                                "-0.4j", "--json"], capture_output=True, text=True,

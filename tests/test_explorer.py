@@ -3,8 +3,6 @@ import io
 import json
 import os
 import signal
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -183,18 +181,6 @@ class TestWorkers:
         assert pid != os.getpid() and index == last
         _assert_no_child_left()
 
-    def test_an_error_that_does_not_pickle_keeps_its_name(self, monkeypatch):
-        class LocalError(Exception):
-            pass
-
-        def fail(index):
-            raise LocalError("local")
-
-        self._failing_rows(monkeypatch, len(catalog_prepends("theorem1")), fail)
-        with pytest.raises(RuntimeError, match="LocalError: local"):
-            run_campaign(CampaignConfig("theorem1", samples=1), threads=2)
-        _assert_no_child_left()
-
     @pytest.mark.parametrize("death, code", [
         (lambda index: os._exit(7), "7"),
         (lambda index: os.kill(os.getpid(), signal.SIGKILL), "-9")])
@@ -212,18 +198,6 @@ class TestWorkers:
         with pytest.raises(ValueError, match="caller"):
             run_campaign(CampaignConfig("theorem2", samples=4), threads=4)
         _assert_no_child_left()
-
-    def test_the_caller_imports_numpy_random_before_forking(self):
-        # numpy imports numpy.random on first use, and with one sample every
-        # sampled row falls in the child's chunk
-        code = ("import sys, diskclass as dc\n"
-                "assert 'numpy.random' not in sys.modules\n"
-                "dc.run_campaign(dc.CampaignConfig('theorem1', samples=1), threads=2)\n"
-                "print('numpy.random' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "True"
 
     def test_rows_run_in_the_caller_without_fork(self, monkeypatch):
         cfg = self.CONFIGS["theorem1"]
