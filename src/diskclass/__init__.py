@@ -2,6 +2,7 @@
 unit disk defined by a bounded deviation functional, with Hankel
 determinant bounds, membership and radius tests, and seeded randomized
 campaigns."""
+import types as _types
 
 from .catalog import (
     DiskFunction,
@@ -24,6 +25,7 @@ from .errors import (
     NonFiniteValue,
     ParamOutOfRange,
     PartCPrecondition,
+    RadiusUnproven,
     ReplayMismatch,
     SecondCoefficientVanishes,
     UnknownId,
@@ -66,58 +68,6 @@ from .series import ComplexSeries
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComplexSeries",
-    "DiskFunction",
-    "SchwarzGenerator",
-    "CampaignConfig",
-    "write_rows_csv",
-    "MembershipReport",
-    "RadiusResult",
-    "ScanPolicy",
-    "Theorem2Record",
-    "HankelReport",
-    "PSRecord",
-    "OmegaDecomposition",
-    "DiskClassError",
-    "ArgumentOutOfDomain",
-    "BoundaryTooClose",
-    "DenominatorVanishes",
-    "EvalNearZeroDenominator",
-    "InsufficientOrder",
-    "NearZeroConstantTerm",
-    "NonFiniteValue",
-    "ParamOutOfRange",
-    "PartCPrecondition",
-    "ReplayMismatch",
-    "SecondCoefficientVanishes",
-    "UnknownId",
-    "build_member",
-    "canonical_json",
-    "catalog_ids",
-    "catalog_prepends",
-    "convex_quotient",
-    "count_zeros_on_disk",
-    "decompose",
-    "extremal_on_circle",
-    "g_transform",
-    "h3_profile_bound",
-    "hankel_det",
-    "make_catalog",
-    "mocanu_real_part",
-    "phi_profile",
-    "prokhorov_szynal_check",
-    "radius_of",
-    "reduced_h2",
-    "reduced_h3",
-    "replay",
-    "run_campaign",
-    "sample_schwarz",
-    "seed_key",
-    "starlike_quotient",
-    "test_class",
-    "theorem2_grid",
-    "theorem3_check",
-    "turning_derivative",
-    "u_operator",
-]
+# Every name imported above; the imports also bind the submodules.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -28,8 +28,8 @@ winding count whose arcs are each checked against a bound on |h'|.  A zero
 too close to the circle for either proof makes the count refuse, and the
 member is rejected.  The same proofs place the zeros nearest the origin of
 the factors of f whose zeros are the poles of the class functionals
-(``zero_bracket``), so a radius search knows the disk on which its
-functional is analytic.
+(``zero_bracket``), bisecting the radius on winding counts, so a radius
+search proves the disk on which its functional is analytic or refuses.
 """
 from __future__ import annotations
 
@@ -82,11 +82,6 @@ def _guard(values, points, what):
         raise EvalNearZeroDenominator(f"{what} denominator below {EPS_DENOM} at z = {bad!r}")
 
 
-def _polyder(c):
-    d = npp.polyder(np.asarray(c, dtype=np.complex128))
-    return d if d.size else np.zeros(1, dtype=np.complex128)
-
-
 # ---------------------------------------------------------------------------
 # kernels: jets of h = z/f, f and the omega data at arrays of points
 # ---------------------------------------------------------------------------
@@ -122,8 +117,8 @@ class _Kernel:
     "crit" the numerator of f'.  A source is polynomial coefficients with
     the same zeros on the disk, or a pair (fn, bounds) for a winding count,
     where bounds(radius) gives the (lipschitz, slack) of fn on |z| <=
-    radius; ``count_zeros_on_disk`` takes either.  None means the kernel
-    has no proof.
+    radius; ``count_zeros_on_disk`` takes either, and None means no proof.
+    A kernel whose g is no rational kernel gives g's sources (``g_factor``).
     """
 
     mask_radius = 1e-3
@@ -188,19 +183,21 @@ def _ratio(num, den):
 
 class _RationalKernel(_Kernel):
     """h = N/M for polynomials N and M with N(0) = M(0) != 0 and no common
-    zero; without M (M = 1) the h jet is N's polynomial jet.  The omega jet
-    is W/M with W = R - a2 M and R = (M - N)/z, exact at the origin.  Each
+    zero; without M (M = 1) the h jet is N's polynomial jet, and without N
+    (N = 1, a series f = z M) the f jet is z M's.  The omega jet is W/M
+    with W = R - a2 M and R = (M - N)/z, exact at the origin.  Each
     polynomial's derivatives are built on the first request for them."""
 
-    def __init__(self, numer, denom=None):
-        self._chains = {"N": (ComplexSeries(numer),)}
-        if denom is not None:
-            self._chains["M"] = (ComplexSeries(denom),)
+    def __init__(self, numer=None, denom=None):
+        self._chains = {name: (ComplexSeries(c),)
+                        for name, c in (("N", numer), ("M", denom)) if c is not None}
 
     def _coeffs(self, name):
         return self._chains[name][0].coeffs if name in self._chains else _ONE
 
     def _jet(self, name, z, n):
+        if name not in self._chains:  # the polynomial 1
+            return [np.ones_like(z)] + [np.zeros_like(z)] * n
         chain = self._chains[name]
         while len(chain) <= n:
             chain += (chain[-1].derivative(),)
@@ -226,6 +223,12 @@ class _RationalKernel(_Kernel):
 
     def h_jet(self, z, n):
         return self._over_m("N", z, n)
+
+    def f_jet(self, z, n, h=None):
+        if "N" in self._chains:
+            return super().f_jet(z, n, h)
+        m = self._jet("M", z, n)
+        return [z * m[k] + k * m[k - 1] if k else z * m[0] for k in range(n + 1)]
 
     def omega_jet(self, z, n):
         if "W" not in self._chains:  # W = R - a2 M, and R(0) = a2 M(0)
@@ -271,27 +274,42 @@ class _BlaschkeKernel(_Kernel):
         for a in alphas:
             q = npp.polymul(q, np.array([1.0, -np.conj(a)], dtype=np.complex128))
         self.q_poly = q
-        self.p1_poly = _polyder(self.p_poly)
-        self.q1_poly = _polyder(q)
+        self.p1_poly = npp.polyder(self.p_poly)
+        self.q1_poly = npp.polyder(q)
         quo, rem = npp.polydiv(self.p_poly, q)
         self.quo_int = npp.polyint(quo)
         self.conj_alphas = np.conj(alphas)
         poles = 1.0 / self.conj_alphas
         self.residues = npp.polyval(poles, rem) / npp.polyval(poles, self.q1_poly)
 
-    def winding_bounds(self, radius):
-        """(lipschitz, slack) of h on |z| <= radius for the winding count.
+    def winding_bounds(self, radius, part="pole"):
+        """(lipschitz, slack) on |z| <= radius of what the winding count of
+        ``part`` counts: h for "pole", and for g = z D/a2 the factors
+        D = a2 + omega1 ("root") and D + z psi = a2 g' ("crit").
 
-        h' = -a2 - omega1 - z psi with |psi| <= rho and |omega1(z)| <= rho |z|,
-        so |h'| <= |a2| + 2 rho radius.  The slack bounds the rounding of
-        h_jet: 2^-40 times the moduli of the terms it adds, where a log term
-        counts its modulus bound plus its conditioning 1/|1 - conj(alpha) z|.
+        |psi| <= rho and |omega1(z)| <= rho |z| bound |h'| = |a2 + omega1 +
+        z psi| by |a2| + 2 rho radius and |D'| = |psi| by rho, and
+        |(D + z psi)'| = |2 psi + z psi'| by rho (2 + radius s): Schwarz-Pick
+        bounds |psi'|/rho by s = 1/(1 - radius^2), and on each factor of psi
+        by s = sum (1 - |alpha_k|^2)/(1 - |alpha_k| radius)^2.  The slack is
+        2^-40 times the moduli of the terms the jets add: a log term counts
+        its modulus bound plus its conditioning 1/|1 - conj(alpha) z|, and
+        psi = p/q counts rho prod (1 + |alpha_k| radius)/(1 - |alpha_k| radius).
         """
         near = 1.0 - np.abs(self.conj_alphas) * radius
-        logs = np.abs(self.residues) @ (np.pi - np.log(near) + 1.0 / near)
-        terms = 1.0 + abs(self.a2) * radius + radius * (
-            npp.polyval(radius, np.abs(self.quo_int)) + logs)
-        return abs(self.a2) + 2.0 * self.rho * radius, 2.0 ** -40 * float(terms)
+        omega = npp.polyval(radius, np.abs(self.quo_int)) + np.abs(self.residues) @ (
+            np.pi - np.log(near) + 1.0 / near)
+        if part == "pole":
+            lipschitz, terms = (abs(self.a2) + 2.0 * self.rho * radius,
+                                1.0 + abs(self.a2) * radius + radius * omega)
+        elif part == "root":
+            lipschitz, terms = self.rho, abs(self.a2) + omega
+        else:
+            s = min(np.sum((1.0 - np.abs(self.conj_alphas) ** 2) / near ** 2),
+                    1.0 / (1.0 - radius ** 2))
+            lipschitz = self.rho * (2.0 + radius * s)
+            terms = abs(self.a2) + omega + radius * self.rho * np.prod((2.0 - near) / near)
+        return float(lipschitz), 2.0 ** -40 * float(terms)
 
     def factor(self, part):
         """h by a winding count; f/z = 1/h has no zeros, and neither has
@@ -299,6 +317,19 @@ class _BlaschkeKernel(_Kernel):
         if part == "pole":
             return (lambda z: self.h_jet(z, 0)[0]), self.winding_bounds
         return _ONE
+
+    def g_factor(self, part):
+        """g = z D/a2 with D = a2 + omega1 has no poles; g/z = D/a2 and
+        g' = (D + z psi)/a2 are counted by winding unless |a2| exceeds rho,
+        which bounds |omega1|, or 2 rho, which bounds |omega1 + z psi|."""
+        crit = part == "crit"
+        if part == "pole" or abs(self.a2) > (1.0 + crit) * self.rho:
+            return _ONE
+
+        def fn(z):
+            om = self.omega_jet(z, int(crit))
+            return self.a2 + om[0] + z * om[1] if crit else self.a2 + om[0]
+        return fn, lambda radius: self.winding_bounds(radius, part)
 
     def omega_jet(self, z, n):
         acc = npp.polyval(z, self.quo_int)
@@ -333,8 +364,14 @@ class _LogQuotientKernel(_Kernel):
         return self._masked(z, n, lambda w, n: _reciprocal(w, self.f_jet(w, n)), "h_jet")
 
     def factor(self, part):
-        """f is analytic on the disk, and f/z and f' = 1/(1 - z) have no zeros there."""
+        """f is analytic on the disk, and f/z and f' = 1/(1 - z) have no zeros
+        there.  Nor has g = (1 - h)/a2 = z D/a2 poles, or D = h sum z^k/(k + 2)
+        and a2 g' = -h' = h^2 sum z^j/((j + 1)(j + 2))/(1 - z) zeros, since
+        h = 1/sum z^k/(k + 1) and sums with positive decreasing coefficients
+        have no zeros on the disk (Enestrom-Kakeya and Hurwitz)."""
         return _ONE
+
+    g_factor = factor
 
 
 class _GTransformKernel(_Kernel):
@@ -361,8 +398,10 @@ class _GTransformKernel(_Kernel):
         return jet
 
     def factor(self, part):
-        """Nothing proves where the zeros of a2 + omega1 lie for these parents."""
-        return None
+        return self.parent.g_factor(part)
+
+    def g_factor(self, part):
+        return None  # no proof places the zeros for g of g of a non-rational f
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +437,7 @@ class DiskFunction:
         self.order = (series if quotient is None else quotient).order
         if kernel is None:
             kernel = (_RationalKernel(quotient.coeffs) if quotient is not None
-                      else _RationalKernel(_ONE, series.div_z(NORMALIZATION_TOL).coeffs))
+                      else _RationalKernel(denom=series.div_z(NORMALIZATION_TOL).coeffs))
         self.kernel = kernel
         self.kernel.owner = self
 
@@ -726,17 +765,17 @@ def _inclusion_count(coeffs, radius):
 
 
 def _nearest_zero(disks, radius):
-    """(lo, hi) from inclusion disks: no zero lies in |z| < lo, and either
-    hi is None and lo = radius, or a zero lies in |z| <= hi < radius.
+    """``zero_bracket`` from inclusion disks.
 
     Every component of the disks holds a zero, so hi is the least over the
-    components of the largest modulus a component reaches.  None when the
-    components that reach inside the circle all reach out of it too.
+    components of the largest modulus a component reaches, and a component
+    of one disk holds one simple zero.  None when the components that reach
+    inside the circle all reach out of it too.
     """
     lo = min([radius] + [abs(z) - r for z, r in disks])
     if lo >= radius:
-        return radius, None
-    hi, left = radius, list(disks)
+        return radius, None, True
+    hi, simple, left = radius, True, list(disks)
     while left:
         component = [left.pop()]
         for z, r in component:  # grows while it is walked
@@ -744,7 +783,35 @@ def _nearest_zero(disks, radius):
             left = [d for d in left if abs(d[0] - z) > d[1] + r]
             component += near
         hi = min(hi, max(abs(z) + r for z, r in component))
-    return (lo, hi) if hi < radius else None
+        simple &= len(component) == 1 or min(abs(z) - r for z, r in component) >= radius
+    return (lo, hi, simple) if hi < radius else None
+
+
+def _winding_bracket(source, radius):
+    """``zero_bracket`` from winding counts: a count of k > 0 zeros is
+    narrowed by bisecting the radius on counts of the same source.  The
+    first count that refuses puts a zero near its circle; the search then
+    closes in on that circle from below and from above, halving the gap,
+    until a count on that side refuses too.  k = 1 proves the zero simple."""
+    count = count_zeros_on_disk(source, radius)
+    if not count:
+        return radius, None, True
+    bracket, near = [0.0, radius], None  # lo, hi
+
+    def narrowed(r):
+        try:
+            bracket[bool(count_zeros_on_disk(source, r))] = r
+            return True
+        except BoundaryTooClose:
+            return False
+
+    for side in (None, 0, 1):  # bisect, then close in on the refused circle
+        while True:
+            r = 0.5 * (bracket[0] + bracket[1] if near is None else bracket[side] + near)
+            if not (bracket[0] < r < bracket[1] and narrowed(r)):
+                break
+        near = r if near is None else near
+    return (*bracket, count == 1) if bracket[1] < radius else None
 
 
 def _winding_count(h, radius, lipschitz, slack):
@@ -801,17 +868,19 @@ def zero_bracket(f: DiskFunction, part: str, radius: float):
 
     ``part`` names the factor, as in the kernels' ``factor``: "pole" for
     the poles of f, "root" for the zeros of f/z, "crit" for the zeros of
-    f'.  Returns (lo, hi): no zero lies in |z| < lo, and either hi is None
-    and lo = radius, or a zero lies in lo <= |z| <= hi < radius.  Returns
-    None when nothing is proven: the kernel has no proof source, a count
-    refuses, or a winding count finds zeros that it cannot place.
+    f'.  Returns (lo, hi, simple): no zero lies in |z| < lo; either hi is
+    None and lo = radius, or a zero lies in lo <= |z| <= hi < radius; and
+    simple is True when every zero in |z| < radius is proven simple.
+    Returns None when nothing is proven: the kernel has no proof source,
+    the count on |z| = radius refuses, or the zeros inside the circle are
+    placed no closer to the origin than radius.
     """
     source = f.kernel.factor(part)
     if source is None:
         return None
     try:
         if isinstance(source, tuple):
-            return None if count_zeros_on_disk(source, radius) else (radius, None)
+            return _winding_bracket(source, radius)
         return _nearest_zero(_inclusion_disks(source), radius)
     except BoundaryTooClose:
         return None

@@ -28,6 +28,10 @@ class BoundaryTooClose(DiskClassError):
     for the count to be proven, so the count refuses."""
 
 
+class RadiusUnproven(DiskClassError):
+    """A radius search cannot prove the disk on which its functional is analytic."""
+
+
 class EvalNearZeroDenominator(DiskClassError):
     """A pointwise functional hit a denominator below the safe threshold."""
 

@@ -35,7 +35,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .catalog import DiskFunction, zero_bracket
-from .errors import NonFiniteValue, ParamOutOfRange, PartCPrecondition
+from .errors import NonFiniteValue, ParamOutOfRange, PartCPrecondition, RadiusUnproven
 from .operators import (
     PointFunctional,
     _alpha_convex,
@@ -53,13 +53,8 @@ from .operators import (
 # whole disk.  Tighter than the membership scan radius so that radii equal
 # to 1 are reported within 1e-4.
 RADIUS_CAP = 1.0 - 2.0 ** -14
-# The radius search scans this radius and RADIUS_CAP first.
-_WALK_START = 0.01
-# The fallback walk of real-part tags: a ladder of halvings 0.01 * 2^-j
-# (j = 8, ..., 1), then 96 evenly spaced radii from 0.01 to RADIUS_CAP,
-# whose step bounds how narrow a failure dip can be and still be detected.
-_WALK_RADII = np.concatenate((_WALK_START * 2.0 ** -np.arange(8.0, 0.0, -1.0),
-                              np.linspace(_WALK_START, RADIUS_CAP, 96)))
+# With no pole below RADIUS_CAP the radius search scans this radius first.
+_INNER = 0.01
 # One row per class tag: its operators factory F, whether its scan
 # maximizes |F| (the sup tag) or -Re F, the threshold that members keep
 # that maximum below, and the factors of f at whose zeros F has its poles
@@ -329,46 +324,38 @@ def _report(class_tag, alpha, peak, witness, policy) -> MembershipReport:
 
 
 def _first_pole(f, class_tag, alpha, tol):
-    """Where the radius search may bisect without a walk: RADIUS_CAP when the
-    tag's functional is proven analytic on |z| < RADIUS_CAP, or hi < RADIUS_CAP
-    when it is proven analytic on |z| < hi - tol/2 and has a pole in
-    |z| <= hi.  None when neither is proven.
+    """RADIUS_CAP when the tag's functional is proven analytic on
+    |z| < RADIUS_CAP, or hi < RADIUS_CAP when it is proven analytic on
+    |z| < hi - tol/2 and has a pole in |z| <= hi.  Anything less raises
+    RadiusUnproven: zeros of a factor that ``zero_bracket`` cannot place or
+    places less finely than tol/2, or zeros that alpha may remove.
 
     For mocanu(alpha) a zero of f/z of order m is a pole of residue
     (m - alpha) z0, a pole of f one of residue -(m + alpha) z0, and a zero
     of f' of order k one of residue alpha k z0.  So the zeros of f' are no
-    poles at alpha = 0, and at a nonzero integer alpha a zero of f/z or a
-    pole of f may be removable; then a zero of that factor inside the disk
-    leaves nothing proven.
+    poles at alpha = 0, and at a nonzero integer alpha only zeros of f/z
+    (alpha > 0) or poles of f (alpha < 0) of order |alpha| are removable:
+    simple ones are no poles at alpha = +-1 and poles at other integers.
     """
-    parts, removable = _CLASSES[class_tag][3], ()
+    parts, removable = _CLASSES[class_tag][3], None
     if class_tag == "mocanu":
         if alpha == 0:
             parts = ("pole", "root")
         elif float(alpha).is_integer():
-            removable = ("pole",) if alpha < 0 else ("root",)
+            removable = "pole" if alpha < 0 else "root"
     lo = hi = RADIUS_CAP
     for part in parts:
         bracket = zero_bracket(f, part, RADIUS_CAP)
         if bracket is None:
-            return None
-        if bracket[1] is not None:
-            if part in removable:
-                return None
+            raise RadiusUnproven(f"{f.id!r}: no proof places the {part!r} zeros")
+        if part == removable and not bracket[2]:
+            raise RadiusUnproven(f"{f.id!r}: {part!r} zeros not proven simple, alpha {alpha:g}")
+        if bracket[1] is not None and not (part == removable and abs(alpha) == 1):
             lo, hi = min(lo, bracket[0]), min(hi, bracket[1])
-    return hi if hi - lo <= tol / 2.0 else None
-
-
-def _walk(clears):
-    """The fallback search of real-part tags: the bracket (previous radius,
-    first failing radius) of an outward walk over ``_WALK_RADII``, one circle
-    per scan, or None when every radius clears."""
-    lo = 0.0
-    for r in _WALK_RADII:
-        if not clears(float(r)):
-            return lo, float(r)
-        lo = float(r)
-    return None
+    if hi - lo > tol / 2.0:
+        raise RadiusUnproven(f"{f.id!r}: first pole in {lo:.6g} <= |z| <= {hi:.6g}, "
+                             f"wider than tol/2")
+    return hi
 
 
 def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
@@ -377,50 +364,38 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
 
     The search first proves a disk |z| < rho on which the tag's functional
     is analytic (``catalog.zero_bracket`` places the zeros of the factors
-    of f where its poles lie).  On that disk the maximum principle (sup
-    tags) and the minimum principle for the harmonic real parts make the
-    verdict of a circle scan monotone in the radius, so a bracket of the
-    first failure is bisected.  With no pole below RADIUS_CAP, one
-    row-batched scan checks r = 0.01 and RADIUS_CAP: if the property holds
-    at RADIUS_CAP the radius is reported as 1.0 (error at most 2^-14),
-    else the bracket is (0.01, RADIUS_CAP), or (0, 0.01) when it fails at
-    0.01.  A proven pole is where the property fails for sure, so the
-    bracket is (0, hi) with hi an upper bound on the pole's modulus, and
-    no circle near the pole is scanned.  The bisection stops at ``tol``
-    (positive and finite) or once the bracket can no longer be split in
-    floating point.  Every scan is passed the tag's threshold, so a circle
-    whose grid already fails is not refined (see ``extremal_on_circle``);
-    the radius is the one full scans give, bit for bit.
-
-    Real-part tags without such a proof fall back to an outward walk over
-    fixed radii (``_walk``), one circle per scan, before the bisection: f
-    whose kernel has no proof source (a g-transform of a Blaschke member
-    or of log_map), a zero count that refuses (a zero of
-    a factor within rounding of RADIUS_CAP), a zero of h of a Blaschke
-    member inside the disk, which its winding count proves but cannot
-    place, a pole whose place is known less finely than tol/2, and mocanu
-    at a nonzero integer alpha with a possibly removable pole inside.  U
-    without a proof takes the same two-circle scan as a proven disk: a walk
-    over 0.01 and RADIUS_CAP, one circle at a time, gives the same bracket.
+    of f where its poles lie), or raises RadiusUnproven (``_first_pole``).
+    On that disk the maximum principle (sup tags) and the minimum principle
+    for the harmonic real parts make the verdict of a circle scan monotone
+    in the radius, so a bracket of the first failure is bisected.  With no
+    pole below RADIUS_CAP, one row-batched scan checks r = 0.01 and
+    RADIUS_CAP: if the property holds at RADIUS_CAP the radius is reported
+    as 1.0 (error at most 2^-14), else the bracket is (0.01, RADIUS_CAP),
+    or (0, 0.01) when it fails at 0.01.  A proven pole is where the
+    property fails for sure, so the bracket is (0, hi) with hi an upper
+    bound on the pole's modulus, and no circle near the pole is scanned.
+    The bisection stops at ``tol`` (positive and finite) or once the
+    bracket can no longer be split in floating point.  Every scan is passed
+    the tag's threshold, so a circle whose grid already fails is not
+    refined (see ``extremal_on_circle``); the radius is the one full scans
+    give, bit for bit.
     """
     if not 0.0 < tol < np.inf:
         raise ParamOutOfRange(f"tol must be positive and finite, got {tol}")
     policy = policy or ScanPolicy()
     functional = class_functional(f, class_tag, alpha)
-    _, sup, threshold, _ = _CLASSES[class_tag]
+    threshold = _CLASSES[class_tag][2]
     tag = _tag(class_tag, alpha)
 
     def clears(r):
         return extremal_on_circle(functional, r, policy, threshold=threshold)[0] < threshold
 
     pole = _first_pole(f, class_tag, alpha, tol)
-    if pole is None and not sup:
-        bracket = _walk(clears)
-    elif pole is not None and pole < RADIUS_CAP:
+    if pole < RADIUS_CAP:
         bracket = 0.0, pole
     else:
-        near, cap = clears(np.array([_WALK_START, RADIUS_CAP]))
-        bracket = (0.0, _WALK_START) if not near else None if cap else (_WALK_START, RADIUS_CAP)
+        near, cap = clears(np.array([_INNER, RADIUS_CAP]))
+        bracket = (0.0, _INNER) if not near else None if cap else (_INNER, RADIUS_CAP)
     if bracket is None:
         return RadiusResult(tag, 1.0, (RADIUS_CAP, 1.0), tol, policy.grid)
     lo, hi = bracket

@@ -8,6 +8,7 @@ import numpy as np
 
 from diskclass.catalog import DiskFunction
 from diskclass.errors import ArgumentOutOfDomain
+from diskclass.membership import RADIUS_CAP, ScanPolicy, class_functional, extremal_on_circle
 from diskclass.operators import PointFunctional, convex_quotient, starlike_quotient
 from diskclass.series import ComplexSeries
 
@@ -107,3 +108,37 @@ def mocanu_functional(f, alpha: float) -> PointFunctional:
         return (1.0 - alpha) * s(zz) + alpha * c(zz)
 
     return PointFunctional(fn)
+
+
+# An outward walk over fixed radii: a ladder of halvings 0.01 * 2^-j
+# (j = 8, ..., 1), then 96 evenly spaced radii from 0.01 to RADIUS_CAP, whose
+# step bounds how narrow a failure dip can be and still be seen.
+WALK_RADII = np.concatenate((0.01 * 2.0 ** -np.arange(8.0, 0.0, -1.0),
+                             np.linspace(0.01, RADIUS_CAP, 96)))
+
+
+def walk_radius(f, class_tag, tol=1e-4, policy=None, alpha=None) -> float:
+    """The radius of a class property found without knowing where its
+    functional has poles: walk outward over WALK_RADII, one circle per
+    scan, to the first radius that fails, then bisect the bracket (last
+    radius that clears, first that fails) to tol.  1.0 when every radius
+    clears.  Each circle is scanned as ``radius_of`` scans it."""
+    policy = policy or ScanPolicy()
+    functional = class_functional(f, class_tag, alpha)
+    threshold = 1.0 if class_tag == "U" else 0.0
+
+    def clears(r):
+        return extremal_on_circle(functional, r, policy, threshold=threshold)[0] < threshold
+
+    lo = 0.0
+    for hi in WALK_RADII:
+        if not clears(float(hi)):
+            break
+        lo = float(hi)
+    else:
+        return 1.0
+    hi = float(hi)
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if clears(mid) else (lo, mid)
+    return 0.5 * (lo + hi)

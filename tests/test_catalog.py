@@ -257,36 +257,54 @@ class TestZeroBracket:
     whose zeros are the poles of the class functionals."""
 
     def test_zero_free_factors_reach_the_circle(self):
-        # koebe: h = (1 - z)^2 and s = 1 - z^2 vanish only on |z| = 1
-        for f in (make_catalog("koebe"), make_catalog("log_map")):
+        # koebe: h = (1 - z)^2 and s = 1 - z^2 vanish only on |z| = 1; g of
+        # log_map has no poles, and D and g' have no zeros (Enestrom-Kakeya)
+        for f in (make_catalog("koebe"), make_catalog("log_map"),
+                  g_transform(make_catalog("log_map"))):
             for part in ("pole", "root", "crit"):
-                assert zero_bracket(f, part, 0.99) == (0.99, None), (f.id, part)
+                assert zero_bracket(f, part, 0.99) == (0.99, None, True), (f.id, part)
 
     def test_simple_and_double_zeros_are_placed(self):
         z0 = 0.4 * np.exp(1.1j)
         for h in ([1.0, -1.0 / z0], np.polynomial.polynomial.polyfromroots([z0, z0]) / z0 ** 2):
             f = DiskFunction("zeros", {}, quotient=ComplexSeries(h))
-            lo, hi = zero_bracket(f, "pole", 0.99)
+            lo, hi, simple = zero_bracket(f, "pole", 0.99)
             assert lo <= 0.4 <= hi < 0.4 + 1e-6
-            assert zero_bracket(f, "root", 0.99) == (0.99, None)
+            # the double zero's two inclusion disks overlap
+            assert simple == (len(h) == 2)
+            assert zero_bracket(f, "root", 0.99) == (0.99, None, True)
 
     def test_transform_and_series_factors(self):
         # g of fb(b) is z (1 + z/b): f/z vanishes at -b and f' at -b/2
         g = make_catalog("fb", {"b": 0.5})
         for f in (g_transform(g), DiskFunction.from_series(g_transform(g).series)):
-            assert zero_bracket(f, "pole", 0.99) == (0.99, None)
+            assert zero_bracket(f, "pole", 0.99) == (0.99, None, True)
             for part, zero in (("root", 0.5), ("crit", 0.25)):
-                lo, hi = zero_bracket(f, part, 0.99)
-                assert lo <= zero <= hi < zero + 1e-9, (f.id, part)
+                lo, hi, simple = zero_bracket(f, part, 0.99)
+                assert lo <= zero <= hi < zero + 1e-9 and simple, (f.id, part)
 
-    def test_unplaced_or_unproven_zeros_give_none(self):
+    def test_winding_zeros_are_placed(self):
+        # h of this member has one zero in the disk, near 0.556: bisecting
+        # the radius on winding counts places it
         h, kernel = SchwarzGenerator.blaschke([0.5, -0.3j], 0.9, 0.4).member(1.8)
         f = DiskFunction("blaschke_zero", {}, kernel, quotient=ComplexSeries(h))
-        assert zero_bracket(f, "pole", 0.99) is None  # counted, not placed
-        assert zero_bracket(f, "crit", 0.99) == (0.99, None)  # s = 1 + z^2 psi
+        zero = min(abs(np.polynomial.polynomial.polyroots(h)))
+        lo, hi, simple = zero_bracket(f, "pole", 0.99)
+        assert lo <= zero <= hi < lo + 5e-5 and simple
+        assert zero_bracket(f, "crit", 0.99) == (0.99, None, True)  # s = 1 + z^2 psi
+        # g of a Blaschke member has no poles, |a2| = 1.8 > rho keeps D zero-free,
+        # and the winding count of D + z psi = a2 g' finds no zero
+        g = g_transform(f)
+        for part in ("pole", "root", "crit"):
+            assert zero_bracket(g, part, 0.99) == (0.99, None, True)
+
+    def test_unproven_zeros_give_none(self):
         # a zero of h within rounding of the circle: the count refuses
         f = DiskFunction("edge", {}, quotient=ComplexSeries([1.0, -1.0 / 0.99]))
         assert zero_bracket(f, "pole", 0.99) is None
+        # g of g of a Blaschke member has no zero source
+        g = g_transform(g_transform(build_member(0.5, SchwarzGenerator.blaschke([0.5], 0.5, 0.0))))
+        assert zero_bracket(g, "pole", 0.99) is None
 
     def test_refused_winding_count_gives_none(self):
         # a Blaschke member whose h vanishes within rounding of RADIUS_CAP:

@@ -211,6 +211,16 @@ class TestEvalClosedForms:
         self.check(payload, z, z + c2 * z * z + c3 * z ** 3, 1 + 2 * c2 * z + 3 * c3 * z * z,
                    2 * c2 + 6 * c3 * z)
 
+    def test_series_file_jet_is_exact(self, capsys, tmp_path):
+        # f = z + z^2/4 is z q with q = 1 + z/4: its jet is the polynomial's,
+        # which has these values exactly in floating point
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"order": 2, "coeffs": [[0, 0], [1, 0], [0.25, 0]]}))
+        code, payload = run_json(capsys, "eval", "--series-file", str(path), "(0.5+0.2j)")
+        assert code == 0
+        assert payload["f_prime"] == [1.25, 0.1]
+        assert payload["f_second"] == [0.5, 0.0]
+
     @pytest.mark.parametrize("point", ["0.0001", "(0.5+0.2j)"])
     def test_g_of_a_series_file(self, capsys, tmp_path, point):
         # g of f = z + c z^2 is z/(1 + c z), exactly, near the origin too

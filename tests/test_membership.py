@@ -22,11 +22,12 @@ from diskclass import (
 )
 from diskclass.catalog import SchwarzGenerator, _inclusion_disks, zero_bracket
 from diskclass.errors import (DenominatorVanishes, NonFiniteValue, ParamOutOfRange,
-                              PartCPrecondition)
+                              PartCPrecondition, RadiusUnproven)
 from diskclass.explorer import ALPHA_GRID, catalog_prepends
 from diskclass.membership import RADIUS_CAP, extremal_on_circle, theorem2_grid
 from diskclass.operators import PointFunctional, theorem3_parts
 from diskclass.series import ComplexSeries
+from oracles import walk_radius
 
 
 GRID64 = ScanPolicy(grid=64)
@@ -327,7 +328,7 @@ class TestRadius:
         assert value == pytest.approx(1.0, abs=2e-3)
 
     def test_gb_starlike_radius_matches_half_b(self):
-        # b/2 < 0.01 lies below the first walk radius
+        # the zero -b of g/z caps the bisection, also when b/2 < 0.01
         for b in (0.004, 0.015, 0.02, 0.5, 1.0, 1.5):
             g = g_transform(make_catalog("fb", {"b": b}))
             res = radius_of(g, "starlike")
@@ -364,28 +365,51 @@ class TestRadius:
         assert res.bracket[1] - res.bracket[0] <= 1e-4
         assert all(error is None for _, error in scans)
 
-    def test_blaschke_zero_inside_falls_back_to_the_walk(self):
-        # a2 = 1.8 puts a zero of h near 0.556: its winding count proves it
-        # but cannot place it, so the search walks
+    def test_blaschke_zero_of_h_bounds_the_radius(self, monkeypatch):
+        # a2 = 1.8 puts a zero of h near 0.556: its winding count finds it and
+        # bisecting the radius on the same counts places it, so the search
+        # bisects below it with no failed scan
         gen = SchwarzGenerator.blaschke([0.5, -0.3j], 0.9, 0.4)
         h, kernel = gen.member(1.8)
         f = DiskFunction("blaschke_zero", {}, kernel, quotient=ComplexSeries(h))
-        assert zero_bracket(f, "pole", RADIUS_CAP) is None
         zero = min(abs(npp.polyroots(h)))
         assert 0.55 < zero < 0.56
+        lo, hi, simple = zero_bracket(f, "pole", RADIUS_CAP)
+        assert lo <= zero <= hi < lo + 5e-5 and simple
         policy = ScanPolicy(grid=512)
+        scans = _record_scans(monkeypatch)
         res = radius_of(f, "starlike", policy=policy)
-        lo, hi = res.bracket
-        assert hi - lo <= 1e-4 and lo < zero
+        assert res.bracket[1] - res.bracket[0] <= 1e-4 and res.bracket[0] < zero
+        assert all(error is None for _, error in scans) and len(scans) <= 15
         # the scan maximizes -Re z f'/f, so a starlike circle reads below 0
         fn = membership.class_functional(f, "starlike")
-        assert extremal_on_circle(fn, lo, policy)[0] < 0.0
+        assert extremal_on_circle(fn, res.bracket[0], policy)[0] < 0.0
+        # the counts place the zero to about 1e-5, not to 1e-9
+        with pytest.raises(RadiusUnproven, match="wider than tol/2"):
+            radius_of(f, "starlike", tol=1e-9, policy=policy)
 
-    def test_unproven_u_takes_one_two_circle_scan(self, monkeypatch):
-        # nothing proves where U of g of log_map has its poles; the search
-        # scans 0.01 and RADIUS_CAP in one call, as a walk over the two would
+    def test_unproven_factors_raise(self):
+        # g of g of a Blaschke member has no zero source, and a double pole
+        # of f, two inclusion disks, may be removable at alpha = -2
+        g = g_transform(g_transform(_sampled_pair("blaschke_product")[0]))
+        with pytest.raises(RadiusUnproven, match="no proof places"):
+            radius_of(g, "starlike")
+        z0 = 0.5 * np.exp(0.3j)
+        f = DiskFunction("double", {}, quotient=ComplexSeries(npp.polyfromroots([z0, z0]) / z0 ** 2))
+        with pytest.raises(RadiusUnproven, match="not proven simple"):
+            radius_of(f, "mocanu", alpha=-2.0)
+        assert radius_of(f, "mocanu", alpha=-1.5).radius < 0.5
+        # D = a2 + omega1 of a Blaschke member has several zeros, which the
+        # winding counts do not prove simple
+        with pytest.raises(RadiusUnproven, match="not proven simple"):
+            radius_of(_planted_transform(), "mocanu", alpha=1.0)
+
+    def test_log_map_transform_u_takes_one_two_circle_scan(self, monkeypatch):
+        # g of log_map has no poles and f/z of g no zeros (Enestrom-Kakeya),
+        # so U is analytic on the disk: the search scans 0.01 and RADIUS_CAP
+        # in one call, then bisects
         g = g_transform(make_catalog("log_map"))
-        assert membership._first_pole(g, "U", None, 1e-4) is None
+        assert membership._first_pole(g, "U", None, 1e-4) == RADIUS_CAP
         scans = _record_scans(monkeypatch)
         res = radius_of(g, "U")
         assert res.radius == pytest.approx(0.9659521076828241, abs=1e-12)
@@ -398,6 +422,7 @@ class TestRadius:
         # fails at the pole z0
         z0 = 0.5 * np.exp(0.3j)
         f = DiskFunction("mobius", {}, quotient=ComplexSeries([1.0, -1.0 / z0]))
+        assert membership._first_pole(f, "mocanu", -1.0, 1e-4) == RADIUS_CAP
         assert radius_of(f, "mocanu", alpha=-1.0).radius == 1.0
         assert radius_of(f, "starlike").radius == pytest.approx(0.5, abs=1e-4)
         assert radius_of(f, "mocanu", alpha=0.5).radius == pytest.approx(0.5, abs=1e-4)
@@ -445,6 +470,13 @@ def _sampled_pair(kind):
             return members
 
 
+def _planted_transform():
+    """g of a Blaschke member whose D = a2 + omega1 vanishes at
+    z0 = 0.45 e^{-2.5i}: a2 = -omega1(z0)."""
+    z0, gen = 0.45 * np.exp(-2.5j), SchwarzGenerator.blaschke([0.3 + 0.4j, -0.6j], 0.7, 2.0)
+    return g_transform(build_member(-gen.member(0.0)[1].omega_jet(np.array([z0]), 0)[0][0], gen))
+
+
 def _g_of_g_parents():
     return [make_catalog("fb", {"b": 0.5}), _sampled_pair("random_polynomial")[0]]
 
@@ -458,23 +490,48 @@ def _rational_transforms():
 
 
 class TestRadiusAgainstWalk:
-    """The bisection on a proven analytic disk finds the radius the
-    fallback walk finds, within tol, on sampled members and on the
-    g-transforms of rational functions."""
+    """The bisection on a proven analytic disk finds the radius that an
+    outward walk over fixed radii (``oracles.walk_radius``) finds, within
+    tol: on sampled members, on the g-transforms of rational functions, of
+    Blaschke members and of log_map, and at integer alphas, where simple
+    zeros of f/z are poles or removable."""
 
     @pytest.mark.parametrize("kind", ["scaled_unimodular", "random_polynomial",
                                       "blaschke_product", "rational_g"])
-    def test_agrees_with_the_walk(self, monkeypatch, kind):
+    def test_agrees_with_the_walk(self, kind):
         policy, tol = ScanPolicy(grid=256, refine_iters=4), 1e-4
         members = _rational_transforms() if kind == "rational_g" else _sampled_pair(kind)
         cases = [(f, tag, alpha) for f in members for tag, alpha in
                  (("starlike", None), ("bounded_turning", None),
                   ("convex", None), ("mocanu", 0.5))]
+        self.check(cases, policy, tol)
+
+    def test_transforms_of_blaschke_members_and_log_map(self):
+        # g' of the sampled member vanishes near 0.89, and D and g' of the
+        # planted one near 0.45 and 0.24
+        policy, tol = ScanPolicy(grid=256, refine_iters=4), 1e-4
+        sampled = g_transform(_sampled_pair("blaschke_product")[0])
+        log_map = g_transform(make_catalog("log_map"))
+        cases = [(sampled, tag, alpha) for tag, alpha in
+                 (("starlike", None), ("convex", None), ("mocanu", 2.0))]
+        cases += [(_planted_transform(), tag, alpha) for tag, alpha in
+                  (("U", None), ("convex", None), ("mocanu", -1.0))]
+        cases += [(log_map, "convex", None), (log_map, "mocanu", -1.0)]
+        self.check(cases, policy, tol)
+
+    def test_integer_alphas(self):
+        # g of fb(0.3) is z (1 + z/0.3): the simple zero -0.3 of g/z is
+        # removable at alpha = 1 and a pole at alpha = 2
+        policy, tol = ScanPolicy(grid=256, refine_iters=4), 1e-4
+        members = [g_transform(make_catalog("fb", {"b": 0.3})),
+                   g_transform(_sampled_pair("scaled_unimodular")[0])]
+        self.check([(f, "mocanu", alpha) for f in members for alpha in (1.0, 2.0)], policy, tol)
+
+    @staticmethod
+    def check(cases, policy, tol):
         assert all(membership._first_pole(f, tag, alpha, tol) for f, tag, alpha in cases)
         fast = [radius_of(f, tag, tol, policy, alpha).radius for f, tag, alpha in cases]
-        # with nothing proven, every search takes the fallback walk
-        monkeypatch.setattr(membership, "zero_bracket", lambda f, part, radius: None)
-        walked = [radius_of(f, tag, tol, policy, alpha).radius for f, tag, alpha in cases]
+        walked = [walk_radius(f, tag, tol, policy, alpha) for f, tag, alpha in cases]
         assert fast == pytest.approx(walked, abs=tol)
         assert min(fast) < 1.0  # some bisection ran
 

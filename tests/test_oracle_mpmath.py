@@ -10,13 +10,15 @@ relative above modulus 1 and absolute below.
 
 The zero counts of the certification are checked against 80-digit mpmath
 roots (polynomials) and an mpmath winding number (Blaschke members); a
-count must equal the reference or refuse, and never be wrong.
+count must equal the reference or refuse, and never be wrong.  The zeros
+that winding counts place (``zero_bracket``) must lie in their brackets.
 """
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
 from diskclass import (
+    DiskFunction,
     SchwarzGenerator,
     build_member,
     count_zeros_on_disk,
@@ -24,7 +26,7 @@ from diskclass import (
     hankel_det,
     make_catalog,
 )
-from diskclass.catalog import CERT_RADIUS
+from diskclass.catalog import CERT_RADIUS, zero_bracket
 from diskclass.errors import BoundaryTooClose
 from diskclass.series import ComplexSeries
 
@@ -313,3 +315,38 @@ def test_blaschke_zero_counts_match_the_mpmath_winding():
             wrong.append((case, got, want))
     assert wrong == []
     assert decided >= 15  # 18 of the 36 at this seed
+
+
+def _mp_zero(fn, coeffs):
+    """The zero of fn nearest the origin: mpmath's findroot from the root
+    of the truncated Taylor polynomial ``coeffs`` nearest the origin."""
+    start = min(npp.polyroots(coeffs), key=abs)
+    return mp.findroot(fn, mp.mpc(start))
+
+
+def test_placed_zeros_lie_in_their_brackets():
+    """h of a Blaschke member with a2 = 1.8 vanishes near 0.556, and for g
+    of a member whose D = a2 + omega1 is planted to vanish at 0.45 e^{-2.5i},
+    D and D + z psi = -h' (a2 g') vanish inside the disk; each mpmath zero
+    lies in the bracket placed by bisecting winding counts."""
+    alphas, rho, theta = [0.5, -0.3j], 0.9, 0.4
+    h, kernel = SchwarzGenerator.blaschke(alphas, rho, theta).member(1.8)
+    f = DiskFunction("blaschke_zero", {}, kernel, quotient=ComplexSeries(h))
+    z0 = 0.45 * np.exp(-2.5j)
+    gen = SchwarzGenerator.blaschke([0.3 + 0.4j, -0.6j], 0.7, 2.0)
+    a2 = -gen.member(0.0)[1].omega_jet(np.array([z0]), 0)[0][0]
+    g = g_transform(build_member(a2, gen))
+    with mp.workdps(30):
+        h_jet = _mp_blaschke_jet(alphas, rho, theta, 1.8)
+        g_jet = _mp_blaschke_jet([0.3 + 0.4j, -0.6j], 0.7, 2.0, a2)
+        cases = [
+            (f, "pole", lambda z: h_jet(z)[0], h),
+            (g, "root", lambda z: (1 - g_jet(z)[0]) / z, g.series.coeffs[1:]),
+            (g, "crit", lambda z: g_jet(z)[1], npp.polyder(g.series.coeffs)),
+        ]
+        zeros = {}
+        for fn, part, zero_of, coeffs in cases:
+            lo, hi, _ = zero_bracket(fn, part, CERT_RADIUS)
+            zeros[part] = zero = abs(_mp_zero(zero_of, coeffs))
+            assert lo <= zero <= hi < lo + 5e-5, (part, lo, float(zero), hi)
+        assert abs(zeros["root"] - 0.45) < 1e-12  # the planted zero of D
