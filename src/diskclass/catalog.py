@@ -69,9 +69,7 @@ __all__ = [
     "sample_schwarz",
     "build_member",
     "count_zeros_on_disk",
-    "zero_bracket",
-    "CERT_RADIUS",
-    "CERT_SAMPLES",
+    "seed_key",
 ]
 
 
@@ -471,19 +469,11 @@ class DiskFunction:
 
     # -- serialization ----------------------------------------------------
     def to_spec(self) -> dict:
-        """JSON spec of a catalog function or a ``build_member`` member,
-        read back by ``from_spec``; any other function raises UnknownId."""
-        if self.id == "sampled":
-            gen = self.params["generator"]
-            return {
-                "id": "sampled",
-                "params": {
-                    "a2": [float(self.params["a2"].real), float(self.params["a2"].imag)],
-                    "generator": gen.to_dict(),
-                    "order": int(self.params["order"]),
-                },
-            }
-        if self.id not in catalog_ids():
+        """JSON spec {"id", "params"} of a catalog function or a
+        ``build_member`` member, whose params are already in spec form;
+        ``from_spec`` reads it back.  Any other id (a g-transform, a raw
+        series) has no spec and raises UnknownId."""
+        if self.id != "sampled" and self.id not in catalog_ids():
             raise UnknownId(f"{self.id!r} is neither a catalog id nor a member: no spec")
         return {"id": self.id, "params": dict(self.params)}
 
@@ -910,6 +900,6 @@ def build_member(a2, generator: SchwarzGenerator,
     if zeros != 0:
         raise DenominatorVanishes(
             f"quotient has {zeros} zero(s) inside |z| < {CERT_RADIUS:.6f}")
-    return DiskFunction("sampled",
-                        {"a2": a2, "generator": generator, "order": order},
+    spec = {"a2": [a2.real, a2.imag], "generator": generator.to_dict(), "order": int(order)}
+    return DiskFunction("sampled", spec,
                         kernel, quotient=ComplexSeries(h).pad_to(order).truncate(order))

@@ -66,10 +66,6 @@ TIE_RTOL = 1e-12
 
 __all__ = [
     "CampaignConfig",
-    "CAMPAIGNS",
-    "LADDER",
-    "ALPHA_GRID",
-    "FB_GRID",
     "catalog_prepends",
     "run_campaign",
     "replay",

@@ -77,13 +77,10 @@ __all__ = [
     "RadiusResult",
     "Theorem2Record",
     "extremal_on_circle",
-    "class_functional",
     "test_class",
     "radius_of",
     "theorem3_check",
     "theorem2_grid",
-    "CLASS_TAGS",
-    "RADIUS_CAP",
 ]
 
 
@@ -328,7 +325,11 @@ def _first_pole(f, class_tag, alpha, tol):
     |z| < RADIUS_CAP, or hi < RADIUS_CAP when it is proven analytic on
     |z| < hi - tol/2 and has a pole in |z| <= hi.  Anything less raises
     RadiusUnproven: zeros of a factor that ``zero_bracket`` cannot place or
-    places less finely than tol/2, or zeros that alpha may remove.
+    places less finely than tol/2, or zeros that alpha may remove.  The
+    factor whose zeros alpha may remove comes last: when its zeros on
+    |z| < RADIUS_CAP are not all proven simple, it is bracketed again on
+    the disk |z| < hi that the other factors' poles leave, and only zeros
+    on that disk must be proven simple.
 
     For mocanu(alpha) a zero of f/z of order m is a pole of residue
     (m - alpha) z0, a pole of f one of residue -(m + alpha) z0, and a zero
@@ -344,12 +345,15 @@ def _first_pole(f, class_tag, alpha, tol):
         elif float(alpha).is_integer():
             removable = "pole" if alpha < 0 else "root"
     lo = hi = RADIUS_CAP
-    for part in parts:
+    for part in sorted(parts, key=lambda p: p == removable):
         bracket = zero_bracket(f, part, RADIUS_CAP)
+        if part == removable and bracket is not None and not bracket[2]:
+            bracket = zero_bracket(f, part, hi)  # the disk the other poles leave
+            if bracket is None or not bracket[2]:
+                raise RadiusUnproven(
+                    f"{f.id!r}: {part!r} zeros not proven simple, alpha {alpha:g}")
         if bracket is None:
             raise RadiusUnproven(f"{f.id!r}: no proof places the {part!r} zeros")
-        if part == removable and not bracket[2]:
-            raise RadiusUnproven(f"{f.id!r}: {part!r} zeros not proven simple, alpha {alpha:g}")
         if bracket[1] is not None and not (part == removable and abs(alpha) == 1):
             lo, hi = min(lo, bracket[0]), min(hi, bracket[1])
     if hi - lo > tol / 2.0:

@@ -23,14 +23,12 @@ from .series import ComplexSeries
 EPS_A2 = 1e-8
 
 __all__ = [
-    "PointFunctional",
     "OmegaDecomposition",
     "u_operator",
     "starlike_quotient",
     "convex_quotient",
     "mocanu_real_part",
     "turning_derivative",
-    "theorem3_parts",
     "g_transform",
     "decompose",
     "phi_profile",

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+__all__ = ["canonical_json"]
+
 
 def _canon(obj):
     if isinstance(obj, np.generic):

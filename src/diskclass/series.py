@@ -23,6 +23,8 @@ DEFAULT_ORDER = 64
 # Guard on |c_0| below which a reciprocal is refused.
 EPS_DIV = 1e-12
 
+__all__ = ["ComplexSeries"]
+
 
 class ComplexSeries:
     """Immutable truncated expansion ``c_0 + c_1 z + ... + c_N z^N``."""

@@ -9,6 +9,7 @@ from diskclass import (
     DiskFunction,
     SchwarzGenerator,
     build_member,
+    canonical_json,
     catalog_ids,
     count_zeros_on_disk,
     decompose,
@@ -432,6 +433,15 @@ class TestBuildMember:
         z = 0.5 + 0.2j
         assert jet_at(g.kernel, "h", 0, z) == pytest.approx(jet_at(f.kernel, "h", 0, z),
                                                             abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["scaled_unimodular", "random_polynomial",
+                                      "blaschke_product"])
+    def test_member_spec_is_a_fixed_point(self, kind):
+        # a member stores its spec, so from_spec . to_spec gives back its bytes
+        f = build_member(0.4 - 0.3j, sample_schwarz(3, kind, 3))
+        spec = DiskFunction.from_spec(f.to_spec()).to_spec()
+        assert spec == f.to_spec()
+        assert canonical_json(spec).encode() == canonical_json(f.to_spec()).encode()
 
 
 def prefix_cases(order):

@@ -1,4 +1,5 @@
-"""Every name in the package's and each module's ``__all__`` resolves once."""
+"""Every name in the package's and each module's ``__all__`` resolves once,
+and the package exports exactly the pinned names."""
 import importlib
 import pkgutil
 
@@ -18,3 +19,24 @@ def test_all_names_resolve_once(name):
     assert len(exported) == len(set(exported)), name
     assert [n for n in exported if not hasattr(module, n)] == [], name
 
+
+# The package's names: the union of its modules' __all__.
+EXPORTS = [
+    "ArgumentOutOfDomain", "BoundaryTooClose", "CampaignConfig", "ComplexSeries",
+    "DenominatorVanishes", "DiskClassError", "DiskFunction", "EvalNearZeroDenominator",
+    "HankelReport", "InsufficientOrder", "MembershipReport", "NearZeroConstantTerm",
+    "NonFiniteValue", "OmegaDecomposition", "PSRecord", "ParamOutOfRange",
+    "PartCPrecondition", "RadiusResult", "RadiusUnproven", "ReplayMismatch", "ScanPolicy",
+    "SchwarzGenerator", "SecondCoefficientVanishes", "Theorem2Record", "UnknownId",
+    "build_member", "canonical_json", "catalog_ids", "catalog_prepends", "convex_quotient",
+    "count_zeros_on_disk", "decompose", "extremal_on_circle", "g_transform",
+    "h3_profile_bound", "hankel_det", "make_catalog", "mocanu_real_part", "phi_profile",
+    "prokhorov_szynal_check", "radius_of", "reduced_h2", "reduced_h3", "replay",
+    "run_campaign", "sample_schwarz", "seed_key", "starlike_quotient", "test_class",
+    "theorem2_grid", "theorem3_check", "turning_derivative", "u_operator", "write_rows_csv",
+]
+
+
+def test_package_exports_are_pinned():
+    assert len(EXPORTS) == 54
+    assert sorted(diskclass.__all__) == EXPORTS

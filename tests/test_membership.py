@@ -399,10 +399,6 @@ class TestRadius:
         with pytest.raises(RadiusUnproven, match="not proven simple"):
             radius_of(f, "mocanu", alpha=-2.0)
         assert radius_of(f, "mocanu", alpha=-1.5).radius < 0.5
-        # D = a2 + omega1 of a Blaschke member has several zeros, which the
-        # winding counts do not prove simple
-        with pytest.raises(RadiusUnproven, match="not proven simple"):
-            radius_of(_planted_transform(), "mocanu", alpha=1.0)
 
     def test_log_map_transform_u_takes_one_two_circle_scan(self, monkeypatch):
         # g of log_map has no poles and f/z of g no zeros (Enestrom-Kakeya),
@@ -508,14 +504,19 @@ class TestRadiusAgainstWalk:
 
     def test_transforms_of_blaschke_members_and_log_map(self):
         # g' of the sampled member vanishes near 0.89, and D and g' of the
-        # planted one near 0.45 and 0.24
+        # planted one near 0.45 and 0.24.  The winding counts do not prove
+        # the zeros of that D simple, but at integer alphas only the disk
+        # that the pole of g' leaves, where D has none, must be proven
         policy, tol = ScanPolicy(grid=256, refine_iters=4), 1e-4
         sampled = g_transform(_sampled_pair("blaschke_product")[0])
         log_map = g_transform(make_catalog("log_map"))
+        planted = _planted_transform()
+        assert not zero_bracket(planted, "root", RADIUS_CAP)[2]
         cases = [(sampled, tag, alpha) for tag, alpha in
                  (("starlike", None), ("convex", None), ("mocanu", 2.0))]
-        cases += [(_planted_transform(), tag, alpha) for tag, alpha in
-                  (("U", None), ("convex", None), ("mocanu", -1.0))]
+        cases += [(planted, tag, alpha) for tag, alpha in
+                  (("U", None), ("convex", None), ("mocanu", -1.0), ("mocanu", 1.0),
+                   ("mocanu", 2.0), ("mocanu", 3.0))]
         cases += [(log_map, "convex", None), (log_map, "mocanu", -1.0)]
         self.check(cases, policy, tol)
 
