@@ -34,6 +34,7 @@ search proves the disk on which its functional is analytic or refuses.
 from __future__ import annotations
 
 import cmath
+import functools
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -78,6 +79,15 @@ def _guard(values, points, what):
     if np.any(small):
         bad = complex(np.asarray(points)[small][0])
         raise EvalNearZeroDenominator(f"{what} denominator below {EPS_DENOM} at z = {bad!r}")
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_circle(n):
+    """The n points e^{2 pi i k/n}, k = 0..n-1, built once per n and shared
+    read-only by every scan grid and sampler draw that asks for them."""
+    circle = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+    circle.setflags(write=False)
+    return circle
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +355,14 @@ class _BlaschkeKernel(_Kernel):
 
 class _LogQuotientKernel(_Kernel):
     """Kernel for f(z) = -log(1 - z), the convex-but-not-bounded witness:
-    the f jet is closed form and the h jet its reciprocal."""
+    the f jet is closed form and the h jet its reciprocal.  A caller that
+    passes its h jet gets f as z/h, without a second log."""
 
     a2 = 0.5
 
     def f_jet(self, z, n, h=None):
         w = 1.0 - z
-        jet = [-np.log(w)]
+        jet = [-np.log(w) if h is None else z / h[0]]
         if n > 0:
             jet.append(1.0 / w)
         if n > 1:
@@ -649,8 +660,7 @@ def _sample_generator(rng, kind, degree):
     if kind == "random_polynomial":
         deg = int(min(max(degree, 0), 16))
         raw = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        grid = np.exp(2j * np.pi * np.arange(8192) / 8192)
-        sup = float(np.abs(npp.polyval(grid, raw)).max())
+        sup = float(np.abs(npp.polyval(_unit_circle(8192), raw)).max())
         amp = float(rng.uniform(0.0, 1.0))
         coeffs = raw * (amp / (sup * 1.001)) if sup > 0 else raw * 0.0
         return SchwarzGenerator.polynomial(coeffs)

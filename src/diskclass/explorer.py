@@ -478,13 +478,14 @@ def _fork_chunk(cfg, prepends, chunk):
 
 
 def _run_rows(cfg, prepends, rows: int, workers: int) -> list:
-    """Rows 0..rows-1 in index order, split into ``workers`` contiguous
-    chunks: the caller runs the first, a child forked for this call each of
-    the others.  Every child is reaped before this returns or raises."""
+    """Rows 0..rows-1 in index order, dealt out to ``workers`` processes:
+    process k runs rows k, k + workers, ..., the caller being process 0 and
+    a child forked for this call each of the others.  Every child is reaped
+    before this returns or raises; a row error in the caller raises before
+    the children's rows are read."""
     if not hasattr(os, "fork"):
         workers = 1
-    cuts = [rows * k // workers for k in range(workers + 1)]
-    chunks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    chunks = [range(k, rows, workers) for k in range(workers)]
     if len(chunks) == 1:
         return _run_chunk(cfg, prepends, chunks[0])
     # imported here: only forking needs them, and with them imported at the
@@ -516,7 +517,7 @@ def _run_rows(cfg, prepends, rows: int, workers: int) -> list:
             if not ok:
                 raise value
             results += value
-        return results
+        return sorted(results, key=lambda row: row["index"])
     finally:
         # a child not yet reaped may be blocked on a full pipe
         for pid, reader in children.items():
@@ -532,10 +533,11 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1,
     The report is deterministic for a given config: per-sample randomness
     comes only from (seed, index) streams, and samples aggregate in index
     order in the calling process.  ``threads`` is the number of processes
-    that run the samples: with k > 1 the rows are split into k contiguous
-    chunks (at most one per row), the caller runs the first and a child
-    forked for this call runs each of the others, and the rows come back in
-    index order, so the report bytes are the same for every k.
+    that run the samples: with k > 1 (at most one per row) the rows are
+    dealt out in turn, so process j runs rows j, j + k, j + 2k, ...; the
+    caller is process 0 and a child forked for this call runs each of the
+    others, and the rows come back in index order, so the report bytes are
+    the same for every k.
     Without ``os.fork`` every row runs in the caller.  Do not pass k > 1
     from a process that runs other threads: a forked child holds only the
     calling thread, and a lock another thread held at the fork stays held.

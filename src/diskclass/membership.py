@@ -34,7 +34,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .catalog import DiskFunction, zero_bracket
+from .catalog import DiskFunction, _unit_circle, zero_bracket
 from .errors import NonFiniteValue, ParamOutOfRange, PartCPrecondition, RadiusUnproven
 from .operators import (
     PointFunctional,
@@ -194,14 +194,15 @@ def extremal_on_circle(functional, radius, policy: ScanPolicy | None = None,
                        threshold=None):
     """Maximum on a circle of the real values that ``functional`` returns.
 
-    A coarse scan of ``policy.grid`` angles, then a zoom refinement around
-    the three best (picked as a stable sort would pick them, ties to the
-    smallest angle): each of ``policy.refine_iters`` levels samples 33
-    evenly spaced angles across each bracket (one grid step either side at
-    first), keeps the best and narrows the bracket 16-fold.  The default
-    9 levels resolve an angle to 2 pi / 4096 / 16^9 ~ 2e-14 rad; 0 levels
-    return the grid maxima.  Ties within 1e-12 resolve to the smallest
-    angle.  Returns (value, witness).
+    A coarse scan of ``policy.grid`` angles (r times a unit circle built
+    once per grid size and shared, read-only, by every scan), then a zoom
+    refinement around the three best (picked as a stable sort would pick
+    them, ties to the smallest angle): each of ``policy.refine_iters``
+    levels samples 33 evenly spaced angles across each bracket (one grid
+    step either side at first), keeps the best and narrows the bracket
+    16-fold.  The default 9 levels resolve an angle to 2 pi / 4096 / 16^9
+    ~ 2e-14 rad; 0 levels return the grid maxima.  Ties within 1e-12
+    resolve to the smallest angle.  Returns (value, witness).
 
     ``threshold``, when given, skips the refinement of a scan already known
     to reach it: if every row's grid maximum G has G - 1e-12 >= threshold,
@@ -226,10 +227,9 @@ def extremal_on_circle(functional, radius, policy: ScanPolicy | None = None,
     policy = policy or ScanPolicy()
     per_circle = np.ndim(radius) == 1
     radii = np.atleast_1d(np.asarray(radius, dtype=float))
-    theta = 2.0 * np.pi * np.arange(policy.grid) / policy.grid
+    unit = _unit_circle(policy.grid)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        unit = np.exp(1j * theta)
         best, best_val = [], []
         for r in radii:  # one circle at a time: no (k, grid) temporaries
             coarse = _require_finite(functional, r * unit, r)
@@ -240,16 +240,17 @@ def extremal_on_circle(functional, radius, policy: ScanPolicy | None = None,
                 best.append(top)
                 best_val.append(row[top])
         best, best_val = np.array(best), np.array(best_val)
+        best_theta = 2.0 * np.pi * best / policy.grid  # the grid's own angles
         levels = policy.refine_iters
         if threshold is not None and np.all(best_val[:, 0] - 1e-12 >= threshold):
             levels = 0
         scale = radii[:, None] if per_circle else radius  # broadcasts to the rows
         ref_theta, ref_val = _zoom_refine(
             lambda angles: _require_finite(functional, scale * np.exp(1j * angles), scale),
-            theta[best], best_val, 2.0 * np.pi / policy.grid, levels)
+            best_theta, best_val, 2.0 * np.pi / policy.grid, levels)
 
     rows = np.arange(len(best))
-    cand_theta = np.concatenate((theta[best], ref_theta), axis=1) % (2.0 * np.pi)
+    cand_theta = np.concatenate((best_theta, ref_theta), axis=1) % (2.0 * np.pi)
     cand_val = np.concatenate((best_val, ref_val), axis=1)
     ties = cand_val >= cand_val.max(axis=1, keepdims=True) - 1e-12
     pick = np.argmin(np.where(ties, cand_theta, np.inf), axis=1)

@@ -19,7 +19,7 @@ from diskclass import (
     sample_schwarz,
     seed_key,
 )
-from diskclass.catalog import CERT_RADIUS, zero_bracket
+from diskclass.catalog import CERT_RADIUS, _unit_circle, zero_bracket
 from diskclass.membership import RADIUS_CAP
 from diskclass.hankel import _det
 from diskclass.errors import (
@@ -129,6 +129,24 @@ class TestCatalogEntries:
         for f in (g_transform(koebe), DiskFunction.from_series(koebe.series)):
             with pytest.raises(UnknownId, match="no spec"):
                 f.to_spec()
+
+
+class TestUnitCircle:
+    """The circle that scans and the sampler share, built once per size."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 4096, 8192])
+    def test_bits_equal_the_inline_circle(self, n):
+        inline = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+        assert _unit_circle(n).tobytes() == inline.tobytes()
+
+    def test_sampler_grid_keeps_its_bits(self):
+        # the normalization grid random_polynomial draws were made with
+        former = np.exp(2j * np.pi * np.arange(8192) / 8192)
+        assert _unit_circle(8192).tobytes() == former.tobytes()
+
+    def test_is_read_only(self):
+        with pytest.raises(ValueError):
+            _unit_circle(64)[0] = 0.0
 
 
 class TestSchwarzGenerators:

@@ -167,18 +167,26 @@ class TestWorkers:
 
         monkeypatch.setattr(explorer, "_run_one", run_one)
 
+    @staticmethod
+    def _raise_pid_and_index(index):
+        raise RuntimeError(os.getpid(), index)
+
     def test_a_row_error_in_a_child_reaches_the_caller(self, monkeypatch):
-        cfg = CampaignConfig("theorem1", samples=2)
-        last = len(catalog_prepends("theorem1")) + 1
-
-        def fail(index):
-            raise RuntimeError(os.getpid(), index)
-
-        self._failing_rows(monkeypatch, last, fail)
+        # at 2 workers the child runs the odd rows
+        row = len(catalog_prepends("theorem1"))
+        self._failing_rows(monkeypatch, row, self._raise_pid_and_index)
         with pytest.raises(RuntimeError) as exc:
-            run_campaign(cfg, threads=2)
+            run_campaign(CampaignConfig("theorem1", samples=2), threads=2)
         pid, index = exc.value.args
-        assert pid != os.getpid() and index == last
+        assert row % 2 == 1 and pid != os.getpid() and index == row
+        _assert_no_child_left()
+
+    def test_a_row_error_in_the_caller_raises_there(self, monkeypatch):
+        # at 2 workers the caller runs the even rows
+        self._failing_rows(monkeypatch, 0, self._raise_pid_and_index)
+        with pytest.raises(RuntimeError) as exc:
+            run_campaign(CampaignConfig("theorem1", samples=2), threads=2)
+        assert exc.value.args == (os.getpid(), 0)
         _assert_no_child_left()
 
     @pytest.mark.parametrize("death, code", [

@@ -20,7 +20,7 @@ from diskclass import (
     turning_derivative,
     u_operator,
 )
-from diskclass.catalog import SchwarzGenerator, _inclusion_disks, zero_bracket
+from diskclass.catalog import SchwarzGenerator, _inclusion_disks, _unit_circle, zero_bracket
 from diskclass.errors import (DenominatorVanishes, NonFiniteValue, ParamOutOfRange,
                               PartCPrecondition, RadiusUnproven)
 from diskclass.explorer import ALPHA_GRID, catalog_prepends
@@ -174,6 +174,21 @@ class TestExtremalOnCircle:
                     np.full(4096, pool[-1])):
             expected = np.argsort(-row, kind="stable")[:3]
             assert membership._top3(row).tolist() == expected.tolist()
+
+    def test_scans_of_two_grid_sizes_keep_their_bits(self):
+        # each grid size has its own cached circle; a scan on one leaves
+        # the other's values and witnesses as a scan run alone gives them
+        def scan(policy):
+            value, witness = extremal_on_circle(self._bump_and_spike, 0.5, policy)
+            return value.hex(), witness.real.hex(), witness.imag.hex()
+
+        policies = (GRID64, ScanPolicy())
+        alone = []
+        for policy in policies:
+            _unit_circle.cache_clear()
+            alone.append(scan(policy))
+        _unit_circle.cache_clear()
+        assert [scan(policy) for policy in policies] == alone
 
     def test_constant_modulus_circle_keeps_its_bits(self):
         # |U| of koebe is r^2 on every circle, so its whole grid ties
