@@ -1,4 +1,5 @@
 """Command line surface: exit codes, payload shapes, determinism, errors."""
+import argparse
 import json
 import subprocess
 import sys
@@ -584,6 +585,72 @@ class TestParserReuse:
         assert cli._parser() is cli._parser()
         assert build_parser() is not build_parser()
         assert build_parser() is not cli._parser()
+
+
+_HELP = (("-h", "--help"), "help", None, "==SUPPRESS==", False, None)
+_FUNCTION = [
+    (("--id",), "id", None, None, False, None),
+    (("--b",), "b", float, None, False, None),
+    (("--series-file",), "series_file", None, None, False, None),
+    (("--of-g",), "of_g", None, False, False, None),
+    (("--order",), "order", int, None, False, None),
+]
+_GRID = (("--grid",), "grid", int, None, False, None)
+_VERDICT_POLICY = [
+    _GRID,
+    (("--r-max",), "r_max", float, None, False, None),
+    (("--delta",), "delta", float, None, False, None),
+]
+_CLASS = [
+    (("--class",), "class_tag", None, None, True, None),
+    (("--alpha",), "alpha", float, None, False, None),
+]
+_OUT = [
+    (("--json",), "json", None, False, False, None),
+    (("--out",), "out", None, None, False, None),
+]
+SURFACE = {
+    "membership": [_HELP, *_FUNCTION, *_CLASS, *_VERDICT_POLICY, *_OUT],
+    "hankel": [_HELP, *_FUNCTION,
+               (("--q",), "q", int, None, True, None),
+               (("--n",), "n", int, None, True, None), *_OUT],
+    "radius": [_HELP, *_FUNCTION, *_CLASS,
+               (("--tol",), "tol", float, 1e-4, False, None), _GRID, *_OUT],
+    "campaign": [_HELP,
+                 (("--kind",), "campaign", None, None, False,
+                  ("theorem1", "theorem2", "theorem3", "conjecture")),
+                 (("--samples",), "samples", int, None, False, None),
+                 (("--seed",), "seed", int, None, False, None),
+                 (("--order",), "order", int, None, False, None),
+                 (("--a2",), "a2", None, None, False, None),
+                 (("--shrink",), "shrink", float, None, False, None),
+                 (("--config",), "config", None, None, False, None),
+                 (("--csv",), "csv", None, None, False, None),
+                 *_VERDICT_POLICY, *_OUT],
+    "decompose": [_HELP, *_FUNCTION, *_OUT],
+    "eval": [_HELP, *_FUNCTION, ((), "point", None, None, True, None), *_OUT],
+    "catalog": [_HELP, *_OUT],
+}
+
+
+class TestParserSurface:
+    """Every subcommand's arguments, in the order they are added.  Help text
+    is not pinned: argparse formats it differently across Python versions."""
+
+    @staticmethod
+    def _subcommands():
+        return next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_subcommands_in_order(self):
+        assert list(self._subcommands()) == list(SURFACE)
+
+    @pytest.mark.parametrize("name", SURFACE)
+    def test_arguments(self, name):
+        actions = [(tuple(a.option_strings), a.dest, a.type, a.default, a.required,
+                    None if a.choices is None else tuple(a.choices))
+                   for a in self._subcommands()[name]._actions]
+        assert actions == SURFACE[name]
 
 
 def test_module_entry_point():
