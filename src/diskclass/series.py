@@ -2,14 +2,13 @@
 
 A :class:`ComplexSeries` stores the Taylor coefficients ``c_0 .. c_N`` of an
 analytic function near the origin.  All coefficients live in double
-precision.  Binary operations truncate the result to the smaller operand
-order; the order is bookkeeping for the truncation window, not part of the
+precision.  A product truncates to the smaller order of its two factors;
+the order is bookkeeping for the truncation window, not part of the
 mathematical value.  Instances are immutable: every operation returns a new
 series.
 
->>> one, z = ComplexSeries([1, 0, 0, 0, 0]), ComplexSeries([0, 1, 0, 0, 0])
->>> ((one - z) * (one + z)).coeffs.real.tolist()
-[1.0, 0.0, -1.0, 0.0, 0.0]
+>>> ComplexSeries([1, -1, 0, 0, 0]).reciprocal().coeffs.real.tolist()
+[1.0, 1.0, 1.0, 1.0, 1.0]
 """
 from __future__ import annotations
 
@@ -92,24 +91,8 @@ class ComplexSeries:
         return ComplexSeries(c)
 
     # ------------------------------------------------------------------
-    # arithmetic (binary ops truncate to the smaller order)
+    # arithmetic (a product truncates to the smaller order)
     # ------------------------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, ComplexSeries):
-            m = min(self.order, other.order) + 1
-            return ComplexSeries(self._c[:m] + other._c[:m])
-        c = self._c.copy()
-        c[0] += complex(other)
-        return ComplexSeries(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ComplexSeries(-self._c)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, ComplexSeries) else -complex(other))
-
     def __mul__(self, other):
         m = min(self.order, other.order) + 1
         return ComplexSeries(np.convolve(self._c[:m], other._c[:m])[:m])

@@ -33,8 +33,10 @@ def jet_at(kernel, name, n, z):
 
 def u_series(f: DiskFunction) -> ComplexSeries:
     """Taylor series of the deviation, h - z h' - 1 on the quotient series."""
-    h = f.quotient
-    return h - h.derivative().mul_z() - 1.0
+    h = f.quotient.coeffs
+    u = h - np.arange(h.size) * h
+    u[0] -= 1.0
+    return ComplexSeries(u)
 
 
 def c_coefficients(generator):

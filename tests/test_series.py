@@ -71,13 +71,6 @@ short_series = st.lists(coeff, min_size=1, max_size=9).map(ComplexSeries)
 class TestAlgebraicLaws:
     @given(short_series, short_series)
     @settings(max_examples=60, deadline=None)
-    def test_addition_commutes(self, a, b):
-        left = (a + b).coeffs
-        right = (b + a).coeffs
-        assert np.allclose(left, right, atol=1e-12)
-
-    @given(short_series, short_series)
-    @settings(max_examples=60, deadline=None)
     def test_multiplication_commutes(self, a, b):
         assert np.allclose((a * b).coeffs, (b * a).coeffs, atol=1e-9)
 
