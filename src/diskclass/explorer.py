@@ -447,14 +447,21 @@ def _aggregate(cfg: CampaignConfig, results) -> dict:
     return report
 
 
-def _run_chunk(cfg, prepends, chunk) -> list:
-    return [_run_one(cfg, prepends, i) for i in chunk]
+def _run_chunk(cfg, prepends, chunk):
+    """The rows of ``chunk`` in order up to the first that raises, and
+    ``(index, exception)`` of that row, or None if none raised."""
+    rows = []
+    for i in chunk:
+        try:
+            rows.append(_run_one(cfg, prepends, i))
+        except Exception as exc:
+            return rows, (i, exc)
+    return rows, None
 
 
 def _fork_chunk(cfg, prepends, chunk):
-    """Fork a child that pickles back ``(True, rows)`` of ``chunk``, or
-    ``(False, exception)`` if a row raised; return its pid and the read end
-    of its pipe."""
+    """Fork a child that pickles back what ``_run_chunk`` returns for
+    ``chunk``; return its pid and the read end of its pipe."""
     import pickle
 
     read_fd, write_fd = os.pipe()
@@ -465,11 +472,7 @@ def _fork_chunk(cfg, prepends, chunk):
     code = 1
     try:
         os.close(read_fd)
-        try:
-            result = (True, _run_chunk(cfg, prepends, chunk))
-        except Exception as exc:
-            result = (False, exc)
-        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps(_run_chunk(cfg, prepends, chunk), pickle.HIGHEST_PROTOCOL)
         with os.fdopen(write_fd, "wb") as out:
             out.write(data)
         code = 0
@@ -480,14 +483,15 @@ def _fork_chunk(cfg, prepends, chunk):
 def _run_rows(cfg, prepends, rows: int, workers: int) -> list:
     """Rows 0..rows-1 in index order, dealt out to ``workers`` processes:
     process k runs rows k, k + workers, ..., the caller being process 0 and
-    a child forked for this call each of the others.  Every child is reaped
-    before this returns or raises; a row error in the caller raises before
-    the children's rows are read."""
+    a child forked for this call each of the others.  Each process stops at
+    its first row error; once every process is read, the error of the lowest
+    row raises, so the same row's error raises at any worker count.  Every
+    child is reaped before this returns or raises."""
     if not hasattr(os, "fork"):
         workers = 1
     chunks = [range(k, rows, workers) for k in range(workers)]
     if len(chunks) == 1:
-        return _run_chunk(cfg, prepends, chunks[0])
+        return [_run_one(cfg, prepends, i) for i in chunks[0]]
     # imported here: only forking needs them, and with them imported at the
     # top, serial coefficient campaigns measured about 4% slower
     import pickle
@@ -502,21 +506,24 @@ def _run_rows(cfg, prepends, rows: int, workers: int) -> list:
         for chunk in chunks[1:]:
             pid, reader = _fork_chunk(cfg, prepends, chunk)
             children[pid] = reader
-        results = _run_chunk(cfg, prepends, chunks[0])
+        results, error = _run_chunk(cfg, prepends, chunks[0])
+        errors = [error]
         for pid, reader in list(children.items()):
             data = reader.read()
             reader.close()
             status = os.waitpid(pid, 0)[1]
             del children[pid]
             try:
-                ok, value = pickle.loads(data)
+                chunk_rows, error = pickle.loads(data)
             except Exception:
                 raise RuntimeError(f"a campaign worker process ended (exit code "
                                    f"{os.waitstatus_to_exitcode(status)}) without "
                                    f"sending its rows") from None
-            if not ok:
-                raise value
-            results += value
+            results += chunk_rows
+            errors.append(error)
+        first = min(filter(None, errors), key=lambda error: error[0], default=None)
+        if first:
+            raise first[1]
         return sorted(results, key=lambda row: row["index"])
     finally:
         # a child not yet reaped may be blocked on a full pipe

@@ -157,11 +157,11 @@ class TestWorkers:
 
     @staticmethod
     def _failing_rows(monkeypatch, fail_at, action):
-        """Make ``_run_one`` call ``action(index)`` at the row ``fail_at``."""
+        """Make ``_run_one`` call ``action(index)`` at each row in ``fail_at``."""
         real = explorer._run_one
 
         def run_one(cfg, prepends, index):
-            if index == fail_at:
+            if index in fail_at:
                 action(index)
             return real(cfg, prepends, index)
 
@@ -174,7 +174,7 @@ class TestWorkers:
     def test_a_row_error_in_a_child_reaches_the_caller(self, monkeypatch):
         # at 2 workers the child runs the odd rows
         row = len(catalog_prepends("theorem1"))
-        self._failing_rows(monkeypatch, row, self._raise_pid_and_index)
+        self._failing_rows(monkeypatch, {row}, self._raise_pid_and_index)
         with pytest.raises(RuntimeError) as exc:
             run_campaign(CampaignConfig("theorem1", samples=2), threads=2)
         pid, index = exc.value.args
@@ -183,17 +183,26 @@ class TestWorkers:
 
     def test_a_row_error_in_the_caller_raises_there(self, monkeypatch):
         # at 2 workers the caller runs the even rows
-        self._failing_rows(monkeypatch, 0, self._raise_pid_and_index)
+        self._failing_rows(monkeypatch, {0}, self._raise_pid_and_index)
         with pytest.raises(RuntimeError) as exc:
             run_campaign(CampaignConfig("theorem1", samples=2), threads=2)
         assert exc.value.args == (os.getpid(), 0)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_lowest_failing_row_raises_at_any_worker_count(self, monkeypatch, workers):
+        # at 2 workers the caller fails at row 2 before the child's row 1 is read
+        self._failing_rows(monkeypatch, {1, 2}, self._raise_pid_and_index)
+        with pytest.raises(RuntimeError) as exc:
+            run_campaign(CampaignConfig("theorem1", samples=2), threads=workers)
+        assert exc.value.args[1] == 1
         _assert_no_child_left()
 
     @pytest.mark.parametrize("death, code", [
         (lambda index: os._exit(7), "7"),
         (lambda index: os.kill(os.getpid(), signal.SIGKILL), "-9")])
     def test_a_child_that_dies_makes_the_call_raise(self, monkeypatch, death, code):
-        self._failing_rows(monkeypatch, len(catalog_prepends("theorem1")), death)
+        self._failing_rows(monkeypatch, {len(catalog_prepends("theorem1"))}, death)
         with pytest.raises(RuntimeError, match=f"exit code {code}\\)"):
             run_campaign(CampaignConfig("theorem1", samples=3), threads=3)
         _assert_no_child_left()
@@ -202,7 +211,7 @@ class TestWorkers:
         def fail(index):
             raise ValueError("caller")
 
-        self._failing_rows(monkeypatch, 0, fail)
+        self._failing_rows(monkeypatch, {0}, fail)
         with pytest.raises(ValueError, match="caller"):
             run_campaign(CampaignConfig("theorem2", samples=4), threads=4)
         _assert_no_child_left()
