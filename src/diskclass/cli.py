@@ -5,6 +5,10 @@ single-line with --json) that echoes its full effective configuration, so
 any run can be reproduced from its own output.  Exit codes: 0 success/IN,
 3 OUT, 4 BOUNDARY, 2 usage or input errors.
 
+A subcommand is one ``_COMMANDS`` row: its help, whether it runs on a
+function (and so takes the ``_FUNCTION`` flags), its own flags and its
+run.  ``build_parser`` and ``main`` read nothing else.
+
 ``main`` builds its parser once per process and reuses it: parsing keeps
 no state in the parser, and building it costs far more than a parse.
 ``build_parser`` returns a new parser on every call.
@@ -33,11 +37,11 @@ VERDICT_EXIT = {"IN": 0, "OUT": 3, "BOUNDARY": 4}
 
 
 def _emit(payload: dict, args) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(payload) + "\n")
         return
-    if getattr(args, "json", False):
+    if args.json:
         print(canonical_json(payload))
     else:
         print(json.dumps(_canon(payload), indent=2, sort_keys=True))
@@ -92,82 +96,29 @@ def _function_from(args) -> DiskFunction:
     return f
 
 
-def _fn_flags(sub):
-    sub.add_argument("--id", help="catalog id (see the catalog subcommand)")
-    sub.add_argument("--b", type=float, help="parameter of the fb family")
-    sub.add_argument("--series-file", help="JSON file with a Taylor series")
-    sub.add_argument("--of-g", action="store_true",
-                     help="apply the normalized transform g before testing")
-    sub.add_argument("--order", type=int, help=f"series order (default {DEFAULT_ORDER})")
+def _flag(*names, **options):
+    """One flag, as the ``(names, options)`` pair ``add_argument`` takes."""
+    return names, options
 
 
-def _policy_flags(sub, verdicts=True):
-    sub.add_argument("--grid", type=int, help="circle grid size (default 4096)")
-    if verdicts:  # a radius search reads neither
-        sub.add_argument("--r-max", type=float, help="scan radius (default 1 - 2^-10)")
-        sub.add_argument("--delta", type=float, help="verdict margin (default 1e-6)")
-
-
-def _out_flags(sub):
-    sub.add_argument("--json", action="store_true",
-                     help="canonical single-line JSON instead of pretty")
-    sub.add_argument("--out", help="write the report to this file")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="diskclass",
-        description="Numerical toolkit for a class of non-vanishing "
-                    "normalized analytic functions on the unit disk.")
-    subs = p.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("membership", help="three-way class membership verdict")
-    _fn_flags(s)
-    s.add_argument("--class", dest="class_tag", required=True,
-                   help=f"one of {', '.join(CLASS_TAGS)}")
-    s.add_argument("--alpha", type=float, help="alpha for the mocanu family")
-    _policy_flags(s)
-    _out_flags(s)
-
-    s = subs.add_parser("hankel", help="Hankel determinant of Taylor coefficients")
-    _fn_flags(s)
-    s.add_argument("--q", type=int, required=True)
-    s.add_argument("--n", type=int, required=True)
-    _out_flags(s)
-
-    s = subs.add_parser("radius", help="largest radius on which a property holds")
-    _fn_flags(s)
-    s.add_argument("--class", dest="class_tag", required=True)
-    s.add_argument("--alpha", type=float)
-    s.add_argument("--tol", type=float, default=1e-4)
-    _policy_flags(s, verdicts=False)
-    _out_flags(s)
-
-    s = subs.add_parser("campaign", help="seeded randomized campaign")
-    s.add_argument("--kind", dest="campaign", choices=CAMPAIGNS)
-    s.add_argument("--samples", type=int)
-    s.add_argument("--seed", type=int)
-    s.add_argument("--order", type=int)
-    s.add_argument("--a2", help="range lo:hi of |a2|")
-    s.add_argument("--shrink", type=float)
-    s.add_argument("--config", help="JSON file mirroring the campaign config")
-    s.add_argument("--csv", help="also write per-sample rows to this CSV file")
-    _policy_flags(s)
-    _out_flags(s)
-
-    s = subs.add_parser("decompose", help="split f into (a2, omega1, c1..c3)")
-    _fn_flags(s)
-    _out_flags(s)
-
-    s = subs.add_parser("eval", help="evaluate f and its functionals at a point")
-    _fn_flags(s)
-    s.add_argument("point", help="complex point, e.g. 0.99 or 0.3+0.4j or 0.3,0.4")
-    _out_flags(s)
-
-    s = subs.add_parser("catalog", help="list built-in function ids")
-    _out_flags(s)
-
-    return p
+_FUNCTION = (
+    _flag("--id", help="catalog id (see the catalog subcommand)"),
+    _flag("--b", type=float, help="parameter of the fb family"),
+    _flag("--series-file", help="JSON file with a Taylor series"),
+    _flag("--of-g", action="store_true",
+          help="apply the normalized transform g before testing"),
+    _flag("--order", type=int, help=f"series order (default {DEFAULT_ORDER})"),
+)
+_GRID = (_flag("--grid", type=int, help="circle grid size (default 4096)"),)
+_VERDICT_POLICY = _GRID + (  # a radius search reads neither of these
+    _flag("--r-max", type=float, help="scan radius (default 1 - 2^-10)"),
+    _flag("--delta", type=float, help="verdict margin (default 1e-6)"),
+)
+_OUT = (
+    _flag("--json", action="store_true",
+          help="canonical single-line JSON instead of pretty"),
+    _flag("--out", help="write the report to this file"),
+)
 
 
 def _parse_point(text: str) -> complex:
@@ -196,42 +147,25 @@ def _echo_function(args) -> dict:
     return {"id": args.id, "b": args.b, "of_g": bool(args.of_g), "order": _order(args)}
 
 
-def cmd_membership(args) -> int:
-    f = _function_from(args)
+def _membership(f, args):
     policy = _policy(args)
     report = test_class(f, args.class_tag, policy, alpha=args.alpha)
-    payload = {"config": {"function": _echo_function(args),
-                          "class": args.class_tag, "alpha": args.alpha,
-                          "policy": policy.to_dict()},
-               **report.to_dict()}
-    _emit(payload, args)
-    return VERDICT_EXIT[report.verdict]
+    return ({"class": args.class_tag, "alpha": args.alpha, "policy": policy.to_dict()},
+            report.to_dict(), VERDICT_EXIT[report.verdict])
 
 
-def cmd_hankel(args) -> int:
-    f = _function_from(args)
-    rep = hankel_det(f, args.q, args.n)
-    payload = {"config": {"function": _echo_function(args),
-                          "q": args.q, "n": args.n},
-               **rep.to_dict()}
-    _emit(payload, args)
-    return 0
+def _hankel(f, args):
+    return {"q": args.q, "n": args.n}, hankel_det(f, args.q, args.n).to_dict(), 0
 
 
-def cmd_radius(args) -> int:
-    f = _function_from(args)
+def _radius(f, args):
     policy = _policy(args)
-    res = radius_of(f, args.class_tag, tol=args.tol, policy=policy,
-                    alpha=args.alpha)
-    payload = {"config": {"function": _echo_function(args),
-                          "class": args.class_tag, "alpha": args.alpha,
-                          "tol": args.tol, "policy": policy.to_dict()},
-               **res.to_dict()}
-    _emit(payload, args)
-    return 0
+    res = radius_of(f, args.class_tag, tol=args.tol, policy=policy, alpha=args.alpha)
+    return ({"class": args.class_tag, "alpha": args.alpha, "tol": args.tol,
+             "policy": policy.to_dict()}, res.to_dict(), 0)
 
 
-def cmd_campaign(args) -> int:
+def _campaign(args):
     base = _read_json_object(args.config) if args.config else {}
     base.update(_given(args, "campaign", "samples", "seed", "order", "shrink"))
     if args.a2:
@@ -245,59 +179,81 @@ def cmd_campaign(args) -> int:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             write_rows_csv(report, fh)
         report.pop("per_sample", None)
-    _emit(report, args)
-    return 0
+    return report, 0
 
 
-def cmd_decompose(args) -> int:
-    f = _function_from(args)
-    payload = {"config": {"function": _echo_function(args)},
-               **decompose(f).to_dict()}
-    _emit(payload, args)
-    return 0
+def _decompose(f, args):
+    return {}, decompose(f).to_dict(), 0
 
 
-def cmd_eval(args) -> int:
-    f = _function_from(args)
+def _eval(f, args):
     z = _parse_point(args.point)
     if not abs(z) < 1.0:
         raise ArgumentOutOfDomain(f"point {z!r} lies outside the open unit disk")
     u = u_operator(f)(z)
     pt = np.array([z])
     fz, f1, f2 = (complex(v[0]) for v in f.kernel.f_jet(pt, 2))
-    payload = {
-        "config": {"function": _echo_function(args), "point": complex_pair(z)},
+    return {"point": complex_pair(z)}, {
         "f": complex_pair(fz),
         "f_prime": complex_pair(f1),
         "f_second": complex_pair(f2),
         "quotient_h": complex_pair(complex(f.kernel.h_jet(pt, 0)[0][0])),
         "deviation_u": complex_pair(u),
         "deviation_u_abs": abs(u),
-    }
-    _emit(payload, args)
-    return 0
+    }, 0
 
 
-def cmd_catalog(args) -> int:
-    entries = []
-    for cid in catalog_ids():
-        entry = {"id": cid}
-        if cid == "fb":
-            entry["params"] = {"b": "(0, 2] required"}
-        entries.append(entry)
-    _emit({"catalog": entries}, args)
-    return 0
+def _catalog(args):
+    params = {"fb": {"params": {"b": "(0, 2] required"}}}
+    return {"catalog": [{"id": cid, **params.get(cid, {})} for cid in catalog_ids()]}, 0
 
 
+# name: (help, on_function, flags, run).  A run on a function takes (f, args)
+# and returns (config entries, report, exit code); any other run takes args
+# and returns (payload, exit code).
 _COMMANDS = {
-    "membership": cmd_membership,
-    "hankel": cmd_hankel,
-    "radius": cmd_radius,
-    "campaign": cmd_campaign,
-    "decompose": cmd_decompose,
-    "eval": cmd_eval,
-    "catalog": cmd_catalog,
+    "membership": ("three-way class membership verdict", True, (
+        _flag("--class", dest="class_tag", required=True,
+              help=f"one of {', '.join(CLASS_TAGS)}"),
+        _flag("--alpha", type=float, help="alpha for the mocanu family"),
+        *_VERDICT_POLICY), _membership),
+    "hankel": ("Hankel determinant of Taylor coefficients", True, (
+        _flag("--q", type=int, required=True),
+        _flag("--n", type=int, required=True)), _hankel),
+    "radius": ("largest radius on which a property holds", True, (
+        _flag("--class", dest="class_tag", required=True),
+        _flag("--alpha", type=float),
+        _flag("--tol", type=float, default=1e-4),
+        *_GRID), _radius),
+    "campaign": ("seeded randomized campaign", False, (
+        _flag("--kind", dest="campaign", choices=CAMPAIGNS),
+        _flag("--samples", type=int),
+        _flag("--seed", type=int),
+        _flag("--order", type=int),
+        _flag("--a2", help="range lo:hi of |a2|"),
+        _flag("--shrink", type=float),
+        _flag("--config", help="JSON file mirroring the campaign config"),
+        _flag("--csv", help="also write per-sample rows to this CSV file"),
+        *_VERDICT_POLICY), _campaign),
+    "decompose": ("split f into (a2, omega1, c1..c3)", True, (), _decompose),
+    "eval": ("evaluate f and its functionals at a point", True, (
+        _flag("point", help="complex point, e.g. 0.99 or 0.3+0.4j or 0.3,0.4"),),
+        _eval),
+    "catalog": ("list built-in function ids", False, (), _catalog),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="diskclass",
+        description="Numerical toolkit for a class of non-vanishing "
+                    "normalized analytic functions on the unit disk.")
+    subs = p.add_subparsers(dest="command", required=True)
+    for name, (help_, on_function, flags, _) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_)
+        for names, options in (_FUNCTION if on_function else ()) + flags + _OUT:
+            sub.add_argument(*names, **options)
+    return p
 
 
 @cache
@@ -313,8 +269,15 @@ def main(argv=None) -> int:
         # leading space, which complex() and float() ignore, keeps it a value
         argv = [" " + a if re.fullmatch(r"-\.?\d[\d.eEjJ+,-]*", a) else a for a in argv]
     args = _parser().parse_args(argv)
+    _, on_function, _, run = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        if on_function:
+            config, report, code = run(_function_from(args), args)
+            payload = {"config": {"function": _echo_function(args), **config}, **report}
+        else:
+            payload, code = run(args)
+        _emit(payload, args)
+        return code
     except (DiskClassError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
