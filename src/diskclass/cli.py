@@ -204,8 +204,8 @@ def _eval(f, args):
 
 
 def _catalog(args):
-    params = {"fb": {"params": {"b": "(0, 2] required"}}}
-    return {"catalog": [{"id": cid, **params.get(cid, {})} for cid in catalog_ids()]}, 0
+    extra = {"fb": {"params": {"b": "(0, 2] required"}}}
+    return {"catalog": [{"id": cid, **extra.get(cid, {})} for cid in catalog_ids()]}, 0
 
 
 # name: (help, on_function, flags, run).  A run on a function takes (f, args)

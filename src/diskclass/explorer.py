@@ -521,8 +521,8 @@ def _run_rows(cfg, prepends, rows: int, workers: int) -> list:
                                    f"sending its rows") from None
             results += chunk_rows
             errors.append(error)
-        first = min(filter(None, errors), key=lambda error: error[0], default=None)
-        if first:
+        first = min(filter(None, errors), key=lambda err: err[0], default=None)
+        if first is not None:
             raise first[1]
         return sorted(results, key=lambda row: row["index"])
     finally:
