@@ -11,21 +11,30 @@ from sup = 1, and pretending otherwise would be false precision.
 
 A scan only maximizes: each class tag is one ``_CLASSES`` row (operators
 factory, whether the scan maximizes |F| or -Re F, threshold, pole
-factors), the report maps the maximum back, and every scan reads its
-grid and zoom levels from one ``ScanPolicy``.  A scan can be
-row-batched, one zoom loop refining the brackets of all rows, and each
-row equals the one-row scan bit for bit.  The rows are either k radii of
-one functional, whose grids are evaluated one circle at a time, or k
-functionals that share their expensive parts on one circle, one coarse
-grid evaluation serving every row.  The radius search (``radius_of``)
-bisects on a disk where its functional is proven analytic, so that the
-same extremum principles make its verdict monotone in the radius, and a
-theorem-2 sample is one scan (``theorem2_grid``): |U| and the whole
-alpha grid are rows read off one h jet per probe set.
+factors, F as P/Q of a rational h), the report maps the maximum back,
+and every scan reads its grid and zoom levels from one ``ScanPolicy``.
+A scan can be row-batched, one zoom loop refining the brackets of all
+rows, and each row equals the one-row scan bit for bit.  The rows are
+either k radii of one functional, whose grids are evaluated one circle
+at a time, or k functionals that share their expensive parts on one
+circle, one coarse grid evaluation serving every row.  The radius search
+(``radius_of``) bisects on a disk where its functional is proven
+analytic, so that the same extremum principles make its verdict monotone
+in the radius, and a theorem-2 sample is one scan (``theorem2_grid``):
+|U| and the whole alpha grid are rows read off one h jet per probe set.
 ``theorem3_check`` uses both: the three parts of a theorem-3 sample
 (``operators.theorem3_parts``) share one h jet of g on one circle, and a
 conjecture ladder is its radii.  A NaN or infinite value met by any scan
 raises NonFiniteValue instead of becoming a verdict.
+
+Before it scans a circle, a radius search of a rational h = N/M tries to
+decide it by a proof: the tag's functional is a quotient P/Q of
+polynomials built from N and M (a ``_CLASSES`` column), so the
+circle's condition is the sign of a real trigonometric polynomial T.  T's
+values on the scan grid, a running bound on their rounding, and
+Bernstein's inequality |T''| <= d^2 max|T| at degree d prove the circle
+clear or failed (``_circle_proof``), and only the circles left open are
+scanned.
 """
 from __future__ import annotations
 
@@ -33,8 +42,9 @@ from dataclasses import asdict, dataclass
 from numbers import Integral, Real
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
-from .catalog import DiskFunction, _unit_circle, zero_bracket
+from .catalog import DiskFunction, _RationalKernel, _unit_circle, zero_bracket
 from .errors import NonFiniteValue, ParamOutOfRange, PartCPrecondition, RadiusUnproven
 from .operators import (
     PointFunctional,
@@ -57,15 +67,22 @@ RADIUS_CAP = 1.0 - 2.0 ** -14
 _INNER = 0.01
 # One row per class tag: its operators factory F, whether its scan
 # maximizes |F| (the sup tag) or -Re F, the threshold that members keep
-# that maximum below, and the factors of f at whose zeros F has its poles
-# (see catalog.zero_bracket).  U = h^2 f' - 1 stays analytic at a pole of
+# that maximum below, the factors of f at whose zeros F has its poles
+# (see catalog.zero_bracket), and F = P/Q for a rational h = N/M, as the
+# map (N, M, A, B, alpha) -> (P, Q) with A = NM - z (N'M - NM') and B = NM
+# (z f'/f = A/B, f' = A/N^2).  U = h^2 f' - 1 stays analytic at a pole of
 # f, but f itself does not, and the class asks for f analytic.
 _CLASSES = {
-    "U": (u_operator, True, 1.0, ("pole", "root")),
-    "starlike": (starlike_quotient, False, 0.0, ("pole", "root")),
-    "convex": (convex_quotient, False, 0.0, ("pole", "crit")),
-    "mocanu": (mocanu_real_part, False, 0.0, ("pole", "root", "crit")),
-    "bounded_turning": (turning_derivative, False, 0.0, ("pole",)),
+    "U": (u_operator, True, 1.0, ("pole", "root"),
+          lambda n, m, a, b, _: (a - m * m, m * m)),
+    "starlike": (starlike_quotient, False, 0.0, ("pole", "root"),
+                 lambda n, m, a, b, _: (a, b)),
+    "convex": (convex_quotient, False, 0.0, ("pole", "crit"),
+               lambda n, m, a, b, _: _mocanu_polys(a, b, 1.0)),
+    "mocanu": (mocanu_real_part, False, 0.0, ("pole", "root", "crit"),
+               lambda n, m, a, b, alpha: _mocanu_polys(a, b, alpha)),
+    "bounded_turning": (turning_derivative, False, 0.0, ("pole",),
+                        lambda n, m, a, b, _: (a, n * n)),
 }
 CLASS_TAGS = tuple(_CLASSES)
 
@@ -273,7 +290,7 @@ def class_functional(f: DiskFunction, class_tag: str, alpha=None):
         raise ParamOutOfRange(f"unknown class tag {class_tag!r}; expected one of {CLASS_TAGS}")
     if class_tag == "mocanu" and (alpha is None or np.ndim(alpha) or not np.isfinite(alpha)):
         raise ParamOutOfRange(f"mocanu test requires one finite alpha, got {alpha}")
-    factory, sup, _, _ = _CLASSES[class_tag]
+    factory, sup, _, _, _ = _CLASSES[class_tag]
     fn = factory(f) if alpha is None else factory(f, alpha)
     if sup:
         return lambda z: np.abs(fn(z))
@@ -311,7 +328,7 @@ def test_class(f: DiskFunction, class_tag: str, policy: ScanPolicy | None = None
 def _report(class_tag, alpha, peak, witness, policy) -> MembershipReport:
     """Report of the maximum ``peak`` of ``class_functional``: max |U|, whose
     verdict reads peak/r^2, or max -Re F, reported as min Re F."""
-    _, sup, threshold, _ = _CLASSES[class_tag]
+    _, sup, threshold, _, _ = _CLASSES[class_tag]
     peak = float(peak)
     estimate = peak / policy.r_max ** 2 if sup else peak
     sign = 1.0 if sup else -1.0
@@ -363,6 +380,114 @@ def _first_pole(f, class_tag, alpha, tol):
     return hi
 
 
+class _Poly:
+    """Coefficients c (low to high) of a polynomial computed in floating
+    point, with coefficients a bounding |c| (up to rounding, which the
+    bound's final factor covers) and a count u such that the exact
+    polynomial, the same formula applied without rounding, has each
+    coefficient within u 2^-53 a_j of c_j.  A product of two polynomials
+    sums at most L products per coefficient (L the shorter length), and
+    a complex product rounds by at most sqrt(5) 2^-53, so it adds L + 4;
+    a sum, a real multiple and a derivative add 1, a shift by z none.
+    Top coefficients with a_j = 0 are exact zeros and are dropped."""
+
+    def __init__(self, c, a=None, u=0):
+        c = np.asarray(c, dtype=np.complex128)
+        a = np.abs(c) if a is None else a
+        size = int(np.flatnonzero(a)[-1]) + 1 if a.any() else 1
+        self.c, self.a, self.u = c[:size], a[:size], u
+
+    def _sum(self, other, sign):
+        n = max(self.c.size, other.c.size)
+        c, a = np.zeros(n, dtype=np.complex128), np.zeros(n)
+        c[:self.c.size], a[:self.a.size] = self.c, self.a
+        c[:other.c.size] += sign * other.c
+        a[:other.a.size] += other.a
+        return _Poly(c, a, max(self.u, other.u) + 1)
+
+    def __add__(self, other):
+        return self._sum(other, 1.0)
+
+    def __sub__(self, other):
+        return self._sum(other, -1.0)
+
+    def __mul__(self, other):
+        if isinstance(other, _Poly):
+            return _Poly(np.convolve(self.c, other.c), np.convolve(self.a, other.a),
+                         self.u + other.u + min(self.c.size, other.c.size) + 4)
+        return _Poly(other * self.c, abs(other) * self.a, self.u + 1)  # a real number
+
+    def d(self):
+        j = np.arange(1.0, self.c.size)
+        return _Poly(self.c[1:] * j, self.a[1:] * j, self.u + 1) if j.size else _Poly([0j])
+
+    def z(self):
+        return _Poly(np.concatenate(([0j], self.c)), np.concatenate(([0.0], self.a)), self.u)
+
+
+def _mocanu_polys(a, b, alpha):
+    """(1 - alpha) z f'/f + alpha (1 + z f''/f') = s + alpha z s'/s with
+    s = A/B, as P/Q = (A^2 + alpha z (A'B - AB'))/(AB)."""
+    return a * a + (a.d() * b - a * b.d()).z() * alpha, a * b
+
+
+def _functional_polys(n, m, class_tag, alpha):
+    """(P, Q) with P/Q the tag's functional F of h = N/M, from polynomials
+    n and m of any type with +, -, *, a real multiple, d (the derivative)
+    and z (the product with z)."""
+    b = n * m
+    return _CLASSES[class_tag][4](n, m, b - (n.d() * m - n * m.d()).z(), b, alpha)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _circle_polys(f, class_tag, alpha):
+    """(P, Q) as ``_Poly`` whose real trigonometric polynomial T = -Re(P
+    conj(Q)) on |z| = r has the sign of the tag's scanned maximum less its
+    threshold, for f whose kernel is rational; None for any other kernel.
+    For U, |P/Q| < 1 reads |P|^2 - |Q|^2 = -Re((Q - P) conj(Q + P)) < 0."""
+    kernel = f.kernel
+    if not isinstance(kernel, _RationalKernel):
+        return None
+    n, m = (_Poly(kernel._coeffs(x)) for x in "NM")
+    p, q = _functional_polys(n, m, class_tag, alpha)
+    return (q - p, q + p) if _CLASSES[class_tag][1] else (p, q)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _circle_proof(polys, r, grid):
+    """True when T = -Re(P conj(Q)) < 0 is proven on all of |z| = r, False
+    when T > 0 is proven at a node of the scan grid, None when neither is.
+
+    T is evaluated on the scan's nodes r e^{2 pi i k/grid}.  Its running
+    error e covers the coefficients' rounding (``_Poly``), Horner's rule
+    (4 roundings per degree), the nodes' distance from the exact angles
+    (below 32 2^-53 r, so 33 per degree) and the product.  A trigonometric
+    polynomial of degree d has |T''| <= d^2 max|T| (Bernstein), T' = 0 at
+    its maximizer and a node lies within pi/grid of it, so max T <= max T_k
+    + kappa max|T| with kappa = d^2 pi^2/(2 grid^2), and max|T| <= max|T_k|
+    /(1 - kappa).  The final factors 1 + 2^-20 and 1 + 2^-40 cover the
+    rounding of a, of e and of the bound itself; with count 2^-53 below
+    2^-30 the second-order terms stay below them.  Non-finite values,
+    kappa >= 1 and a wider count decide nothing.
+    """
+    p, q = polys
+    dp, dq = p.c.size - 1, q.c.size - 1
+    z = r * _unit_circle(grid)
+    pv, qv = npp.polyval(z, p.c), npp.polyval(z, q.c)
+    t = -(pv.real * qv.real + pv.imag * qv.imag)
+    count = p.u + q.u + 37 * (dp + dq) + 8
+    e = count * 2.0 ** -53 * npp.polyval(r, p.a) * npp.polyval(r, q.a) * (1.0 + 2.0 ** -20)
+    if not (np.isfinite(t).all() and np.isfinite(e)) or count * 2.0 ** -53 > 2.0 ** -30:
+        return None
+    if np.any(t - e > 0.0):
+        return False
+    kappa = (max(dp, dq) * np.pi / grid) ** 2 / 2.0 * (1.0 + 2.0 ** -40)
+    if kappa < 1.0 and t.max() + (e + kappa * (np.abs(t).max() + e) / (1.0 - kappa)) * (
+            1.0 + 2.0 ** -40) < 0.0:
+        return True
+    return None
+
+
 def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
               policy: ScanPolicy | None = None, alpha=None) -> RadiusResult:
     """Largest radius on which the class property holds.
@@ -380,10 +505,24 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     property fails for sure, so the bracket is (0, hi) with hi an upper
     bound on the pole's modulus, and no circle near the pole is scanned.
     The bisection stops at ``tol`` (positive and finite) or once the
-    bracket can no longer be split in floating point.  Every scan is passed
-    the tag's threshold, so a circle whose grid already fails is not
-    refined (see ``extremal_on_circle``); the radius is the one full scans
-    give, bit for bit.
+    bracket can no longer be split in floating point.
+
+    When the kernel of f is rational (h = N/M: the rational catalog ids,
+    fb, the polynomial-generator members and g of any of them), each
+    circle is first decided by a proof (``_circle_proof``): the tag's
+    functional is P/Q with P and Q polynomials built from N and M, so the
+    circle's condition is the sign of a real trigonometric polynomial T of
+    degree d.  Its values on the scan grid, with a running rounding bound
+    e, prove the circle clear when max T_k + e plus the Bernstein slack
+    kappa (max|T_k| + e)/(1 - kappa), kappa = d^2 pi^2/(2 grid^2), stays
+    below 0, and failed when some T_k - e > 0.  Only the circles this
+    leaves open are scanned (the first two as one row-batched scan of
+    those left), and so is every circle of any other kernel.  Every scan
+    is passed the tag's threshold, so a circle whose grid already fails is
+    not refined (see ``extremal_on_circle``).  A proven decision agrees
+    with the one a full scan reads unless the scan's rounding exceeds the
+    proven margin, so the radius is the one full scans give, bit for bit,
+    on every search the tests compare.
     """
     if not 0.0 < tol < np.inf:
         raise ParamOutOfRange(f"tol must be positive and finite, got {tol}")
@@ -391,15 +530,22 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     functional = class_functional(f, class_tag, alpha)
     threshold = _CLASSES[class_tag][2]
     tag = _tag(class_tag, alpha)
+    polys = _circle_polys(f, class_tag, alpha)
 
-    def clears(r):
-        return extremal_on_circle(functional, r, policy, threshold=threshold)[0] < threshold
+    def clears(*radii):
+        known = [None if polys is None else _circle_proof(polys, r, policy.grid) for r in radii]
+        todo = [r for r, k in zip(radii, known) if k is None]
+        if todo:
+            values = iter(extremal_on_circle(functional, np.array(todo), policy,
+                                             threshold=threshold)[0] < threshold)
+            known = [next(values) if k is None else k for k in known]
+        return known
 
     pole = _first_pole(f, class_tag, alpha, tol)
     if pole < RADIUS_CAP:
         bracket = 0.0, pole
     else:
-        near, cap = clears(np.array([_INNER, RADIUS_CAP]))
+        near, cap = clears(_INNER, RADIUS_CAP)
         bracket = (0.0, _INNER) if not near else None if cap else (_INNER, RADIUS_CAP)
     if bracket is None:
         return RadiusResult(tag, 1.0, (RADIUS_CAP, 1.0), tol, policy.grid)
@@ -408,7 +554,7 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if clears(mid):
+        if clears(mid)[0]:
             lo = mid
         else:
             hi = mid

@@ -55,6 +55,11 @@ def _record_scans(monkeypatch):
     return scans
 
 
+def _scan_only(monkeypatch):
+    """Bypass the radius search's circle proof, so every circle is scanned."""
+    monkeypatch.setattr(membership, "_circle_proof", lambda *args: None)
+
+
 class TestExtremalOnCircle:
     def test_sup_of_monomial(self):
         value, witness = extremal_on_circle(lambda z: np.abs(z ** 2), 0.5)
@@ -362,6 +367,7 @@ class TestRadius:
 
     def test_koebe_starlike_walk_makes_few_scans(self, monkeypatch):
         # holding up to RADIUS_CAP costs one scan of two circles
+        _scan_only(monkeypatch)
         scans = _record_scans(monkeypatch)
         assert radius_of(make_catalog("koebe"), "starlike").radius == 1.0
         assert scans == [(2, None)]
@@ -461,6 +467,7 @@ class TestRadius:
 
     def test_koebe_convexity_radius(self, monkeypatch):
         # classical value 2 - sqrt(3), bisected after one two-circle scan
+        _scan_only(monkeypatch)
         scans = _record_scans(monkeypatch)
         res = radius_of(make_catalog("koebe"), "convex")
         assert res.radius == pytest.approx(2.0 - np.sqrt(3.0), abs=1e-4)
@@ -577,13 +584,15 @@ RADIUS_MATRIX += [(f"g of {name}", g_transform(f)) for name, f in RADIUS_MATRIX
 
 class TestRadiusEarlyExit:
     """A bisection circle whose grid already fails skips the zoom refine,
-    and every radius stays what full scans give."""
+    and every radius stays what full scans give.  The circle proof of a
+    rational h is bypassed here, so that every circle is scanned."""
 
     TAGS = [("U", None), ("starlike", None), ("convex", None), ("bounded_turning", None),
             ("mocanu", 0.5), ("mocanu", -1.0), ("mocanu", 1.0)]
 
     @pytest.mark.parametrize("name, f", RADIUS_MATRIX, ids=[n for n, _ in RADIUS_MATRIX])
     def test_radius_bits_equal_full_scans(self, monkeypatch, name, f):
+        _scan_only(monkeypatch)
         policy = ScanPolicy(grid=256, refine_iters=4)
         fast = [radius_of(f, tag, policy=policy, alpha=alpha) for tag, alpha in self.TAGS]
         original = membership.extremal_on_circle
@@ -599,6 +608,7 @@ class TestRadiusEarlyExit:
 
     def test_koebe_convexity_skips_the_refine_on_failing_circles(self, monkeypatch):
         # a scan without refine evaluates its functional once, on the grid
+        _scan_only(monkeypatch)
         per_scan = []
         scan, call = membership.extremal_on_circle, PointFunctional.__call__
 
@@ -616,6 +626,84 @@ class TestRadiusEarlyExit:
         assert len(per_scan) <= 16
         assert per_scan.count(1) >= 5
         assert set(per_scan) <= {1, 1 + ScanPolicy().refine_iters, 2 + ScanPolicy().refine_iters}
+
+
+class TestCircleProof:
+    """Circles of a rational h are decided by the grid bound on T before any
+    scan, and the radius and bracket stay those of scan-only searches."""
+
+    TAGS = TestRadiusEarlyExit.TAGS + [("mocanu", 2.0)]
+
+    @staticmethod
+    def searches(f, policy, tags):
+        out = []
+        for tag, alpha in tags:
+            res = radius_of(f, tag, policy=policy, alpha=alpha)
+            out.append([x.hex() for x in (res.radius, *res.bracket)])
+        return out
+
+    @pytest.mark.parametrize("name, f", RADIUS_MATRIX, ids=[n for n, _ in RADIUS_MATRIX])
+    def test_radius_bits_equal_scan_only(self, monkeypatch, name, f):
+        for policy in (ScanPolicy(), ScanPolicy(grid=256, refine_iters=4)):
+            proven = self.searches(f, policy, self.TAGS)
+            with monkeypatch.context() as m:
+                _scan_only(m)
+                assert proven == self.searches(f, policy, self.TAGS), (name, policy)
+
+    def test_top_queries_make_no_scans_and_blaschke_members_still_scan(self, monkeypatch):
+        scans = _record_scans(monkeypatch)
+        koebe = radius_of(make_catalog("koebe"), "convex")
+        g = radius_of(g_transform(make_catalog("fb", {"b": 1.0})), "starlike")
+        assert scans == []
+        assert koebe.radius == pytest.approx(2.0 - np.sqrt(3.0), abs=1e-4)
+        assert g.radius == pytest.approx(0.5, abs=1e-4)
+        blaschke = dict(RADIUS_MATRIX)["blaschke_product"]
+        radius_of(blaschke, "starlike")
+        assert len(scans) >= 2
+
+    def test_a_grid_too_coarse_for_the_bound_falls_back(self, monkeypatch):
+        # at grid 2, kappa = 4^2 pi^2/8 >= 1 for koebe's degree-4 T: no circle
+        # is proven clear, so the circles that clear are scanned
+        policy, f = ScanPolicy(grid=2), make_catalog("koebe")
+        polys = membership._circle_polys(f, "convex", None)
+        assert membership._circle_proof(polys, 0.1, 2) is None
+        scans = _record_scans(monkeypatch)
+        proven = self.searches(f, policy, [("convex", None)])
+        assert scans
+        _scan_only(monkeypatch)
+        assert proven == self.searches(f, policy, [("convex", None)])
+
+    def test_a_spike_between_grid_nodes_is_not_proven_clear(self, monkeypatch):
+        # h = 1 - c z^16 on a 48-point grid (kappa = pi^2/18): -Re z f'/f is
+        # largest where c z^16 = -|c| r^16, halfway between two grid
+        # nodes, and positive only near there
+        m, r, grid = 16, 0.9, 48
+        c = 1.05 / (m - 1) / r ** m * np.exp(4j * np.pi / 3)
+        f = DiskFunction("spike", {}, quotient=ComplexSeries([1.0] + [0.0] * (m - 1) + [-c]))
+        policy = ScanPolicy(grid=grid)
+        fn = membership.class_functional(f, "starlike")
+        assert fn(r * _unit_circle(grid)).max() < 0.0
+        assert fn(r * _unit_circle(64 * grid)).max() > 0.0
+        assert extremal_on_circle(fn, r, policy)[0] > 0.0
+        assert membership._circle_proof(membership._circle_polys(f, "starlike", None),
+                                        r, grid) is None
+        proven = self.searches(f, policy, [("starlike", None)])
+        _scan_only(monkeypatch)
+        assert proven == self.searches(f, policy, [("starlike", None)])
+
+    def test_non_finite_values_fall_back_to_the_scan(self, monkeypatch):
+        # P = A^2 + alpha z (A'B - AB') has finite coefficients at alpha =
+        # 1e307, but its values on |z| = RADIUS_CAP overflow, and so does
+        # its rounding bound on |z| = 0.01: both circles are scanned, and the
+        # scan meets the overflow too
+        f = make_catalog("koebe")
+        polys = membership._circle_polys(f, "mocanu", 1e307)
+        assert all(np.isfinite(poly.c).all() for poly in polys)
+        assert membership._circle_proof(polys, RADIUS_CAP, ScanPolicy().grid) is None
+        scans = _record_scans(monkeypatch)
+        with pytest.raises(NonFiniteValue):
+            radius_of(f, "mocanu", alpha=1e307)
+        assert scans == [(2, NonFiniteValue)]
 
 
 class TestPairedChecks:

@@ -12,21 +12,34 @@ The zero counts of the certification are checked against 80-digit mpmath
 roots (polynomials) and an mpmath winding number (Blaschke members); a
 count must equal the reference or refuse, and never be wrong.  The zeros
 that winding counts place (``zero_bracket``) must lie in their brackets.
+
+The circle proofs of radius searches are checked at 50 digits: the
+polynomials P/Q of each tag's functional equal the operators, every
+circle proven clear has T < 0 on a grid 16 times finer than its own, and
+every circle proven failed has T > 0 at its grid node.
 """
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
+import diskclass.membership as membership
 from diskclass import (
     DiskFunction,
+    ScanPolicy,
     SchwarzGenerator,
     build_member,
+    convex_quotient,
     count_zeros_on_disk,
     g_transform,
     hankel_det,
     make_catalog,
+    mocanu_real_part,
+    radius_of,
+    starlike_quotient,
+    turning_derivative,
+    u_operator,
 )
-from diskclass.catalog import CERT_RADIUS, zero_bracket
+from diskclass.catalog import CERT_RADIUS, _unit_circle, zero_bracket
 from diskclass.errors import BoundaryTooClose
 from diskclass.series import ComplexSeries
 
@@ -350,3 +363,135 @@ def test_placed_zeros_lie_in_their_brackets():
             zeros[part] = zero = abs(_mp_zero(zero_of, coeffs))
             assert lo <= zero <= hi < lo + 5e-5, (part, lo, float(zero), hi)
         assert abs(zeros["root"] - 0.45) < 1e-12  # the planted zero of D
+
+
+class _MpPoly:
+    """A polynomial with mpmath coefficients, low to high, with the
+    operations ``membership._functional_polys`` builds P and Q from."""
+
+    def __init__(self, c):
+        self.c = [mp.mpc(x) for x in c]
+
+    def _sum(self, other, sign):
+        n = max(len(self.c), len(other.c))
+        pad = [mp.mpc(0)] * n
+        return _MpPoly([x + sign * y for x, y in zip((self.c + pad)[:n], (other.c + pad)[:n])])
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __mul__(self, other):
+        if not isinstance(other, _MpPoly):
+            return _MpPoly([mp.mpf(other) * x for x in self.c])
+        out = [mp.mpc(0)] * (len(self.c) + len(other.c) - 1)
+        for i, x in enumerate(self.c):
+            for j, y in enumerate(other.c):
+                out[i + j] += x * y
+        return _MpPoly(out)
+
+    def d(self):
+        return _MpPoly([k * x for k, x in enumerate(self.c)][1:] or [0])
+
+    def z(self):
+        return _MpPoly([0] + self.c)
+
+    def __call__(self, z):
+        return mp.polyval(self.c[::-1], z)
+
+
+def _mp_polys(f, tag, alpha):
+    """Exact P and Q of the tag's functional of f = z M/N, from the float
+    coefficients of N and M."""
+    n, m = (_MpPoly(f.kernel._coeffs(x)) for x in "NM")
+    return membership._functional_polys(n, m, tag, alpha)
+
+
+def _mp_t(polys, tag, z):
+    """T at z: |P|^2 - |Q|^2 for U, -Re(P conj(Q)) for the real-part tags."""
+    p, q = (poly(z) for poly in polys)
+    return abs(p) ** 2 - abs(q) ** 2 if tag == "U" else -mp.re(p * mp.conj(q))
+
+
+_MEMBER = (0.5 + 0.1j, SchwarzGenerator.polynomial([0.3, -0.2j, 0.1]))
+RATIONAL = {
+    "koebe": lambda: make_catalog("koebe"),
+    "fb(0.7)": lambda: make_catalog("fb", {"b": 0.7}),
+    "example_sec1": lambda: make_catalog("example_sec1"),
+    "f2": lambda: make_catalog("f2"),
+    "g(fb(0.5))": lambda: g_transform(make_catalog("fb", {"b": 0.5})),
+    "member": lambda: build_member(*_MEMBER),
+    "g(member)": lambda: g_transform(build_member(*_MEMBER)),
+}
+PROOF_TAGS = [("U", None), ("starlike", None), ("convex", None), ("bounded_turning", None),
+              ("mocanu", 0.5), ("mocanu", -1.0), ("mocanu", 2.0)]
+
+
+@pytest.mark.parametrize("case", sorted(RATIONAL))
+def test_circle_polys_are_the_tag_functionals(case):
+    f = RATIONAL[case]()
+    rng = np.random.default_rng(11)
+    z = rng.uniform(0.1, 0.2, 5) * np.exp(2j * np.pi * rng.uniform(size=5))
+    operators = {"U": u_operator(f), "starlike": starlike_quotient(f),
+                 "convex": convex_quotient(f), "bounded_turning": turning_derivative(f)}
+    for tag, alpha in PROOF_TAGS:
+        got = operators[tag](z) if alpha is None else mocanu_real_part(f, alpha)(z)
+        with mp.workdps(DPS):
+            p, q = _mp_polys(f, tag, alpha)
+            for zk, gk in zip(z, got):
+                want = p(mp.mpc(zk)) / q(mp.mpc(zk))
+                want = complex(want if alpha is None else mp.re(want))
+                assert abs(gk - want) <= TOL * abs(want), (case, tag, alpha, zk)
+
+
+def _proven_circles(policy):
+    """(f, tag, alpha, r, verdict) of every circle that the radius searches
+    of the RATIONAL cases at PROOF_TAGS decide by a proof."""
+    circles, proof = [], membership._circle_proof
+    for case in sorted(RATIONAL):
+        f = RATIONAL[case]()
+        for tag, alpha in PROOF_TAGS:
+            def recorded(polys, r, grid):
+                out = proof(polys, r, grid)
+                if out is not None:
+                    circles.append((f, tag, alpha, r, out))
+                return out
+
+            membership._circle_proof = recorded
+            try:
+                radius_of(f, tag, policy=policy, alpha=alpha)
+            finally:
+                membership._circle_proof = proof
+    return circles
+
+
+def _twenty(circles):
+    assert len(circles) >= 20
+    return circles[::len(circles) // 20][:20]
+
+
+def test_circles_proven_clear_have_t_below_zero_on_a_finer_grid():
+    grid = 64
+    clear = _twenty([c for c in _proven_circles(ScanPolicy(grid=grid)) if c[4]])
+    fine = 16 * grid
+    with mp.workdps(DPS):
+        for f, tag, alpha, r, _ in clear:
+            polys = _mp_polys(f, tag, alpha)
+            top = max(_mp_t(polys, tag, mp.mpf(r) * mp.expj(2 * mp.pi * j / fine))
+                      for j in range(fine))
+            assert top < 0, (f.id, tag, alpha, r, top)
+
+
+def test_circles_proven_failed_have_t_above_zero_at_their_node():
+    grid = ScanPolicy().grid
+    failed = _twenty([c for c in _proven_circles(ScanPolicy()) if not c[4]])
+    with mp.workdps(DPS):
+        for f, tag, alpha, r, _ in failed:
+            p, q = membership._circle_polys(f, tag, alpha)
+            z = r * _unit_circle(grid)
+            pv, qv = npp.polyval(z, p.c), npp.polyval(z, q.c)
+            node = int(np.argmax(-(pv.real * qv.real + pv.imag * qv.imag)))
+            t = _mp_t(_mp_polys(f, tag, alpha), tag, mp.mpf(r) * mp.expj(2 * mp.pi * node / grid))
+            assert t > 0, (f.id, tag, alpha, r, node, t)
