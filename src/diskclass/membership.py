@@ -2,7 +2,7 @@
 
 For the quantities tested here the extremum over a closed disk sits on the
 bounding circle (maximum modulus for sup tests, minimum principle for the
-harmonic real parts), so one dense circle scan plus a local zoom refinement
+harmonic real parts), so one dense circle scan plus a local refinement
 decides a verdict.  Verdicts are three-way: IN and OUT require
 clearing the threshold by a margin delta, everything else is BOUNDARY.
 Extremal members of the deviation class, whose sup tends to 1 only as
@@ -12,12 +12,13 @@ from sup = 1, and pretending otherwise would be false precision.
 A scan only maximizes: each class tag is one ``_CLASSES`` row (operators
 factory, whether the scan maximizes |F| or -Re F, threshold, pole
 factors, F as P/Q of a rational h), the report maps the maximum back,
-and every scan reads its grid and zoom levels from one ``ScanPolicy``.
-A scan can be row-batched, one zoom loop refining the brackets of all
-rows, and each row equals the one-row scan bit for bit.  The rows are
-either k radii of one functional, whose grids are evaluated one circle
-at a time, or k functionals that share their expensive parts on one
-circle, one coarse grid evaluation serving every row.  The radius search
+and every scan reads its grid and refine evaluations (zoom levels, then
+one parabolic vertex probe per bracket) from one ``ScanPolicy``.  A scan
+can be row-batched, each refine evaluation one call for the brackets of
+all rows, and each row equals the one-row scan bit for bit.  The rows
+are either k radii of one functional, whose grids are evaluated one
+circle at a time, or k functionals that share their expensive parts on
+one circle, one coarse grid evaluation serving every row.  The radius search
 (``radius_of``) bisects on a disk where its functional is proven
 analytic, so that the same extremum principles make its verdict monotone
 in the radius, and a theorem-2 sample is one scan (``theorem2_grid``):
@@ -63,7 +64,8 @@ from .operators import (
 # whole disk.  Tighter than the membership scan radius so that radii equal
 # to 1 are reported within 1e-4.
 RADIUS_CAP = 1.0 - 2.0 ** -14
-# With no pole below RADIUS_CAP the radius search scans this radius first.
+# With no pole below RADIUS_CAP and a failing RADIUS_CAP, the radius search
+# checks this radius next, with the bisection's first midpoint.
 _INNER = 0.01
 # One row per class tag: its operators factory F, whether its scan
 # maximizes |F| (the sup tag) or -Re F, the threshold that members keep
@@ -108,12 +110,14 @@ def _is_number(value, kind=Real) -> bool:
 
 @dataclass(frozen=True)
 class ScanPolicy:
-    """Parameters of a verdict scan, and of every circle scan's grid and zoom."""
+    """Parameters of a verdict scan, and of every circle scan's grid and
+    refine: ``refine_iters`` counts the refine evaluations of a scan,
+    refine_iters - 1 zoom levels and then one parabolic vertex probe."""
 
     r_max: float = 1.0 - 2.0 ** -10
     grid: int = 4096
     delta: float = 1e-6
-    refine_iters: int = 9  # zoom-refine levels
+    refine_iters: int = 3
 
     def __post_init__(self):
         if not _is_number(self.grid, Integral) or not self.grid >= 1:
@@ -172,19 +176,40 @@ class RadiusResult:
         }
 
 
-def _zoom_refine(fn, center, value, half, levels):
+def _zoom_refine(fn, center, value, side, half, evals):
     """Maximize fn (angles (rows, n) -> values) near each (rows, brackets)
-    center: a level samples center + half * _ZOOM for all brackets in one
-    call, keeps the first best angle and narrows half 16-fold, so a level's
-    spacing is the next level's half-width.  Returns (center, value)."""
+    center in ``evals`` calls, given the values ``side`` (shape (rows,
+    brackets, 2)) at center -+ half on the grid, whose spacing is half.
+
+    Each of evals - 1 zoom levels samples center + half * _ZOOM for all
+    brackets in one call, keeps the first best angle and narrows half
+    16-fold, so a level's spacing is the next level's half-width.  The
+    last call probes each bracket once, at the vertex of the parabola
+    through the last lattice's best point and its two neighbours, clipped
+    to one spacing; a best point on the lattice edge, or a parabola that
+    is not concave, probes in place.  The probe replaces a bracket's best
+    only when its value is strictly greater.  Returns (center, value)."""
+    if not evals:
+        return center, value
     cells = tuple(np.indices(center.shape))
-    for _ in range(levels):
+    inner = True  # the grid is a circle: its best point has no edge
+    for _ in range(evals - 1):
         angles = center[..., None] + half * _ZOOM
         vals = fn(angles.reshape(len(angles), -1)).reshape(angles.shape)
-        best = cells + (np.argmax(vals, axis=-1),)
+        pick = np.argmax(vals, axis=-1)
+        best = cells + (pick,)
         center, value = angles[best], vals[best]
+        side = np.take_along_axis(vals, np.clip(pick[..., None] + [-1, 1], 0, _ZOOM.size - 1), -1)
+        inner = (pick > 0) & (pick < _ZOOM.size - 1)
         half /= 16.0
-    return center, value
+    left, right = side[..., 0], side[..., 1]
+    curv = left - 2.0 * value + right
+    step = np.divide(0.5 * (left - right), curv, out=np.zeros_like(curv),
+                     where=inner & (curv < 0.0))
+    angles = center + half * np.clip(step, -1.0, 1.0)
+    vals = fn(angles)
+    better = vals > value
+    return np.where(better, angles, center), np.where(better, vals, value)
 
 
 def _require_finite(functional, points, radius):
@@ -212,20 +237,27 @@ def extremal_on_circle(functional, radius, policy: ScanPolicy | None = None,
     """Maximum on a circle of the real values that ``functional`` returns.
 
     A coarse scan of ``policy.grid`` angles (r times a unit circle built
-    once per grid size and shared, read-only, by every scan), then a zoom
+    once per grid size and shared, read-only, by every scan), then a
     refinement around the three best (picked as a stable sort would pick
-    them, ties to the smallest angle): each of ``policy.refine_iters``
-    levels samples 33 evenly spaced angles across each bracket (one grid
-    step either side at first), keeps the best and narrows the bracket
-    16-fold.  The default 9 levels resolve an angle to 2 pi / 4096 / 16^9
-    ~ 2e-14 rad; 0 levels return the grid maxima.  Ties within 1e-12
-    resolve to the smallest angle.  Returns (value, witness).
+    them, ties to the smallest angle) in ``policy.refine_iters``
+    evaluations.  Each but the last is a zoom level: it samples 33 evenly
+    spaced angles across each bracket (one grid step either side at
+    first), keeps the best and narrows the bracket 16-fold.  The last
+    probes each bracket once, at the vertex of the parabola through the
+    best point of the last lattice (the grid itself when no zoom level
+    ran) and its two neighbours, and keeps the probe only when its value
+    is strictly greater.  A best point on a zoom lattice's edge, or three
+    points that are not concave, take no step, and a step is clipped to
+    one lattice spacing.  The default 3 evaluations refine each bracket
+    on a lattice of 2 pi / 4096 / 256 and then at its vertex; 0 returns
+    the grid maxima.  Ties within 1e-12 resolve to the smallest angle.
+    Returns (value, witness).
 
     ``threshold``, when given, skips the refinement of a scan already known
     to reach it: if every row's grid maximum G has G - 1e-12 >= threshold,
-    the scan returns its grid pick, as with 0 levels.  The refined value
-    would be at least fl(M - 1e-12) with M >= G, so it too would not be
-    below the threshold; the radius search, which asks only that, passes
+    the scan returns its grid pick, as with 0 evaluations.  The refined
+    value would be at least fl(M - 1e-12) with M >= G, so it too would not
+    be below the threshold; the radius search, which asks only that, passes
     its threshold.  Such a scan evaluates no refine probes, so it raises
     NonFiniteValue only for a grid value.
 
@@ -236,7 +268,8 @@ def extremal_on_circle(functional, radius, policy: ScanPolicy | None = None,
     row-batched: k functionals sharing one evaluation, which map points of
     shape (m,) or (k, m) to values of shape (k, m), row i holding
     functional i, all scanned on one circle.  Either way the coarse grid is
-    evaluated once per circle and one zoom loop refines all 3k brackets.
+    evaluated once per circle and each refine evaluation is one call for
+    all 3k brackets.
     A NaN or infinite value anywhere on the grid or among the refine probes
     raises NonFiniteValue; numpy's floating-point warnings are silenced
     for the scan, since that check reports the same events.
@@ -247,7 +280,7 @@ def extremal_on_circle(functional, radius, policy: ScanPolicy | None = None,
     unit = _unit_circle(policy.grid)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        best, best_val = [], []
+        best, best_val, side = [], [], []
         for r in radii:  # one circle at a time: no (k, grid) temporaries
             coarse = _require_finite(functional, r * unit, r)
             if per_circle and coarse.ndim != 1:
@@ -256,15 +289,16 @@ def extremal_on_circle(functional, radius, policy: ScanPolicy | None = None,
                 top = _top3(row)
                 best.append(top)
                 best_val.append(row[top])
-        best, best_val = np.array(best), np.array(best_val)
+                side.append(row[(top[:, None] + [-1, 1]) % policy.grid])
+        best, best_val, side = np.array(best), np.array(best_val), np.array(side)
         best_theta = 2.0 * np.pi * best / policy.grid  # the grid's own angles
-        levels = policy.refine_iters
+        evals = policy.refine_iters
         if threshold is not None and np.all(best_val[:, 0] - 1e-12 >= threshold):
-            levels = 0
+            evals = 0
         scale = radii[:, None] if per_circle else radius  # broadcasts to the rows
         ref_theta, ref_val = _zoom_refine(
             lambda angles: _require_finite(functional, scale * np.exp(1j * angles), scale),
-            best_theta, best_val, 2.0 * np.pi / policy.grid, levels)
+            best_theta, best_val, side, 2.0 * np.pi / policy.grid, evals)
 
     rows = np.arange(len(best))
     cand_theta = np.concatenate((best_theta, ref_theta), axis=1) % (2.0 * np.pi)
@@ -498,12 +532,14 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     On that disk the maximum principle (sup tags) and the minimum principle
     for the harmonic real parts make the verdict of a circle scan monotone
     in the radius, so a bracket of the first failure is bisected.  With no
-    pole below RADIUS_CAP, one row-batched scan checks r = 0.01 and
-    RADIUS_CAP: if the property holds at RADIUS_CAP the radius is reported
-    as 1.0 (error at most 2^-14), else the bracket is (0.01, RADIUS_CAP),
-    or (0, 0.01) when it fails at 0.01.  A proven pole is where the
-    property fails for sure, so the bracket is (0, hi) with hi an upper
-    bound on the pole's modulus, and no circle near the pole is scanned.
+    pole below RADIUS_CAP, RADIUS_CAP is checked first: if the property
+    holds there the radius is reported as 1.0 (error at most 2^-14).
+    Else one row-batched scan checks r = 0.01 and the first midpoint of
+    (0.01, RADIUS_CAP), which gives the bracket after one bisection step,
+    or (0, 0.01) when the property fails at 0.01; a tol too wide for that
+    step checks 0.01 alone.  A proven pole is where the property fails for
+    sure, so the bracket is (0, hi) with hi an upper bound on the pole's
+    modulus, and no circle near the pole is scanned.
     The bisection stops at ``tol`` (positive and finite) or once the
     bracket can no longer be split in floating point.
 
@@ -516,13 +552,13 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     e, prove the circle clear when max T_k + e plus the Bernstein slack
     kappa (max|T_k| + e)/(1 - kappa), kappa = d^2 pi^2/(2 grid^2), stays
     below 0, and failed when some T_k - e > 0.  Only the circles this
-    leaves open are scanned (the first two as one row-batched scan of
-    those left), and so is every circle of any other kernel.  Every scan
-    is passed the tag's threshold, so a circle whose grid already fails is
-    not refined (see ``extremal_on_circle``).  A proven decision agrees
-    with the one a full scan reads unless the scan's rounding exceeds the
-    proven margin, so the radius is the one full scans give, bit for bit,
-    on every search the tests compare.
+    leaves open are scanned (0.01 and the first midpoint as one
+    row-batched scan of those left), and so is every circle of any other
+    kernel.  Every scan is passed the tag's threshold, so a circle whose
+    grid already fails is not refined (see ``extremal_on_circle``).  A
+    proven decision agrees with the one a full scan reads unless the
+    scan's rounding exceeds the proven margin, so the radius is the one
+    full scans give, bit for bit, on every search the tests compare.
     """
     if not 0.0 < tol < np.inf:
         raise ParamOutOfRange(f"tol must be positive and finite, got {tol}")
@@ -543,13 +579,15 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
 
     pole = _first_pole(f, class_tag, alpha, tol)
     if pole < RADIUS_CAP:
-        bracket = 0.0, pole
-    else:
-        near, cap = clears(_INNER, RADIUS_CAP)
-        bracket = (0.0, _INNER) if not near else None if cap else (_INNER, RADIUS_CAP)
-    if bracket is None:
+        lo, hi = 0.0, pole
+    elif clears(RADIUS_CAP)[0]:
         return RadiusResult(tag, 1.0, (RADIUS_CAP, 1.0), tol, policy.grid)
-    lo, hi = bracket
+    elif RADIUS_CAP - _INNER <= tol:
+        lo, hi = (_INNER, RADIUS_CAP) if clears(_INNER)[0] else (0.0, _INNER)
+    else:  # _INNER and the bisection's first midpoint, as one scan
+        mid = 0.5 * (_INNER + RADIUS_CAP)
+        near, middle = clears(_INNER, mid)
+        lo, hi = (0.0, _INNER) if not near else (mid, RADIUS_CAP) if middle else (_INNER, mid)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

@@ -238,6 +238,100 @@ class TestExtremalOnCircle:
             extremal_on_circle(lambda z: np.abs(z ** 2), 0.5, ScanPolicy(**kwargs))
 
 
+class TestVertexProbe:
+    """The last refine evaluation probes each bracket once, at the vertex of
+    the parabola through the last lattice's best point and its neighbours."""
+
+    PEAK = 1.2345678  # an angle on no lattice of the default scan
+
+    @classmethod
+    def _peak(cls, calls=None, hole=0.0):
+        # |1/(1 - 0.6 e^{-i PEAK} z)| peaks at angle PEAK with 1/(1 - 0.6 r);
+        # NaN within ``hole`` of that angle
+        def fn(z):
+            if calls is not None:
+                calls.append(np.shape(z))
+            values = np.abs(1.0 / (1.0 - 0.6 * np.exp(-1j * cls.PEAK) * z))
+            return np.where(np.abs(np.angle(z) - cls.PEAK) < hole, np.nan, values)
+
+        return fn
+
+    def test_off_grid_peak_in_three_evaluations(self):
+        calls = []
+        value, witness = extremal_on_circle(self._peak(calls), 0.9)
+        assert len(calls) == 1 + 3  # the grid, two zoom levels, the probe
+        assert abs(value - 1.0 / (1.0 - 0.6 * 0.9)) <= 1e-15 * value
+        assert np.angle(witness) == pytest.approx(self.PEAK, abs=1e-9)
+
+    def test_one_evaluation_probes_from_the_grid_neighbours(self):
+        fn, step = self._peak(), 2 * np.pi / 64
+        grid_values = fn(0.9 * _unit_circle(64))
+        k = int(np.argmax(grid_values))
+        left, mid, right = grid_values[[k - 1, k, (k + 1) % 64]]
+        vertex = 2 * np.pi * k / 64 + step * (0.5 * (left - right) / (left - 2 * mid + right))
+        value, witness = extremal_on_circle(fn, 0.9, ScanPolicy(grid=64, refine_iters=1))
+        assert value == fn(0.9 * np.exp(1j * vertex)) > grid_values.max()
+        assert np.angle(witness) == pytest.approx(vertex, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_never_below_the_grid_maximum(self, seed):
+        # random trigonometric sums, some with sharp features between nodes
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(24) * np.exp(-rng.uniform(0.0, 0.2) * np.arange(24))
+
+        def fn(z):
+            return np.real(npp.polyval(z, c)) + np.abs(z - 0.9 * np.exp(2j)) ** -0.5
+
+        grid = extremal_on_circle(fn, 0.9, ScanPolicy(grid=64, refine_iters=0))[0]
+        for evals in (1, 2, 3):
+            assert extremal_on_circle(fn, 0.9, ScanPolicy(grid=64, refine_iters=evals))[0] >= grid
+
+    @staticmethod
+    def _probe(fn, value, side, evals=1, center=1.0, half=0.25):
+        """(the probed angle, the result) of one bracket refined in evals calls."""
+        seen = []
+
+        def recorded(angles):
+            seen.append(angles.copy())
+            return fn(angles)
+
+        out = membership._zoom_refine(recorded, np.array([[center]]), np.array([[value]]),
+                                      np.array([[side]]), half, evals)
+        assert len(seen) == evals and seen[-1].shape == (1, 1)
+        return seen[-1][0, 0], (out[0][0, 0], out[1][0, 0])
+
+    def test_no_step_unless_the_parabola_is_concave(self):
+        # flat, convex, and convex by one rounding unit: no step
+        for value, side in ((2.0, [2.0, 2.0]), (1.0, [3.0, 1.5]), (1.0, [0.5, 1.5 + 2.0 ** -52])):
+            assert self._probe(np.cos, value, side)[0] == 1.0
+        # concave: the vertex, and a step clipped to one spacing
+        assert self._probe(np.cos, 1.0, [0.0, 0.5])[0] == 1.0 + 0.25 * (-0.25 / -1.5)
+        assert self._probe(np.cos, 1.0, [0.0, 1.99])[0] == 1.0 + 0.25
+
+    def test_no_step_from_the_lattice_edge(self):
+        # a rising function: the zoom level's best point is its last one
+        half = 0.25
+        angle, (center, value) = self._probe(lambda t: t, 1.0, [0.0, 0.5], 2, half=half)
+        assert angle == center == 1.0 + half and value == 1.0 + half
+        angle, _ = self._probe(lambda t: -t, 1.0, [0.0, 0.5], 2, half=half)
+        assert angle == 1.0 - half
+
+    def test_the_probe_replaces_only_a_greater_value(self):
+        # cos peaks at 0, not where the side values put the vertex
+        angle, kept = self._probe(np.cos, 1.0, [0.0, 0.5], center=0.0)
+        assert angle != 0.0 and kept == (0.0, 1.0)
+        angle, moved = self._probe(np.cos, 0.5, [0.0, 0.5], center=0.0)
+        assert moved == (angle, np.cos(angle))
+
+    def test_nan_only_at_the_vertex_raises(self):
+        # the grid and both zoom levels miss the 1e-10 rad hole; the probe,
+        # about 2e-12 rad from the peak, lands in it
+        calls = []
+        with pytest.raises(NonFiniteValue):
+            extremal_on_circle(self._peak(calls, hole=1e-10), 0.9)
+        assert calls == [(4096,), (1, 99), (1, 99), (1, 3)]
+
+
 class TestVerdicts:
     def test_log_map_is_out_of_deviation_class(self):
         rep = classify(make_catalog("log_map"), "U")
@@ -366,11 +460,11 @@ class TestRadius:
         assert res.bracket[1] - res.bracket[0] <= 1e-4
 
     def test_koebe_starlike_walk_makes_few_scans(self, monkeypatch):
-        # holding up to RADIUS_CAP costs one scan of two circles
+        # holding up to RADIUS_CAP costs one scan of one circle
         _scan_only(monkeypatch)
         scans = _record_scans(monkeypatch)
         assert radius_of(make_catalog("koebe"), "starlike").radius == 1.0
-        assert scans == [(2, None)]
+        assert scans == [(1, None)]
 
     def test_zero_of_h_inside_bounds_the_radius(self, monkeypatch):
         # h vanishes at z0, past which starlikeness fails, and at z1 on the
@@ -423,16 +517,16 @@ class TestRadius:
 
     def test_log_map_transform_u_takes_one_two_circle_scan(self, monkeypatch):
         # g of log_map has no poles and f/z of g no zeros (Enestrom-Kakeya),
-        # so U is analytic on the disk: the search scans 0.01 and RADIUS_CAP
-        # in one call, then bisects
+        # so U is analytic on the disk: the search scans RADIUS_CAP, then
+        # 0.01 and the first midpoint in one call, then bisects
         g = g_transform(make_catalog("log_map"))
         assert membership._first_pole(g, "U", None, 1e-4) == RADIUS_CAP
         scans = _record_scans(monkeypatch)
         res = radius_of(g, "U")
         assert res.radius == pytest.approx(0.9659521076828241, abs=1e-12)
         assert res.bracket[1] - res.bracket[0] <= 1e-4
-        assert scans[0] == (2, None) and len(scans) == 15
-        assert set(scans[1:]) == {(1, None)}
+        assert scans[:2] == [(1, None), (2, None)] and len(scans) == 15
+        assert set(scans[2:]) == {(1, None)}
 
     def test_removable_pole_of_mocanu_is_no_failure(self):
         # f = z/(1 - z/z0) has mocanu(-1) = 1 although h(z0) = 0; starlikeness
@@ -466,13 +560,14 @@ class TestRadius:
         assert radius_of(g, "starlike").radius == 1.0
 
     def test_koebe_convexity_radius(self, monkeypatch):
-        # classical value 2 - sqrt(3), bisected after one two-circle scan
+        # classical value 2 - sqrt(3), bisected after a scan of RADIUS_CAP
+        # and one two-circle scan
         _scan_only(monkeypatch)
         scans = _record_scans(monkeypatch)
         res = radius_of(make_catalog("koebe"), "convex")
         assert res.radius == pytest.approx(2.0 - np.sqrt(3.0), abs=1e-4)
-        assert scans[0] == (2, None) and len(scans) <= 16
-        assert set(scans[1:]) == {(1, None)}
+        assert scans[:2] == [(1, None), (2, None)] and len(scans) <= 16
+        assert set(scans[2:]) == {(1, None)}
 
 
 def _sampled_pair(kind):
@@ -693,9 +788,9 @@ class TestCircleProof:
 
     def test_non_finite_values_fall_back_to_the_scan(self, monkeypatch):
         # P = A^2 + alpha z (A'B - AB') has finite coefficients at alpha =
-        # 1e307, but its values on |z| = RADIUS_CAP overflow, and so does
-        # its rounding bound on |z| = 0.01: both circles are scanned, and the
-        # scan meets the overflow too
+        # 1e307, but its values on |z| = RADIUS_CAP overflow: that circle,
+        # the first one checked, is scanned, and the scan meets the
+        # overflow too
         f = make_catalog("koebe")
         polys = membership._circle_polys(f, "mocanu", 1e307)
         assert all(np.isfinite(poly.c).all() for poly in polys)
@@ -703,7 +798,7 @@ class TestCircleProof:
         scans = _record_scans(monkeypatch)
         with pytest.raises(NonFiniteValue):
             radius_of(f, "mocanu", alpha=1e307)
-        assert scans == [(2, NonFiniteValue)]
+        assert scans == [(1, NonFiniteValue)]
 
 
 class TestPairedChecks:
@@ -879,7 +974,7 @@ class TestTheorem3Rows:
 
 class TestScanEvaluations:
     """Every scan reads one PointFunctional, evaluated once per circle on the
-    coarse grid and once per zoom level."""
+    coarse grid and once per refine evaluation."""
 
     @staticmethod
     def counted(monkeypatch):

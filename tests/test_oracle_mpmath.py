@@ -17,6 +17,10 @@ The circle proofs of radius searches are checked at 50 digits: the
 polynomials P/Q of each tag's functional equal the operators, every
 circle proven clear has T < 0 on a grid 16 times finer than its own, and
 every circle proven failed has T > 0 at its grid node.
+
+The circle scans of ``test_class`` are checked against a 40-digit
+maximization: on sampled polynomial members, the maxima of |U| and of
+-Re z f'/f on |z| = r_max agree to 1e-13 relative.
 """
 import numpy as np
 import pytest
@@ -35,12 +39,14 @@ from diskclass import (
     make_catalog,
     mocanu_real_part,
     radius_of,
+    sample_schwarz,
     starlike_quotient,
+    test_class as classify,
     turning_derivative,
     u_operator,
 )
 from diskclass.catalog import CERT_RADIUS, _unit_circle, zero_bracket
-from diskclass.errors import BoundaryTooClose
+from diskclass.errors import BoundaryTooClose, DenominatorVanishes
 from diskclass.series import ComplexSeries
 
 mp = pytest.importorskip("mpmath")
@@ -495,3 +501,61 @@ def test_circles_proven_failed_have_t_above_zero_at_their_node():
             node = int(np.argmax(-(pv.real * qv.real + pv.imag * qv.imag)))
             t = _mp_t(_mp_polys(f, tag, alpha), tag, mp.mpf(r) * mp.expj(2 * mp.pi * node / grid))
             assert t > 0, (f.id, tag, alpha, r, node, t)
+
+
+def _sampled_polynomial_members(count=24):
+    """The first ``count`` certified members of the two polynomial kinds,
+    alternating, at seeded a2 and degrees 2 to 8."""
+    members = []
+    for seed in range(3 * count):
+        kind = ("random_polynomial", "scaled_unimodular")[seed % 2]
+        a2 = (0.3 + 1.5 * (0.37 * seed % 1.0)) * np.exp(0.9j * seed)
+        try:
+            members.append(build_member(a2, sample_schwarz(seed, kind, 2 + seed % 7)))
+        except DenominatorVanishes:
+            continue
+        if len(members) == count:
+            break
+    return members
+
+
+def _mp_circle_max(f, tag, r, dps=40):
+    """The maximum on |z| = r of |P/Q| (U) or -Re P/Q (starlike), P/Q the
+    tag's functional: local maxima of a 2^14-point float scan, each polished
+    to a zero of the exact angular derivative at ``dps`` digits."""
+    with mp.workdps(dps):
+        p, q = _mp_polys(f, tag, None)
+        dp, dq = p.d(), q.d()
+
+        def value_and_slope(t):  # G = P/Q and dG/dt at z = r e^{it}
+            z = mp.mpf(r) * mp.expj(t)
+            pz, qz = p(z), q(z)
+            return pz / qz, 1j * z * (dp(z) * qz - pz * dq(z)) / qz ** 2
+
+        if tag == "U":
+            value = lambda t: abs(value_and_slope(t)[0])
+            slope = lambda t: mp.re(mp.conj(value_and_slope(t)[0]) * value_and_slope(t)[1])
+        else:
+            value = lambda t: -mp.re(value_and_slope(t)[0])
+            slope = lambda t: -mp.re(value_and_slope(t)[1])
+        n = 2 ** 14
+        theta = 2 * np.pi * np.arange(n) / n
+        z = r * np.exp(1j * theta)
+        g = npp.polyval(z, [complex(c) for c in p.c]) / npp.polyval(z, [complex(c) for c in q.c])
+        v = np.abs(g) if tag == "U" else -g.real
+        peaks = np.flatnonzero((v >= np.roll(v, 1)) & (v >= np.roll(v, -1)))
+        step = 2 * mp.pi / n
+        return max(value(mp.findroot(slope, (mp.mpf(theta[k]) - step, mp.mpf(theta[k]) + step),
+                                     solver="anderson"))
+                   for k in peaks[np.argsort(-v[peaks])[:3]])
+
+
+def test_scan_maxima_match_a_40_digit_maximization():
+    policy = ScanPolicy()
+    members = _sampled_polynomial_members()
+    assert len(members) == 24
+    for f in members:
+        for tag, sign in (("U", 1.0), ("starlike", -1.0)):
+            got = sign * classify(f, tag, policy).extremal_value
+            want = _mp_circle_max(f, tag, policy.r_max)
+            assert abs(got - want) <= 1e-13 * abs(want), (f.id, f.params, tag, got, want)
