@@ -19,14 +19,15 @@ all rows, and each row equals the one-row scan bit for bit.  The rows
 are either k radii of one functional, whose grids are evaluated one
 circle at a time, or k functionals that share their expensive parts on
 one circle, one coarse grid evaluation serving every row.  The radius search
-(``radius_of``) bisects on a disk where its functional is proven
-analytic, so that the same extremum principles make its verdict monotone
-in the radius, and a theorem-2 sample is one scan (``theorem2_grid``):
-|U| and the whole alpha grid are rows read off one h jet per probe set.
-``theorem3_check`` uses both: the three parts of a theorem-3 sample
-(``operators.theorem3_parts``) share one h jet of g on one circle, and a
-conjecture ladder is its radii.  A NaN or infinite value met by any scan
-raises NonFiniteValue instead of becoming a verdict.
+(``radius_of``) bisects on a disk where its functional is proven analytic,
+so that the same extremum principles make its verdict monotone in the
+radius, one circle per decision, and a theorem-2 sample is one scan
+(``theorem2_grid``): |U| and the whole alpha grid are rows read off one h
+jet per probe set.  ``theorem3_check`` uses both: the three parts of a
+theorem-3 sample (``operators.theorem3_parts``) share one h jet of g on one
+circle, and a conjecture ladder, the one user of per-radius rows, is its
+radii.  One builder makes every report from its row's rule.  A NaN or
+infinite value met by any scan raises NonFiniteValue instead of a verdict.
 
 Before it scans a circle, a radius search of a rational h = N/M tries to
 decide it by a proof: the tag's functional is a quotient P/Q of
@@ -45,7 +46,7 @@ from numbers import Integral, Real
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .catalog import DiskFunction, _RationalKernel, _unit_circle, zero_bracket
+from .catalog import CERT_SAMPLES, DiskFunction, _RationalKernel, _unit_circle, zero_bracket
 from .errors import NonFiniteValue, ParamOutOfRange, PartCPrecondition, RadiusUnproven
 from .operators import (
     PointFunctional,
@@ -65,7 +66,7 @@ from .operators import (
 # to 1 are reported within 1e-4.
 RADIUS_CAP = 1.0 - 2.0 ** -14
 # With no pole below RADIUS_CAP and a failing RADIUS_CAP, the radius search
-# checks this radius next, with the bisection's first midpoint.
+# checks this radius next, then bisects (_INNER, RADIUS_CAP).
 _INNER = 0.01
 # One row per class tag: its operators factory F, whether its scan
 # maximizes |F| (the sup tag) or -Re F, the threshold that members keep
@@ -120,8 +121,8 @@ class ScanPolicy:
     refine_iters: int = 3
 
     def __post_init__(self):
-        if not _is_number(self.grid, Integral) or not self.grid >= 1:
-            raise ParamOutOfRange(f"grid must be an integer of at least 1, got {self.grid}")
+        if not _is_number(self.grid, Integral) or not 1 <= self.grid <= CERT_SAMPLES:
+            raise ParamOutOfRange(f"grid must be an integer in [1, 2^20], got {self.grid}")
         if not _is_number(self.refine_iters, Integral) or not self.refine_iters >= 0:
             raise ParamOutOfRange(
                 f"refine_iters must be a nonnegative integer, got {self.refine_iters}")
@@ -336,12 +337,6 @@ def _tag(class_tag, alpha):
     return class_tag if alpha is None else f"{class_tag}({alpha:g})"
 
 
-def _verdict(peak, threshold, delta):
-    """IN or OUT when a maximized quantity clears the threshold that
-    members keep it below by more than delta."""
-    return "IN" if peak < threshold - delta else "OUT" if peak > threshold + delta else "BOUNDARY"
-
-
 def test_class(f: DiskFunction, class_tag: str, policy: ScanPolicy | None = None,
                alpha=None) -> MembershipReport:
     """Three-way verdict for membership of f in the tagged class.
@@ -356,20 +351,32 @@ def test_class(f: DiskFunction, class_tag: str, policy: ScanPolicy | None = None
     policy = policy or ScanPolicy()
     functional = class_functional(f, class_tag, alpha)
     peak, witness = extremal_on_circle(functional, policy.r_max, policy)
-    return _report(class_tag, alpha, peak, witness, policy)
+    return _report(_tag(class_tag, alpha), peak, witness, policy.r_max, policy,
+                   _class_rule(class_tag))
 
 
-def _report(class_tag, alpha, peak, witness, policy) -> MembershipReport:
-    """Report of the maximum ``peak`` of ``class_functional``: max |U|, whose
-    verdict reads peak/r^2, or max -Re F, reported as min Re F."""
-    _, sup, threshold, _, _ = _CLASSES[class_tag]
+def _class_rule(class_tag):
+    """(sup, threshold, rescale) of a class row: U, the one sup tag, alone
+    reads peak/r^2 (the Schwarz rescale)."""
+    sup, threshold = _CLASSES[class_tag][1:3]
+    return sup, threshold, sup
+
+
+def _report(tag, peak, witness, radius, policy, rule) -> MembershipReport:
+    """Report of a scan's maximum ``peak`` on |z| = radius under the row's
+    rule (sup, threshold, rescale): of |F| when sup, else of -Re F, reported
+    as min Re F.  The estimate, peak/radius^2 when rescale, else peak, is IN
+    or OUT when it clears the threshold by more than delta."""
+    sup, threshold, rescale = rule
     peak = float(peak)
-    estimate = peak / policy.r_max ** 2 if sup else peak
+    estimate = peak / radius ** 2 if rescale else peak
     sign = 1.0 if sup else -1.0
+    verdict = ("IN" if estimate < threshold - policy.delta
+               else "OUT" if estimate > threshold + policy.delta else "BOUNDARY")
     return MembershipReport(
-        class_tag=_tag(class_tag, alpha), verdict=_verdict(estimate, threshold, policy.delta),
-        extremal_value=sign * peak, witness=complex(witness), scan_radius=policy.r_max,
-        grid_size=policy.grid, margin=policy.delta, boundary_estimate=sign * estimate)
+        class_tag=tag, verdict=verdict, extremal_value=sign * peak, witness=complex(witness),
+        scan_radius=float(radius), grid_size=policy.grid, margin=policy.delta,
+        boundary_estimate=sign * estimate)
 
 
 def _first_pole(f, class_tag, alpha, tol):
@@ -531,17 +538,16 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     of f where its poles lie), or raises RadiusUnproven (``_first_pole``).
     On that disk the maximum principle (sup tags) and the minimum principle
     for the harmonic real parts make the verdict of a circle scan monotone
-    in the radius, so a bracket of the first failure is bisected.  With no
-    pole below RADIUS_CAP, RADIUS_CAP is checked first: if the property
-    holds there the radius is reported as 1.0 (error at most 2^-14).
-    Else one row-batched scan checks r = 0.01 and the first midpoint of
-    (0.01, RADIUS_CAP), which gives the bracket after one bisection step,
-    or (0, 0.01) when the property fails at 0.01; a tol too wide for that
-    step checks 0.01 alone.  A proven pole is where the property fails for
-    sure, so the bracket is (0, hi) with hi an upper bound on the pole's
-    modulus, and no circle near the pole is scanned.
-    The bisection stops at ``tol`` (positive and finite) or once the
-    bracket can no longer be split in floating point.
+    in the radius, so a bracket of the first failure is bisected, one
+    circle per decision.  With no pole below RADIUS_CAP, RADIUS_CAP is
+    checked first: if the property holds there the radius is reported as
+    1.0 (error at most 2^-14).  Else r = 0.01 is checked, and the bracket
+    (0.01, RADIUS_CAP), or (0, 0.01) when the property fails there, is
+    bisected.  A proven pole is where the property fails for sure, so the
+    bracket is (0, hi) with hi an upper bound on the pole's modulus, and no
+    circle near the pole is scanned.  The bisection stops at ``tol``
+    (positive and finite) or once the bracket can no longer be split in
+    floating point.
 
     When the kernel of f is rational (h = N/M: the rational catalog ids,
     fb, the polynomial-generator members and g of any of them), each
@@ -552,10 +558,9 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     e, prove the circle clear when max T_k + e plus the Bernstein slack
     kappa (max|T_k| + e)/(1 - kappa), kappa = d^2 pi^2/(2 grid^2), stays
     below 0, and failed when some T_k - e > 0.  Only the circles this
-    leaves open are scanned (0.01 and the first midpoint as one
-    row-batched scan of those left), and so is every circle of any other
-    kernel.  Every scan is passed the tag's threshold, so a circle whose
-    grid already fails is not refined (see ``extremal_on_circle``).  A
+    leaves open are scanned, and so is every circle of any other kernel.
+    Every scan is passed the tag's threshold, so a circle whose grid
+    already fails is not refined (see ``extremal_on_circle``).  A
     proven decision agrees with the one a full scan reads unless the
     scan's rounding exceeds the proven margin, so the radius is the one
     full scans give, bit for bit, on every search the tests compare.
@@ -568,31 +573,24 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     tag = _tag(class_tag, alpha)
     polys = _circle_polys(f, class_tag, alpha)
 
-    def clears(*radii):
-        known = [None if polys is None else _circle_proof(polys, r, policy.grid) for r in radii]
-        todo = [r for r, k in zip(radii, known) if k is None]
-        if todo:
-            values = iter(extremal_on_circle(functional, np.array(todo), policy,
-                                             threshold=threshold)[0] < threshold)
-            known = [next(values) if k is None else k for k in known]
-        return known
+    def clears(r):
+        proof = None if polys is None else _circle_proof(polys, r, policy.grid)
+        if proof is None:
+            return extremal_on_circle(functional, r, policy, threshold=threshold)[0] < threshold
+        return proof
 
     pole = _first_pole(f, class_tag, alpha, tol)
     if pole < RADIUS_CAP:
         lo, hi = 0.0, pole
-    elif clears(RADIUS_CAP)[0]:
+    elif clears(RADIUS_CAP):
         return RadiusResult(tag, 1.0, (RADIUS_CAP, 1.0), tol, policy.grid)
-    elif RADIUS_CAP - _INNER <= tol:
-        lo, hi = (_INNER, RADIUS_CAP) if clears(_INNER)[0] else (0.0, _INNER)
-    else:  # _INNER and the bisection's first midpoint, as one scan
-        mid = 0.5 * (_INNER + RADIUS_CAP)
-        near, middle = clears(_INNER, mid)
-        lo, hi = (0.0, _INNER) if not near else (mid, RADIUS_CAP) if middle else (_INNER, mid)
+    else:
+        lo, hi = (_INNER, RADIUS_CAP) if clears(_INNER) else (0.0, _INNER)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if clears(mid)[0]:
+        if clears(mid):
             lo = mid
         else:
             hi = mid
@@ -630,11 +628,8 @@ def theorem3_check(f: DiskFunction, part: str, shrink=0.01,
     radius = (1.0 - shrinks) * abs(f.a2) / 2.0
     parts = theorem3_parts(g_transform(f), part)
     values, witnesses = extremal_on_circle(lambda z: np.abs(parts(z)), radius, policy)
-    reports = [MembershipReport(
-        class_tag=f"theorem3.{p}", verdict=_verdict(v, 1.0, policy.delta),
-        extremal_value=float(v), witness=complex(w), scan_radius=float(r),
-        grid_size=policy.grid, margin=policy.delta, boundary_estimate=float(v))
-        for p, r, v, w in np.broadcast(list(part), radius, values, witnesses)]
+    reports = [_report(f"theorem3.{p}", v, w, r, policy, (True, 1.0, False))
+               for p, r, v, w in np.broadcast(list(part), radius, values, witnesses)]
     return reports if len(part) > 1 or shrinks.ndim else reports[0]
 
 
@@ -675,6 +670,8 @@ def theorem2_grid(f: DiskFunction, alphas,
         return np.concatenate((dev[None], -_alpha_convex(k, zz[rest], [j[rest] for j in h], a)))
 
     values, witnesses = extremal_on_circle(PointFunctional(rows), policy.r_max, policy)
-    u = _report("U", None, values[0], witnesses[0], policy)
-    return [Theorem2Record(alpha, _report("mocanu", alpha, value, witness, policy), u)
-            for alpha, value, witness in zip(alphas, values[1:], witnesses[1:])]
+    tags = [("U", None)] + [("mocanu", alpha) for alpha in alphas]
+    u, *m_alpha = [_report(_tag(tag, alpha), value, witness, policy.r_max, policy,
+                           _class_rule(tag))
+                   for (tag, alpha), value, witness in zip(tags, values, witnesses)]
+    return [Theorem2Record(alpha, m, u) for alpha, m in zip(alphas, m_alpha)]

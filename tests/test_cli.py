@@ -512,6 +512,7 @@ class TestUsageErrors:
         (["--r-max", "0"], "r_max"),
         (["--delta=-1e-6"], "delta"),
         (["--delta", "inf"], "delta"),  # used to end in a JSON encoder traceback
+        (["--grid", "1048577"], "grid"),  # a huge grid used to end in a MemoryError traceback
     ])
     def test_scan_policy_is_validated(self, capsys, flags, word):
         code, out, err = run_cli(capsys, "membership", "--id", "koebe",

@@ -55,6 +55,19 @@ def _record_scans(monkeypatch):
     return scans
 
 
+def _record_radii(monkeypatch):
+    """Patch the scan engine; each call appends the radius it scans."""
+    radii = []
+    original = membership.extremal_on_circle
+
+    def recorded(functional, radius, *args, **kwargs):
+        radii.append(radius)
+        return original(functional, radius, *args, **kwargs)
+
+    monkeypatch.setattr(membership, "extremal_on_circle", recorded)
+    return radii
+
+
 def _scan_only(monkeypatch):
     """Bypass the radius search's circle proof, so every circle is scanned."""
     monkeypatch.setattr(membership, "_circle_proof", lambda *args: None)
@@ -231,9 +244,10 @@ class TestExtremalOnCircle:
                                np.array([0.3, 0.6]), GRID64)
 
     @pytest.mark.parametrize("kwargs", [{"grid": 0}, {"grid": -4},
-                                        {"refine_iters": -1}])
+                                        {"refine_iters": -1}, {"grid": 2 ** 20 + 1}])
     def test_rejects_bad_grid_and_refine_iters(self, kwargs):
-        # the scan reads both from its policy, which validates them
+        # the scan reads both from its policy, which validates them and
+        # bounds the grid by 2^20, the finest circle the package samples
         with pytest.raises(ParamOutOfRange):
             extremal_on_circle(lambda z: np.abs(z ** 2), 0.5, ScanPolicy(**kwargs))
 
@@ -515,18 +529,18 @@ class TestRadius:
             radius_of(f, "mocanu", alpha=-2.0)
         assert radius_of(f, "mocanu", alpha=-1.5).radius < 0.5
 
-    def test_log_map_transform_u_takes_one_two_circle_scan(self, monkeypatch):
+    def test_log_map_transform_u_scans_one_circle_at_a_time(self, monkeypatch):
         # g of log_map has no poles and f/z of g no zeros (Enestrom-Kakeya),
         # so U is analytic on the disk: the search scans RADIUS_CAP, then
-        # 0.01 and the first midpoint in one call, then bisects
+        # 0.01, then bisects (0.01, RADIUS_CAP), one circle per scan
         g = g_transform(make_catalog("log_map"))
         assert membership._first_pole(g, "U", None, 1e-4) == RADIUS_CAP
-        scans = _record_scans(monkeypatch)
+        radii = _record_radii(monkeypatch)
         res = radius_of(g, "U")
         assert res.radius == pytest.approx(0.9659521076828241, abs=1e-12)
         assert res.bracket[1] - res.bracket[0] <= 1e-4
-        assert scans[:2] == [(1, None), (2, None)] and len(scans) == 15
-        assert set(scans[2:]) == {(1, None)}
+        assert len(radii) == 16 and all(np.ndim(r) == 0 for r in radii)
+        assert radii[:3] == [RADIUS_CAP, 0.01, 0.5 * (0.01 + RADIUS_CAP)]
 
     def test_removable_pole_of_mocanu_is_no_failure(self):
         # f = z/(1 - z/z0) has mocanu(-1) = 1 although h(z0) = 0; starlikeness
@@ -560,14 +574,13 @@ class TestRadius:
         assert radius_of(g, "starlike").radius == 1.0
 
     def test_koebe_convexity_radius(self, monkeypatch):
-        # classical value 2 - sqrt(3), bisected after a scan of RADIUS_CAP
-        # and one two-circle scan
+        # classical value 2 - sqrt(3), bisected after scans of RADIUS_CAP
+        # and 0.01, one circle per scan
         _scan_only(monkeypatch)
-        scans = _record_scans(monkeypatch)
+        radii = _record_radii(monkeypatch)
         res = radius_of(make_catalog("koebe"), "convex")
         assert res.radius == pytest.approx(2.0 - np.sqrt(3.0), abs=1e-4)
-        assert scans[:2] == [(1, None), (2, None)] and len(scans) <= 16
-        assert set(scans[2:]) == {(1, None)}
+        assert all(np.ndim(r) == 0 for r in radii) and len(radii) <= 16
 
 
 def _sampled_pair(kind):
@@ -723,6 +736,21 @@ class TestRadiusEarlyExit:
         assert set(per_scan) <= {1, 1 + ScanPolicy().refine_iters, 2 + ScanPolicy().refine_iters}
 
 
+class TestOneCircleScans:
+    """A radius search decides each circle alone: every circle it scans is
+    one scalar radius, the per-radius rows serving only the conjecture
+    ladder."""
+
+    @pytest.mark.parametrize("name, f", RADIUS_MATRIX, ids=[n for n, _ in RADIUS_MATRIX])
+    def test_every_scan_is_one_circle(self, monkeypatch, name, f):
+        _scan_only(monkeypatch)
+        radii = _record_radii(monkeypatch)
+        policy = ScanPolicy(grid=256, refine_iters=4)
+        for tag, alpha in TestRadiusEarlyExit.TAGS:
+            radius_of(f, tag, policy=policy, alpha=alpha)
+        assert radii and all(np.ndim(r) == 0 for r in radii), name
+
+
 class TestCircleProof:
     """Circles of a rational h are decided by the grid bound on T before any
     scan, and the radius and bracket stay those of scan-only searches."""
@@ -809,6 +837,9 @@ class TestPairedChecks:
             rep = theorem3_check(f, part)
             assert rep.verdict == "IN", part
             assert rep.scan_radius == pytest.approx(0.99 * 0.4)
+            # a theorem-3 part is a sup row against 1 with no rescale
+            assert rep.boundary_estimate == rep.extremal_value
+            assert rep.class_tag == f"theorem3.{part}"
             if expect is not None:
                 # |g' - 1| = 2|z|/b on the shrunk circle
                 assert rep.extremal_value == pytest.approx(expect, abs=1e-10)
