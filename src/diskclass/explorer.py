@@ -38,6 +38,7 @@ from .catalog import (
     DEFAULT_ORDER,
     DiskFunction,
     SchwarzGenerator,
+    _check_order,
     _sample_generator,
     build_member,
     make_catalog,
@@ -95,8 +96,7 @@ class CampaignConfig:
             object.__setattr__(self, name, _numbers(name, getattr(self, name), kind))
         if self.samples < 1:
             raise ParamOutOfRange("samples must be at least 1")
-        if self.order < 8:
-            raise ParamOutOfRange("series order below 8 is useless here")
+        _check_order(self.order, 8)
         if len(self.a2_range) != 2 or not 0.0 < self.a2_range[0] <= self.a2_range[1] <= 2.0:
             raise ParamOutOfRange(
                 f"a2_range must satisfy 0 < lo <= hi <= 2, got {self.a2_range}")

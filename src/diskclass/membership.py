@@ -33,10 +33,11 @@ Before it scans a circle, a radius search of a rational h = N/M tries to
 decide it by a proof: the tag's functional is a quotient P/Q of
 polynomials built from N and M (a ``_CLASSES`` column), so the
 circle's condition is the sign of a real trigonometric polynomial T.  T's
-values on the scan grid, a running bound on their rounding, and
-Bernstein's inequality |T''| <= d^2 max|T| at degree d prove the circle
-clear or failed (``_circle_proof``), and only the circles left open are
-scanned.
+values on a grid, a running bound on their rounding, and Bernstein's
+inequality |T''| <= d^2 max|T| at degree d prove the circle clear or failed
+(``_circle_proof``).  The proof is tried on 64 nodes, then on 512, then on
+the scan's own grid: most circles are settled on a coarse grid, and only
+the circles that all three leave open are scanned.
 """
 from __future__ import annotations
 
@@ -90,6 +91,10 @@ _CLASSES = {
 CLASS_TAGS = tuple(_CLASSES)
 
 _ZOOM = np.linspace(-1.0, 1.0, 33)  # relative angles of a zoom-refine level
+# The coarse grids a radius search tries a circle proof on, in this order,
+# before the scan's own grid: every node of either is a node of every
+# larger power-of-two grid, bit for bit.
+_PROOF_GRIDS = (64, 512)
 
 __all__ = [
     "ScanPolicy",
@@ -497,9 +502,11 @@ def _circle_polys(f, class_tag, alpha):
 @np.errstate(over="ignore", invalid="ignore")
 def _circle_proof(polys, r, grid):
     """True when T = -Re(P conj(Q)) < 0 is proven on all of |z| = r, False
-    when T > 0 is proven at a node of the scan grid, None when neither is.
+    when T > 0 is proven at a node of the grid, None when neither is.  Each
+    answer is a proof at any grid size, so a radius search asks coarse
+    grids first (``radius_of``).
 
-    T is evaluated on the scan's nodes r e^{2 pi i k/grid}.  Its running
+    T is evaluated on the nodes r e^{2 pi i k/grid}.  Its running
     error e covers the coefficients' rounding (``_Poly``), Horner's rule
     (4 roundings per degree), the nodes' distance from the exact angles
     (below 32 2^-53 r, so 33 per degree) and the product.  A trigonometric
@@ -554,11 +561,15 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     circle is first decided by a proof (``_circle_proof``): the tag's
     functional is P/Q with P and Q polynomials built from N and M, so the
     circle's condition is the sign of a real trigonometric polynomial T of
-    degree d.  Its values on the scan grid, with a running rounding bound
-    e, prove the circle clear when max T_k + e plus the Bernstein slack
-    kappa (max|T_k| + e)/(1 - kappa), kappa = d^2 pi^2/(2 grid^2), stays
-    below 0, and failed when some T_k - e > 0.  Only the circles this
-    leaves open are scanned, and so is every circle of any other kernel.
+    degree d.  Its values on a grid of n nodes, with a running rounding
+    bound e, prove the circle clear when max T_k + e plus the Bernstein
+    slack kappa (max|T_k| + e)/(1 - kappa), kappa = d^2 pi^2/(2 n^2), stays
+    below 0, and failed when some T_k - e > 0.  The proof is tried on 64
+    nodes, then on 512 (each only when fewer than ``policy.grid``), then
+    on ``policy.grid``; the coarse nodes are nodes of every larger
+    power-of-two grid, bit for bit, so a circle failed on them fails at
+    the same node of the full grid.  Only the circles all three leave
+    open are scanned, and so is every circle of any other kernel.
     Every scan is passed the tag's threshold, so a circle whose grid
     already fails is not refined (see ``extremal_on_circle``).  A
     proven decision agrees with the one a full scan reads unless the
@@ -572,12 +583,14 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     threshold = _CLASSES[class_tag][2]
     tag = _tag(class_tag, alpha)
     polys = _circle_polys(f, class_tag, alpha)
+    grids = [] if polys is None else [n for n in _PROOF_GRIDS if n < policy.grid] + [policy.grid]
 
     def clears(r):
-        proof = None if polys is None else _circle_proof(polys, r, policy.grid)
-        if proof is None:
-            return extremal_on_circle(functional, r, policy, threshold=threshold)[0] < threshold
-        return proof
+        for grid in grids:
+            proof = _circle_proof(polys, r, grid)
+            if proof is not None:
+                return proof
+        return extremal_on_circle(functional, r, policy, threshold=threshold)[0] < threshold
 
     pole = _first_pole(f, class_tag, alpha, tol)
     if pole < RADIUS_CAP:

@@ -18,6 +18,10 @@ from numpy.polynomial import polynomial as npp
 from .errors import NearZeroConstantTerm, ParamOutOfRange
 
 DEFAULT_ORDER = 64
+# The largest order a function is built at.  Inverting a series costs time
+# quadratic in its order: at 2^14 the slowest builder (the psi expansion of
+# a Blaschke member) takes about 1.4 s, and each doubling about 4 times more.
+MAX_ORDER = 2 ** 14
 
 # Guard on |c_0| below which a reciprocal is refused.
 EPS_DIV = 1e-12

@@ -19,9 +19,10 @@ from diskclass import (
     sample_schwarz,
     seed_key,
 )
-from diskclass.catalog import CERT_RADIUS, _unit_circle, zero_bracket
+from diskclass.catalog import CERT_RADIUS, _log, _unit_circle, zero_bracket
 from diskclass.membership import RADIUS_CAP
 from diskclass.hankel import _det
+from diskclass.series import MAX_ORDER
 from diskclass.errors import (
     BoundaryTooClose,
     DenominatorVanishes,
@@ -108,6 +109,15 @@ class TestCatalogEntries:
         with pytest.raises(UnknownId):
             make_catalog("not_a_function")
 
+    @pytest.mark.parametrize("order", [MAX_ORDER + 1, 10 ** 11])
+    @pytest.mark.parametrize("cid", ["koebe", "log_map"])
+    def test_order_above_its_bound_is_refused_before_any_series(self, cid, order):
+        # 10^11 coefficients would end in numpy's MemoryError
+        with pytest.raises(ParamOutOfRange, match="order"):
+            make_catalog(cid, order=order)
+        with pytest.raises(ParamOutOfRange, match="order"):
+            DiskFunction.from_spec({"id": cid}, order=order)
+
     def test_catalog_h_evaluations_match_series(self):
         # kernel h and reciprocal of the series quotient agree well inside
         for cid in ("koebe", "f1", "f2", "half_plane", "identity", "log_map"):
@@ -129,6 +139,15 @@ class TestCatalogEntries:
         for f in (g_transform(koebe), DiskFunction.from_series(koebe.series)):
             with pytest.raises(UnknownId, match="no spec"):
                 f.to_spec()
+
+
+class TestKernelLog:
+    def test_signed_zeros_of_the_branch_cut_match_numpy(self):
+        # w = -0.5 +- 0.0j lie on the two sides of the cut: +-pi, as np.log
+        w = np.array([complex(-0.5, 0.0), complex(-0.5, -0.0)])
+        got, want = _log(w), np.log(w)
+        assert got.imag.tolist() == [np.pi, -np.pi] == want.imag.tolist()
+        assert got.real.tolist() == want.real.tolist()
 
 
 class TestUnitCircle:
@@ -371,6 +390,18 @@ class TestBuildMember:
     def test_rejects_a2_beyond_two(self):
         with pytest.raises(ParamOutOfRange):
             build_member(2.5, SchwarzGenerator.constant(0.0))
+
+    @pytest.mark.parametrize("order", [0, MAX_ORDER + 1, 10 ** 11])
+    def test_rejects_an_order_outside_its_bound(self, order):
+        # the bound is checked before psi is expanded to the order, and a
+        # spec replays through the same check
+        gen = SchwarzGenerator.blaschke([0.5, 0.3j], 0.8, 0.3)
+        with pytest.raises(ParamOutOfRange, match="order"):
+            build_member(0.3, gen, order)
+        spec = build_member(0.3, gen, order=8).to_spec()
+        spec["params"]["order"] = order
+        with pytest.raises(ParamOutOfRange, match="order"):
+            DiskFunction.from_spec(spec)
 
     def test_paired_root_family_always_certifies(self):
         # quadratic quotient with both roots on or outside the unit circle

@@ -9,6 +9,7 @@ import pytest
 
 from diskclass import cli, make_catalog
 from diskclass.cli import build_parser, main
+from diskclass.series import MAX_ORDER
 
 
 def run_cli(capsys, *argv):
@@ -485,6 +486,20 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["membership", "--id", "koebe", "--class", "U", "--order", "100000000000"],
+        ["radius", "--id", "log_map", "--class", "U", "--order", str(MAX_ORDER + 1)],
+        ["hankel", "--id", "koebe", "--q", "2", "--n", "2", "--order", "100000000000"],
+        ["decompose", "--id", "log_map", "--of-g", "--order", "100000000000"],
+        ["campaign", "--kind", "theorem1", "--samples", "1", "--order", "100000000000"],
+    ])
+    def test_order_above_the_bound_exits_2(self, capsys, argv):
+        # refused before a series is built, not by numpy's MemoryError
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "order" in err
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_scan_value_exits_2(self, capsys):

@@ -20,7 +20,7 @@ from diskclass.errors import ParamOutOfRange, ReplayMismatch
 from diskclass.catalog import SchwarzGenerator, make_catalog
 from diskclass.explorer import (ALPHA_GRID, CAMPAIGNS, FB_GRID, LADDER, TIE_RTOL, _SPECS,
                                 _aggregate, _beats)
-from diskclass.series import ComplexSeries
+from diskclass.series import MAX_ORDER, ComplexSeries
 from oracles import constant_psi, moebius_deviation_sup
 
 
@@ -59,6 +59,9 @@ class TestConfig:
         # worst_case keys each rung by its :g label
         {"campaign": "conjecture", "ladder": (0.1, 0.1)},
         {"campaign": "conjecture", "ladder": (1e-7, 1.0000001e-7)},
+        # no series is built above MAX_ORDER
+        {"campaign": "theorem1", "order": MAX_ORDER + 1},
+        {"campaign": "theorem1", "order": 10 ** 11},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ParamOutOfRange):

@@ -751,9 +751,24 @@ class TestOneCircleScans:
         assert radii and all(np.ndim(r) == 0 for r in radii), name
 
 
+def _record_proofs(monkeypatch):
+    """Patch the circle proof; each call appends (polys, r, grid, answer).
+    Returns the list and the unpatched proof."""
+    calls, original = [], membership._circle_proof
+
+    def recorded(polys, r, grid):
+        answer = original(polys, r, grid)
+        calls.append((polys, r, grid, answer))
+        return answer
+
+    monkeypatch.setattr(membership, "_circle_proof", recorded)
+    return calls, original
+
+
 class TestCircleProof:
     """Circles of a rational h are decided by the grid bound on T before any
-    scan, and the radius and bracket stay those of scan-only searches."""
+    scan, on 64 nodes, then 512, then the scan's own grid, and the radius
+    and bracket stay those of scan-only searches."""
 
     TAGS = TestRadiusEarlyExit.TAGS + [("mocanu", 2.0)]
 
@@ -783,6 +798,30 @@ class TestCircleProof:
         blaschke = dict(RADIUS_MATRIX)["blaschke_product"]
         radius_of(blaschke, "starlike")
         assert len(scans) >= 2
+
+    @pytest.mark.parametrize("name, f", RADIUS_MATRIX, ids=[n for n, _ in RADIUS_MATRIX])
+    def test_coarse_answers_agree_with_the_full_grid(self, monkeypatch, name, f):
+        # the coarse nodes are nodes of the full grid, bit for bit: a circle
+        # failed at one fails there too, and one proven clear is never
+        # proven failed
+        calls, original = _record_proofs(monkeypatch)
+        policy = ScanPolicy()
+        self.searches(f, policy, self.TAGS)
+        coarse = [call for call in calls if call[2] < policy.grid and call[3] is not None]
+        assert coarse or membership._circle_polys(f, "U", None) is None, name
+        for polys, r, grid, answer in coarse:
+            assert original(polys, r, policy.grid) in (answer, None), (name, r, grid)
+
+    def test_top_queries_reach_the_full_grid_on_at_most_two_circles(self, monkeypatch):
+        calls, _ = _record_proofs(monkeypatch)
+        for f, tag in ((make_catalog("koebe"), "convex"),
+                       (g_transform(make_catalog("fb", {"b": 1.0})), "starlike")):
+            calls.clear()
+            radius_of(f, tag)
+            grids = [grid for _, _, grid, _ in calls]
+            assert grids[0] == 64 and set(grids) == {64, 512, ScanPolicy().grid}, tag
+            assert grids.count(ScanPolicy().grid) <= 2, tag
+            assert grids.count(64) >= 15, tag  # one per circle
 
     def test_a_grid_too_coarse_for_the_bound_falls_back(self, monkeypatch):
         # at grid 2, kappa = 4^2 pi^2/8 >= 1 for koebe's degree-4 T: no circle

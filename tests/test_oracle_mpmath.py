@@ -13,6 +13,10 @@ roots (polynomials) and an mpmath winding number (Blaschke members); a
 count must equal the reference or refuse, and never be wrong.  The zeros
 that winding counts place (``zero_bracket``) must lie in their brackets.
 
+The kernels' logarithm (``catalog._log``, taken in real arithmetic) is
+checked at 50 digits on the arguments the Blaschke and ``log_map`` kernels
+pass it: within 4 ulp of max(1, |log w|).
+
 The circle proofs of radius searches are checked at 50 digits: the
 polynomials P/Q of each tag's functional equal the operators, every
 circle proven clear has T < 0 on a grid 16 times finer than its own, and
@@ -45,8 +49,9 @@ from diskclass import (
     turning_derivative,
     u_operator,
 )
-from diskclass.catalog import CERT_RADIUS, _unit_circle, zero_bracket
+from diskclass.catalog import CERT_RADIUS, _log, _unit_circle, zero_bracket
 from diskclass.errors import BoundaryTooClose, DenominatorVanishes
+from diskclass.membership import RADIUS_CAP
 from diskclass.series import ComplexSeries
 
 mp = pytest.importorskip("mpmath")
@@ -129,6 +134,35 @@ def test_kernel_jets(case, radius):
         got = getattr(f.kernel, jet)(np.array([z]), 2)
         for k in range(3):
             assert close(got[k][0], values[k]), (case, radius, jet, k)
+
+
+def _disk_points(rng, n, radius):
+    """n points of |z| <= radius, the first tenth on the circle itself."""
+    z = radius * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(2j * np.pi * rng.random(n))
+    z[:n // 10] *= radius / np.abs(z[:n // 10])
+    return z
+
+
+def _log_arguments(kind):
+    rng = np.random.default_rng(7)
+    if kind == "blaschke":  # 1 - conj(c) z, 0.01 <= |c| <= 0.95, |z| <= 1
+        c = rng.uniform(0.01, 0.95, 1000) * np.exp(2j * np.pi * rng.random(1000))
+        return 1.0 - np.conj(c) * _disk_points(rng, 1000, 1.0)
+    z = _disk_points(rng, 1000, RADIUS_CAP)  # 1 - z, |z| <= RADIUS_CAP
+    # and z near 1, where w is small and |log w| large
+    near = 1.0 - np.geomspace(2.0 ** -14, 0.5, 100) * np.exp(1j * rng.uniform(-1.5, 1.5, 100))
+    return 1.0 - np.concatenate((z, near * np.minimum(1.0, RADIUS_CAP / np.abs(near))))
+
+
+@pytest.mark.parametrize("kind", ["blaschke", "log_map"])
+def test_kernel_log_is_within_four_ulp(kind):
+    w = _log_arguments(kind)
+    got = _log(w)
+    with mp.workdps(DPS):
+        for wk, gk in zip(w, got):
+            want = mp.log(mp.mpc(wk.real, wk.imag))
+            ulp = np.spacing(max(1.0, float(abs(want))))
+            assert float(abs(mp.mpc(gk.real, gk.imag) - want)) <= 4.0 * ulp, (kind, wk)
 
 
 def _mp_reciprocal(c, order):
