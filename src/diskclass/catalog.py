@@ -1,35 +1,12 @@
 """Named disk functions, Schwarz-bounded generators, and certified builders.
 
-Every function handled by the toolkit is normalized (f(0) = 0, f'(0) = 1)
-and analytic on the open unit disk, and is handled through its reciprocal
-quotient h = z/f:
-
-* a kernel of closed forms drives boundary scans; it is the one place
-  where values at points are computed, as the jets [h, h', h''],
-  [f, f', f''] and [omega1, psi = omega1', psi'] of the omega data.  One
-  kernel serves every rational h = N/M: a polynomial quotient has M = 1,
-  a series f = z q has N = 1 and M = q, and g of N/M is a2 M/((M - N)/z);
-* one truncated Taylor series drives coefficient work.  A DiskFunction
-  keeps the series its constructor knows exactly (h for functions defined
-  by their quotient, f for functions defined by their expansion) and
-  derives the other one by series inversion, f only through the highest
-  coefficient a caller reads.
-
-The quotient always admits the normal form h(z) = 1 - a2 z - z omega1(z)
-where a2 is the second Taylor coefficient of f and omega1 is analytic with
-omega1(0) = 0.  When |omega1'| <= 1 on the disk (omega1' = psi for a
-Schwarz-bounded generator psi) the function belongs to the bounded
-reciprocal-deviation class tested by the membership module.
-
-``build_member`` returns such a function only once h is proven zero-free
-on |z| < CERT_RADIUS by ``count_zeros_on_disk``: Weierstrass inclusion
-disks around the roots of a polynomial h, or, for a Blaschke generator, a
-winding count whose arcs are each checked against a bound on |h'|.  A zero
-too close to the circle for either proof makes the count refuse, and the
-member is rejected.  The same proofs place the zeros nearest the origin of
-the factors of f whose zeros are the poles of the class functionals
-(``zero_bracket``), bisecting the radius on winding counts, so a radius
-search proves the disk on which its functional is analytic or refuses.
+Every function is normalized (f(0) = 0, f'(0) = 1), analytic on the open
+unit disk, and handled through its quotient h = z/f = 1 - a2 z - z omega1(z);
+with |omega1'| <= 1 on the disk it belongs to the class the membership
+module tests.  Values at points come from the jets of a kernel
+(``_Kernel``), Taylor series from ``DiskFunction``; ``build_member``
+certifies members (``count_zeros_on_disk``), and ``zero_bracket`` places
+the zeros nearest the origin of the factors of f.
 """
 from __future__ import annotations
 
@@ -95,9 +72,11 @@ def _unit_circle(n):
 # ---------------------------------------------------------------------------
 def _log(w):
     """The principal logarithm of a complex array, log|w| + i atan2(Im w,
-    Re w), in real arithmetic: a fraction of the cost of numpy's complex
-    log per point, within a few ulp of max(1, |log w|), and the same -+pi
-    on the two signed-zero sides of the branch cut."""
+    Re w), for the Blaschke and log_map kernels.  Real arithmetic costs a
+    fraction of numpy's complex log per point, and every circle scan of a
+    Blaschke member takes one log per factor.  It stays within 4 ulp of
+    max(1, |log w|) on those kernels' arguments (the mpmath oracle) and
+    gives the same -+pi on the two signed-zero sides of the branch cut."""
     return np.log(np.abs(w)) + 1j * np.arctan2(w.imag, w.real)
 
 
@@ -120,21 +99,21 @@ class _Kernel:
     Three methods serve every pointwise value: ``h_jet(z, n)`` is
     [h, h', h''][:n+1], ``omega_jet(z, n)`` is [omega1, psi, psi'][:n+1]
     and ``f_jet(z, n)`` is [f, f', f''][:n+1].  A subclass implements its
-    natural jet, h or omega, and sets ``a2``; the default of the other one
-    rearranges h = 1 - a2 z - z omega1.  The omega jet from h divides by
-    powers of z, so for |z| below ``mask_radius`` it falls back to the
-    polynomial kernel of the quotient series of ``owner``, the DiskFunction
-    the kernel belongs to.  The f jet is the reciprocal of the h jet,
-    guarded against a vanishing h.
+    natural jet and sets ``a2``: every rational h = N/M its h jet
+    (``_RationalKernel``), a Blaschke member its omega jet, ``log_map`` its
+    f jet, and g of either the h jet from its parent's omega jet.  The
+    defaults of the others rearrange h = 1 - a2 z - z omega1.  The omega
+    jet from h divides by powers of z, so for |z| below ``mask_radius`` it
+    falls back to the polynomial kernel of the quotient series of
+    ``owner``, the DiskFunction the kernel belongs to.  The f jet is the
+    reciprocal of the h jet, guarded against a vanishing h.
 
     Every subclass implements ``factor(part)``, the kernel's zero source
     for a factor of f = z P/Q on the unit disk: "pole" is Q, whose zeros
     are the poles of f, "root" is P, whose zeros are those of f/z, and
-    "crit" the numerator of f'.  A source is polynomial coefficients with
-    the same zeros on the disk, or a pair (fn, bounds) for a winding count,
-    where bounds(radius) gives the (lipschitz, slack) of fn on |z| <=
-    radius; ``count_zeros_on_disk`` takes either, and None means no proof.
-    A kernel whose g is no rational kernel gives g's sources (``g_factor``).
+    "crit" the numerator of f'.  A source is what ``count_zeros_on_disk``
+    takes, or None for no proof; a kernel whose g is no rational kernel
+    gives g's sources (``g_factor``).
     """
 
     mask_radius = 1e-3
@@ -276,10 +255,8 @@ class _BlaschkeKernel(_Kernel):
 
     psi = p/q is a finite Blaschke product scaled by rho e^{i theta}.
     Partial fractions turn its primitive into a polynomial plus logarithms
-    log(1 - conj(alpha_k) z), which stay on the principal branch for
-    |alpha_k| < 1 and |z| <= 1.  They are taken in real arithmetic
-    (``_log``): numpy's complex log costs several times as much per point,
-    and every circle scan of a member takes one per factor.
+    log(1 - conj(alpha_k) z) (``_log``), which stay on the principal branch
+    for |alpha_k| < 1 and |z| <= 1.
     """
 
     def __init__(self, a2, alphas, rho, theta):
@@ -365,12 +342,20 @@ class _BlaschkeKernel(_Kernel):
 
 class _LogQuotientKernel(_Kernel):
     """Kernel for f(z) = -log(1 - z), the convex-but-not-bounded witness:
-    the f jet is closed form and the h jet its reciprocal.  A caller that
-    passes its h jet gets f as z/h, without a second log.  The log is taken
-    in real arithmetic (``_log``), several times cheaper per point than
-    numpy's complex log."""
+    the f jet is closed form (``_log``) and the h jet its reciprocal.  A
+    caller that passes its h jet gets f as z/h, without a second log."""
 
     a2 = 0.5
+
+    @property
+    def mask_radius(self):
+        """Below this |z| the h jet is the quotient series' polynomial:
+        min(0.05, 2^(-53/(n + 1))) for its order n, one less than f's, and
+        never below the default mask.  The closed form builds U from the
+        rounded w = 1 - z, so its relative error grows as |z| falls (9e-7
+        at |z| = 0.002), while the polynomial's tail at this radius stays
+        below 2^-53.  A fixed 0.05 read 1e-4 at order 5."""
+        return min(0.05, max(_Kernel.mask_radius, 2.0 ** (-53.0 / self.owner.order)))
 
     def f_jet(self, z, n, h=None):
         w = 1.0 - z
@@ -435,13 +420,10 @@ class DiskFunction:
     series of h (``quotient``) and of f (``series``).  The constructor takes
     the one series its caller knows exactly, whose order is the declared
     ``order``; h and f/z are reciprocal series, so the other one is derived
-    by inversion and cached.  f is derived only through the highest
-    coefficient a caller reads (``taylor``), and ``series`` is that cache
-    read at full order.  Without a kernel the closed forms are the
-    polynomial the constructor was given: h for a quotient, f for a series.
-    Values at points are read from the jets of ``kernel`` on 1-d arrays:
-    ``f.kernel.f_jet(z, 2)`` is [f, f', f''] and ``f.kernel.h_jet(z, 0)[0]``
-    is h = z/f.
+    by inversion and cached, f only as far as a caller reads (``taylor``).
+    Without a kernel the closed forms are the polynomial the constructor
+    was given: h for a quotient, f for a series.  Values at points come
+    from the jets of ``kernel`` (``_Kernel``).
     """
 
     def __init__(self, fid, params, kernel=None, *, series=None, quotient=None):
@@ -465,10 +447,9 @@ class DiskFunction:
     def taylor(self, top: int) -> ComplexSeries:
         """Taylor series of f through z^top, or through ``order`` if lower.
 
-        From a quotient only its terms up to z^top are inverted: term k of
-        the inversion reads terms <= k, so the result has the bits of the
-        full inversion.  The derived series is cached and re-derived when a
-        caller asks for more.
+        From a quotient only its terms up to z^top are inverted, with the
+        bits of the full inversion (``ComplexSeries.reciprocal``).  The
+        derived series is cached and re-derived when a caller asks for more.
         """
         top = min(top, self.order)
         if self._f is None or self._f.order < top:
@@ -909,12 +890,11 @@ def build_member(a2, generator: SchwarzGenerator,
                  order: int = DEFAULT_ORDER) -> DiskFunction:
     """Construct f from z/f = 1 - a2 z - z omega1(z), omega1' = psi.
 
-    The quotient is certified zero-free on |z| < CERT_RADIUS before the
-    function is returned: by inclusion disks around its roots for the
-    polynomial kinds, and by a Lipschitz-checked winding count for a
-    Blaschke generator.  Inadmissible parameters, and a zero too close to
-    the circle for either proof, raise DenominatorVanishes (callers
-    typically resample).
+    The quotient is certified zero-free on |z| < CERT_RADIUS
+    (``count_zeros_on_disk`` of the kernel's "pole" factor) before the
+    function is returned.  Inadmissible parameters, and a zero too close to
+    the circle for the proof, raise DenominatorVanishes (callers typically
+    resample).
     """
     a2 = complex(a2)
     if abs(a2) > 2.0 + 1e-12:

@@ -5,13 +5,8 @@ single-line with --json) that echoes its full effective configuration, so
 any run can be reproduced from its own output.  Exit codes: 0 success/IN,
 3 OUT, 4 BOUNDARY, 2 usage or input errors.
 
-A subcommand is one ``_COMMANDS`` row: its help, whether it runs on a
-function (and so takes the ``_FUNCTION`` flags), its own flags and its
-run.  ``build_parser`` and ``main`` read nothing else.
-
-``main`` builds its parser once per process and reuses it: parsing keeps
-no state in the parser, and building it costs far more than a parse.
-``build_parser`` returns a new parser on every call.
+A subcommand is one ``_COMMANDS`` row; ``build_parser`` and ``main`` read
+nothing else.
 """
 from __future__ import annotations
 
@@ -208,7 +203,8 @@ def _catalog(args):
     return {"catalog": [{"id": cid, **extra.get(cid, {})} for cid in catalog_ids()]}, 0
 
 
-# name: (help, on_function, flags, run).  A run on a function takes (f, args)
+# name: (help, on_function, flags, run).  A function's subcommand
+# (on_function) also takes the _FUNCTION flags, and its run takes (f, args)
 # and returns (config entries, report, exit code); any other run takes args
 # and returns (payload, exit code).
 _COMMANDS = {
@@ -258,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 @cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses for the life of the process."""
+    """The parser ``main`` reuses for the life of the process: parsing keeps
+    no state in the parser, and building one costs far more than a parse.
+    ``build_parser`` returns a new parser on every call."""
     return build_parser()
 
 

@@ -1,25 +1,27 @@
 """Seeded randomized campaigns over certified members of the deviation class.
 
-Every campaign draws (a2, generator) pairs from a per-index RNG stream,
-builds certified members, evaluates its quantities, and aggregates worst
-cases, violations, and a histogram into a report whose canonical JSON
-depends on the config alone.  What differs between the kinds
-lives in one spec per kind (``_SPECS``): the evaluator, the tracked
-quantities with their bounds, the histogram, the status words and any extra
-report sections.  Replay re-runs the same evaluator, so a certificate is
+Every campaign runs the catalog rows of ``catalog_prepends`` and then
+``samples`` certified members built from (a2, generator) pairs of a
+per-index RNG stream (``_materialize``), evaluates its quantities, and
+aggregates worst cases, violations, and a histogram into a report whose
+canonical JSON depends on the config alone (``run_campaign``).  What
+differs between the kinds lives in one ``_CampaignSpec`` per kind
+(``_SPECS``).  Replay re-runs the same evaluator, so a certificate is
 checked by exactly the code that produced it.
 
 Campaign kinds:
 
-* ``theorem1``    second and third Hankel determinant bounds (1 and 1/4),
-                  coefficient-constraint slacks, profile majorization;
-* ``theorem2``    joint verdicts for the alpha-convex family versus the
-                  deviation class across an alpha grid;
-* ``theorem3``    normalized transform g on the circle |z| = (1-shrink)|a2|/2:
-                  sup |g' - 1|, sup |z g'/g - 1|, sup of the deviation of g,
-                  and monotonicity of the majorizing profile;
-* ``conjecture``  the unproved range 1 < |a2| <= 2: sup of the deviation of g
-                  on a ladder of circles approaching |z| = |a2|/2.
+* ``theorem1``: second and third Hankel determinant bounds (1 and 1/4),
+  coefficient-constraint slacks, profile majorization;
+* ``theorem2``: joint verdicts for the alpha-convex family versus the
+  deviation class across an alpha grid, one scan per function;
+* ``theorem3``: the normalized transform g on the circle |z| =
+  (1 - shrink)|a2|/2: sup |g' - 1|, sup |z g'/g - 1|, sup of the deviation
+  of g (parts "abc" in one scan, or "ab" when |a2| > 1 leaves part c
+  unproved), and monotonicity of the majorizing profile;
+* ``conjecture``: the unproved range 1 < |a2| <= 2, sup of the deviation
+  of g on a ladder of circles approaching |z| = |a2|/2, one scan per
+  function with one row per rung.
 
 The conjecture campaign never claims more than "evidence"; any value past
 1 + delta becomes a replayable counterexample certificate and flips the
@@ -481,12 +483,8 @@ def _fork_chunk(cfg, prepends, chunk):
 
 
 def _run_rows(cfg, prepends, rows: int, workers: int) -> list:
-    """Rows 0..rows-1 in index order, dealt out to ``workers`` processes:
-    process k runs rows k, k + workers, ..., the caller being process 0 and
-    a child forked for this call each of the others.  Each process stops at
-    its first row error; once every process is read, the error of the lowest
-    row raises, so the same row's error raises at any worker count.  Every
-    child is reaped before this returns or raises."""
+    """Rows 0..rows-1 in index order, run by ``workers`` processes as
+    ``run_campaign`` describes."""
     if not hasattr(os, "fork"):
         workers = 1
     chunks = [range(k, rows, workers) for k in range(workers)]
@@ -537,19 +535,23 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1,
                  keep_rows: bool = False) -> dict:
     """Execute the campaign and return its report as a plain dict.
 
-    The report is deterministic for a given config: per-sample randomness
-    comes only from (seed, index) streams, and samples aggregate in index
-    order in the calling process.  ``threads`` is the number of processes
-    that run the samples: with k > 1 (at most one per row) the rows are
-    dealt out in turn, so process j runs rows j, j + k, j + 2k, ...; the
-    caller is process 0 and a child forked for this call runs each of the
-    others, and the rows come back in index order, so the report bytes are
-    the same for every k.
-    Without ``os.fork`` every row runs in the caller.  Do not pass k > 1
-    from a process that runs other threads: a forked child holds only the
-    calling thread, and a lock another thread held at the fork stays held.
-    With keep_rows=True the raw per-sample rows go under "per_sample" (for
-    CSV export; not part of the canonical report).
+    The report is deterministic for a given config: sample i of seed s
+    draws from its own ``seed_key(s, i)`` stream, and rows aggregate in
+    index order in the calling process.  ``threads`` = k processes run the
+    rows (at most one per row), dealt out in turn so that the catalog rows
+    and the costlier sampled rows are shared alike: process j runs rows j,
+    j + k, j + 2k, ...  The caller is process 0; a child forked for this
+    call runs each other chunk and pickles back only its row dicts, so the
+    report and its "per_sample" rows are the same bytes at every k.  Each
+    process stops at its first row error, and once all are read the lowest
+    row's error raises with its own type, the same at every k.  A child
+    that dies without sending its rows makes the call raise RuntimeError;
+    every child is reaped before the call returns or raises.  Without
+    ``os.fork`` every row runs in the caller.  Do not pass k > 1 from a
+    process that runs other threads: a forked child holds only the calling
+    thread, and a lock another thread held at the fork stays held.  With
+    keep_rows=True the raw per-sample rows go under "per_sample" (for CSV
+    export; not part of the canonical report).
     """
     if not (_is_number(threads, Integral) and threads >= 1):
         raise ParamOutOfRange(f"threads must be an integer of at least 1, got {threads!r}")

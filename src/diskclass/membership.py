@@ -1,43 +1,11 @@
-"""Circle-grid extremal scans, class verdicts, and radius searches.
+"""Circle scans, class verdicts and radius searches.
 
-For the quantities tested here the extremum over a closed disk sits on the
-bounding circle (maximum modulus for sup tests, minimum principle for the
-harmonic real parts), so one dense circle scan plus a local refinement
-decides a verdict.  Verdicts are three-way: IN and OUT require
-clearing the threshold by a margin delta, everything else is BOUNDARY.
-Extremal members of the deviation class, whose sup tends to 1 only as
-|z| -> 1, legitimately return BOUNDARY: a scan cannot distinguish sup < 1
-from sup = 1, and pretending otherwise would be false precision.
-
-A scan only maximizes: each class tag is one ``_CLASSES`` row (operators
-factory, whether the scan maximizes |F| or -Re F, threshold, pole
-factors, F as P/Q of a rational h), the report maps the maximum back,
-and every scan reads its grid and refine evaluations (zoom levels, then
-one parabolic vertex probe per bracket) from one ``ScanPolicy``.  A scan
-can be row-batched, each refine evaluation one call for the brackets of
-all rows, and each row equals the one-row scan bit for bit.  The rows
-are either k radii of one functional, whose grids are evaluated one
-circle at a time, or k functionals that share their expensive parts on
-one circle, one coarse grid evaluation serving every row.  The radius search
-(``radius_of``) bisects on a disk where its functional is proven analytic,
-so that the same extremum principles make its verdict monotone in the
-radius, one circle per decision, and a theorem-2 sample is one scan
-(``theorem2_grid``): |U| and the whole alpha grid are rows read off one h
-jet per probe set.  ``theorem3_check`` uses both: the three parts of a
-theorem-3 sample (``operators.theorem3_parts``) share one h jet of g on one
-circle, and a conjecture ladder, the one user of per-radius rows, is its
-radii.  One builder makes every report from its row's rule.  A NaN or
-infinite value met by any scan raises NonFiniteValue instead of a verdict.
-
-Before it scans a circle, a radius search of a rational h = N/M tries to
-decide it by a proof: the tag's functional is a quotient P/Q of
-polynomials built from N and M (a ``_CLASSES`` column), so the
-circle's condition is the sign of a real trigonometric polynomial T.  T's
-values on a grid, a running bound on their rounding, and Bernstein's
-inequality |T''| <= d^2 max|T| at degree d prove the circle clear or failed
-(``_circle_proof``).  The proof is tried on 64 nodes, then on 512, then on
-the scan's own grid: most circles are settled on a coarse grid, and only
-the circles that all three leave open are scanned.
+Each class tag is one ``_CLASSES`` row.  A verdict is one scan of the
+circle |z| = r_max (``extremal_on_circle``, refined by ``_zoom_refine``)
+read by ``_report``; ``theorem2_grid`` and ``theorem3_check`` are
+row-batched scans.  ``radius_of`` bisects the radius on a disk that
+``_first_pole`` proves analytic, deciding each circle by ``_circle_proof``
+where it can and by a scan otherwise.
 """
 from __future__ import annotations
 
@@ -62,12 +30,10 @@ from .operators import (
     u_operator,
 )
 
-# Radius search ceiling: above it the property is reported as holding on the
-# whole disk.  Tighter than the membership scan radius so that radii equal
-# to 1 are reported within 1e-4.
+# Radius search ceiling (``radius_of``), tighter than the membership scan
+# radius so that radii equal to 1 are reported within 1e-4.
 RADIUS_CAP = 1.0 - 2.0 ** -14
-# With no pole below RADIUS_CAP and a failing RADIUS_CAP, the radius search
-# checks this radius next, then bisects (_INNER, RADIUS_CAP).
+# The radius a search checks after a failing RADIUS_CAP (``radius_of``).
 _INNER = 0.01
 # One row per class tag: its operators factory F, whether its scan
 # maximizes |F| (the sup tag) or -Re F, the threshold that members keep
@@ -91,9 +57,8 @@ _CLASSES = {
 CLASS_TAGS = tuple(_CLASSES)
 
 _ZOOM = np.linspace(-1.0, 1.0, 33)  # relative angles of a zoom-refine level
-# The coarse grids a radius search tries a circle proof on, in this order,
-# before the scan's own grid: every node of either is a node of every
-# larger power-of-two grid, bit for bit.
+# The coarse grids a radius search tries ``_circle_proof`` on, in this
+# order, before the scan's own grid.
 _PROOF_GRIDS = (64, 512)
 
 __all__ = [
@@ -116,9 +81,10 @@ def _is_number(value, kind=Real) -> bool:
 
 @dataclass(frozen=True)
 class ScanPolicy:
-    """Parameters of a verdict scan, and of every circle scan's grid and
-    refine: ``refine_iters`` counts the refine evaluations of a scan,
-    refine_iters - 1 zoom levels and then one parabolic vertex probe."""
+    """Parameters of a verdict (``r_max`` and the margin ``delta``, read by
+    ``_report``) and of every circle scan: ``grid`` angles, at most
+    CERT_SAMPLES = 2^20, the finest circle the package samples anywhere,
+    and ``refine_iters``, the refine evaluations ``_zoom_refine`` makes."""
 
     r_max: float = 1.0 - 2.0 ** -10
     grid: int = 4096
@@ -186,15 +152,21 @@ def _zoom_refine(fn, center, value, side, half, evals):
     """Maximize fn (angles (rows, n) -> values) near each (rows, brackets)
     center in ``evals`` calls, given the values ``side`` (shape (rows,
     brackets, 2)) at center -+ half on the grid, whose spacing is half.
+    Returns (center, value).
 
-    Each of evals - 1 zoom levels samples center + half * _ZOOM for all
-    brackets in one call, keeps the first best angle and narrows half
-    16-fold, so a level's spacing is the next level's half-width.  The
-    last call probes each bracket once, at the vertex of the parabola
-    through the last lattice's best point and its two neighbours, clipped
-    to one spacing; a best point on the lattice edge, or a parabola that
-    is not concave, probes in place.  The probe replaces a bracket's best
-    only when its value is strictly greater.  Returns (center, value)."""
+    Each of evals - 1 zoom levels samples the 33 evenly spaced angles
+    center + half * _ZOOM of every bracket in one call, keeps the first
+    best angle and narrows half 16-fold, so a level's spacing is the next
+    level's half-width.  The last call probes each bracket once, at the
+    vertex of the parabola through the last lattice's best point and its
+    two neighbours (the grid itself when no zoom level ran), clipped to one
+    spacing; a best point on a zoom lattice's edge, or three points that
+    are not concave (L - 2C + R >= 0), probe in place.  The probe replaces
+    a bracket's best only when its value is strictly greater.  The default
+    3 calls refine on a lattice of 2 pi/4096/256 and then at its vertex:
+    on 48 maxima of sampled polynomial members that lies within 1e-14
+    relative of a 40-digit maximization (the mpmath oracle pins 1e-13).
+    0 calls return the grid maxima."""
     if not evals:
         return center, value
     cells = tuple(np.indices(center.shape))
@@ -240,24 +212,15 @@ def _top3(row):
 
 def extremal_on_circle(functional, radius, policy: ScanPolicy | None = None,
                        threshold=None):
-    """Maximum on a circle of the real values that ``functional`` returns.
+    """Maximum on a circle of the real values that ``functional`` returns,
+    as (value, witness).
 
-    A coarse scan of ``policy.grid`` angles (r times a unit circle built
-    once per grid size and shared, read-only, by every scan), then a
-    refinement around the three best (picked as a stable sort would pick
-    them, ties to the smallest angle) in ``policy.refine_iters``
-    evaluations.  Each but the last is a zoom level: it samples 33 evenly
-    spaced angles across each bracket (one grid step either side at
-    first), keeps the best and narrows the bracket 16-fold.  The last
-    probes each bracket once, at the vertex of the parabola through the
-    best point of the last lattice (the grid itself when no zoom level
-    ran) and its two neighbours, and keeps the probe only when its value
-    is strictly greater.  A best point on a zoom lattice's edge, or three
-    points that are not concave, take no step, and a step is clipped to
-    one lattice spacing.  The default 3 evaluations refine each bracket
-    on a lattice of 2 pi / 4096 / 256 and then at its vertex; 0 returns
-    the grid maxima.  Ties within 1e-12 resolve to the smallest angle.
-    Returns (value, witness).
+    The coarse scan evaluates ``policy.grid`` angles (r times a unit circle
+    built once per grid size and shared, read-only, by every scan) and
+    picks its three best (``_top3``), which ``_zoom_refine`` refines in
+    ``policy.refine_iters`` evaluations.  The largest of the picks and
+    their refined values wins, and values within 1e-12 of it resolve to
+    the smallest angle.
 
     ``threshold``, when given, skips the refinement of a scan already known
     to reach it: if every row's grid maximum G has G - 1e-12 >= threshold,
@@ -267,15 +230,16 @@ def extremal_on_circle(functional, radius, policy: ScanPolicy | None = None,
     its threshold.  Such a scan evaluates no refine probes, so it raises
     NonFiniteValue only for a grid value.
 
-    A scan has k rows, each resolved as a one-row scan would be, and then
-    returns a pair of length-k arrays (values, witnesses).  Rows come from
-    one of two sources.  ``radius`` may be a 1-d array of k radii: row i
-    scans a one-row functional on |z| = radius[i].  Or F may be
-    row-batched: k functionals sharing one evaluation, which map points of
-    shape (m,) or (k, m) to values of shape (k, m), row i holding
+    A scan has k rows, each resolved as a one-row scan would be, bit for
+    bit, and then returns a pair of length-k arrays (values, witnesses).
+    Rows come from one of two sources.  ``radius`` may be a 1-d array of k
+    radii: row i scans a one-row functional on |z| = radius[i].  Or F may
+    be row-batched: k functionals sharing one evaluation, which map points
+    of shape (m,) or (k, m) to values of shape (k, m), row i holding
     functional i, all scanned on one circle.  Either way the coarse grid is
     evaluated once per circle and each refine evaluation is one call for
     all 3k brackets.
+
     A NaN or infinite value anywhere on the grid or among the refine probes
     raises NonFiniteValue; numpy's floating-point warnings are silenced
     for the scan, since that check reports the same events.
@@ -344,15 +308,8 @@ def _tag(class_tag, alpha):
 
 def test_class(f: DiskFunction, class_tag: str, policy: ScanPolicy | None = None,
                alpha=None) -> MembershipReport:
-    """Three-way verdict for membership of f in the tagged class.
-
-    Sup-modulus tests compare a boundary estimate value/r^2 against the
-    threshold: the deviation vanishes to second order at the origin, so by
-    the Schwarz lemma the scanned maximum divided by r^2 is a lower bound
-    for the boundary supremum.  Without the rescale an extremal member
-    whose sup tends to 1 would be declared IN purely because the scan
-    circle stops short of |z| = 1.
-    """
+    """Three-way verdict for membership of f in the tagged class: one scan
+    of |z| = policy.r_max, read by ``_report``."""
     policy = policy or ScanPolicy()
     functional = class_functional(f, class_tag, alpha)
     peak, witness = extremal_on_circle(functional, policy.r_max, policy)
@@ -361,8 +318,8 @@ def test_class(f: DiskFunction, class_tag: str, policy: ScanPolicy | None = None
 
 
 def _class_rule(class_tag):
-    """(sup, threshold, rescale) of a class row: U, the one sup tag, alone
-    reads peak/r^2 (the Schwarz rescale)."""
+    """(sup, threshold, rescale) of a class row for ``_report``: U, the one
+    sup tag, alone takes the Schwarz rescale."""
     sup, threshold = _CLASSES[class_tag][1:3]
     return sup, threshold, sup
 
@@ -370,8 +327,17 @@ def _class_rule(class_tag):
 def _report(tag, peak, witness, radius, policy, rule) -> MembershipReport:
     """Report of a scan's maximum ``peak`` on |z| = radius under the row's
     rule (sup, threshold, rescale): of |F| when sup, else of -Re F, reported
-    as min Re F.  The estimate, peak/radius^2 when rescale, else peak, is IN
-    or OUT when it clears the threshold by more than delta."""
+    as min Re F.
+
+    For F analytic on the closed disk the extremum sits on the bounding
+    circle (maximum modulus, or the minimum principle for the harmonic
+    Re F); ``radius_of`` proves that analyticity, a verdict does not.  The
+    estimate, peak/radius^2 when rescale, else peak, is IN or OUT when it
+    clears the threshold by more than ``policy.delta``, else BOUNDARY.  U
+    vanishes to second order at the origin, so by the Schwarz lemma
+    peak/r^2 bounds its boundary supremum from below: an extremal member,
+    whose sup tends to 1 only as |z| -> 1, reads BOUNDARY instead of IN,
+    since no scan can tell sup < 1 from sup = 1."""
     sup, threshold, rescale = rule
     peak = float(peak)
     estimate = peak / radius ** 2 if rescale else peak
@@ -487,8 +453,8 @@ def _functional_polys(n, m, class_tag, alpha):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _circle_polys(f, class_tag, alpha):
-    """(P, Q) as ``_Poly`` whose real trigonometric polynomial T = -Re(P
-    conj(Q)) on |z| = r has the sign of the tag's scanned maximum less its
+    """(P, Q) as ``_Poly`` for ``_circle_proof``, whose T = -Re(P conj(Q))
+    on |z| = r has the sign of the tag's scanned maximum less its
     threshold, for f whose kernel is rational; None for any other kernel.
     For U, |P/Q| < 1 reads |P|^2 - |Q|^2 = -Re((Q - P) conj(Q + P)) < 0."""
     kernel = f.kernel
@@ -502,9 +468,7 @@ def _circle_polys(f, class_tag, alpha):
 @np.errstate(over="ignore", invalid="ignore")
 def _circle_proof(polys, r, grid):
     """True when T = -Re(P conj(Q)) < 0 is proven on all of |z| = r, False
-    when T > 0 is proven at a node of the grid, None when neither is.  Each
-    answer is a proof at any grid size, so a radius search asks coarse
-    grids first (``radius_of``).
+    when T > 0 is proven at a node of the grid, None when neither is.
 
     T is evaluated on the nodes r e^{2 pi i k/grid}.  Its running
     error e covers the coefficients' rounding (``_Poly``), Horner's rule
@@ -516,7 +480,15 @@ def _circle_proof(polys, r, grid):
     /(1 - kappa).  The final factors 1 + 2^-20 and 1 + 2^-40 cover the
     rounding of a, of e and of the bound itself; with count 2^-53 below
     2^-30 the second-order terms stay below them.  Non-finite values,
-    kappa >= 1 and a wider count decide nothing.
+    kappa >= 1 and a wider count decide nothing.  The slack is about
+    5e-6 max|T| at d = 4 on 4096 nodes.
+
+    Each answer is a proof at any grid size, so a radius search tries the
+    coarse ``_PROOF_GRIDS`` before its own grid.  The nodes of a
+    power-of-two grid are nodes of every larger one, bit for bit (2 pi k/n
+    scales by powers of two exactly), so a circle failed on a coarse grid
+    fails at the same node of the full grid.  koebe's convexity radius
+    decides 12 of its 16 circles on 64 nodes, 3 on 512 and 1 on 4096.
     """
     p, q = polys
     dp, dq = p.c.size - 1, q.c.size - 1
@@ -540,41 +512,26 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
               policy: ScanPolicy | None = None, alpha=None) -> RadiusResult:
     """Largest radius on which the class property holds.
 
-    The search first proves a disk |z| < rho on which the tag's functional
-    is analytic (``catalog.zero_bracket`` places the zeros of the factors
-    of f where its poles lie), or raises RadiusUnproven (``_first_pole``).
-    On that disk the maximum principle (sup tags) and the minimum principle
-    for the harmonic real parts make the verdict of a circle scan monotone
-    in the radius, so a bracket of the first failure is bisected, one
-    circle per decision.  With no pole below RADIUS_CAP, RADIUS_CAP is
-    checked first: if the property holds there the radius is reported as
-    1.0 (error at most 2^-14).  Else r = 0.01 is checked, and the bracket
-    (0.01, RADIUS_CAP), or (0, 0.01) when the property fails there, is
-    bisected.  A proven pole is where the property fails for sure, so the
-    bracket is (0, hi) with hi an upper bound on the pole's modulus, and no
-    circle near the pole is scanned.  The bisection stops at ``tol``
-    (positive and finite) or once the bracket can no longer be split in
-    floating point.
+    ``_first_pole`` proves a disk |z| < rho on which the tag's functional is
+    analytic, or raises RadiusUnproven.  On that disk the maximum principle
+    (sup tags) and the minimum principle for the harmonic real parts make a
+    circle's verdict monotone in the radius, so the first failure is
+    bracketed and bisected, one circle per decision.  With no pole below
+    RADIUS_CAP, RADIUS_CAP is checked first: if the property holds there
+    the radius is reported as 1.0 (error at most 2^-14).  Else r = 0.01 is
+    checked, and the bracket (0.01, RADIUS_CAP), or (0, 0.01) when the
+    property fails there, is bisected.  A proven pole is where the property
+    fails for sure, so the bracket is (0, hi) with hi an upper bound on the
+    pole's modulus, and no circle near the pole is scanned.  The bisection
+    stops at ``tol`` (positive and finite) or once the bracket can no
+    longer be split in floating point.
 
-    When the kernel of f is rational (h = N/M: the rational catalog ids,
-    fb, the polynomial-generator members and g of any of them), each
-    circle is first decided by a proof (``_circle_proof``): the tag's
-    functional is P/Q with P and Q polynomials built from N and M, so the
-    circle's condition is the sign of a real trigonometric polynomial T of
-    degree d.  Its values on a grid of n nodes, with a running rounding
-    bound e, prove the circle clear when max T_k + e plus the Bernstein
-    slack kappa (max|T_k| + e)/(1 - kappa), kappa = d^2 pi^2/(2 n^2), stays
-    below 0, and failed when some T_k - e > 0.  The proof is tried on 64
-    nodes, then on 512 (each only when fewer than ``policy.grid``), then
-    on ``policy.grid``; the coarse nodes are nodes of every larger
-    power-of-two grid, bit for bit, so a circle failed on them fails at
-    the same node of the full grid.  Only the circles all three leave
-    open are scanned, and so is every circle of any other kernel.
-    Every scan is passed the tag's threshold, so a circle whose grid
-    already fails is not refined (see ``extremal_on_circle``).  A
-    proven decision agrees with the one a full scan reads unless the
-    scan's rounding exceeds the proven margin, so the radius is the one
-    full scans give, bit for bit, on every search the tests compare.
+    A circle of a rational kernel is first decided by ``_circle_proof`` of
+    ``_circle_polys``; a circle that leaves open, and every circle of any
+    other kernel, is scanned with the tag's threshold
+    (``extremal_on_circle``).  A proof agrees with a scan unless the scan's
+    rounding exceeds the proven margin, so on every search the tests
+    compare the radius is the one scans alone give, bit for bit.
     """
     if not 0.0 < tol < np.inf:
         raise ParamOutOfRange(f"tol must be positive and finite, got {tol}")
@@ -614,18 +571,16 @@ def theorem3_check(f: DiskFunction, part: str, shrink=0.01,
                    policy: ScanPolicy | None = None, allow_large_a2: bool = False):
     """Deviation-transform check on the circle |z| = (1 - shrink) |a2|/2.
 
-    part 'a': sup |g' - 1|; part 'b': sup |z g'/g - 1|; part 'c': sup of the
-    deviation |U_g|, all read off one h jet of g = g_transform(f)
-    (``operators.theorem3_parts``) and compared against 1.  Part 'c' is
-    proved only for |a2| <= 1; probing beyond that needs
+    The sup of the modulus of each part ('a', 'b', 'c') of
+    ``operators.theorem3_parts`` of g = g_transform(f) is compared against
+    1.  Part 'c' is proved only for |a2| <= 1; probing beyond that needs
     allow_large_a2=True.  ``shrink`` must lie in (0, 1).
 
     One part and one shrink give one MembershipReport.  Otherwise the check
     is one row-batched scan and returns a list of reports, one per row: a
     string of several parts (e.g. "abc") gives one row per part on one
     circle, and a 1-d array of shrinks with one part gives one row per
-    circle; asking for both at once raises ParamOutOfRange.  Each row
-    equals its one-part, one-shrink check bit for bit.
+    circle; asking for both at once raises ParamOutOfRange.
     """
     policy = policy or ScanPolicy()
     shrinks = np.asarray(shrink, dtype=float)

@@ -1,13 +1,9 @@
 """Pointwise functionals and transforms attached to a disk function.
 
-The central object is the deviation U(z) = (z/f(z))^2 f'(z) - 1.  Writing
-h = z/f it satisfies U = h - z h' - 1, which ``u_operator`` computes from
-one h jet of the kernel of f; the class test |U| < 1 then runs on boundary
-circles.  Also provided: the starlike quotient z f'/f, the convex quotient
-1 + z f''/f', their alpha-combination, f', the theorem-3 parts of g built
-from the same formulas, the deviation transform g = (h - 1)/(-a2), and the
-decomposition h = 1 - a2 z - z omega1.  Every functional is a
-``PointFunctional`` that reads one jet of its kernel per call.
+The central object is the deviation U(z) = (z/f(z))^2 f'(z) - 1
+(``u_operator``).  Every functional is a ``PointFunctional`` that reads one
+jet of the kernel of f per call; ``g_transform`` and ``decompose`` work on
+the quotient series.
 """
 from __future__ import annotations
 
@@ -139,11 +135,8 @@ def theorem3_parts(g: DiskFunction, parts: str) -> PointFunctional:
 
 
 def g_transform(f: DiskFunction) -> DiskFunction:
-    """g = ((z/f) - 1)/(-a2), normalized whenever a2 != 0.
-
-    g(z) = z + (1/a2) z omega1(z) in terms of the decomposition of f, so
-    its quotient z/g = a2/(a2 + omega1(z)) stays smooth at the origin.
-    """
+    """g = ((z/f) - 1)/(-a2) = z + z omega1(z)/a2, normalized whenever
+    a2 != 0; its kernel comes from the kernel of f (``g_kernel``)."""
     if abs(f.a2) < EPS_A2:
         raise SecondCoefficientVanishes(
             f"|a2| = {abs(f.a2):.3e} is below {EPS_A2}; the transform is undefined")

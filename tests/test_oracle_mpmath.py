@@ -15,7 +15,9 @@ that winding counts place (``zero_bracket``) must lie in their brackets.
 
 The kernels' logarithm (``catalog._log``, taken in real arithmetic) is
 checked at 50 digits on the arguments the Blaschke and ``log_map`` kernels
-pass it: within 4 ulp of max(1, |log w|).
+pass it: within 4 ulp of max(1, |log w|).  U of ``log_map`` near the
+origin, where it cancels to about z^2/12, is checked at 40 digits for its
+relative error at orders 64 and 5, and through ``eval``.
 
 The circle proofs of radius searches are checked at 50 digits: the
 polynomials P/Q of each tag's functional equal the operators, every
@@ -26,6 +28,10 @@ The circle scans of ``test_class`` are checked against a 40-digit
 maximization: on sampled polynomial members, the maxima of |U| and of
 -Re z f'/f on |z| = r_max agree to 1e-13 relative.
 """
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
@@ -50,6 +56,7 @@ from diskclass import (
     u_operator,
 )
 from diskclass.catalog import CERT_RADIUS, _log, _unit_circle, zero_bracket
+from diskclass.cli import main as cli_main
 from diskclass.errors import BoundaryTooClose, DenominatorVanishes
 from diskclass.membership import RADIUS_CAP
 from diskclass.series import ComplexSeries
@@ -163,6 +170,38 @@ def test_kernel_log_is_within_four_ulp(kind):
             want = mp.log(mp.mpc(wk.real, wk.imag))
             ulp = np.spacing(max(1.0, float(abs(want))))
             assert float(abs(mp.mpc(gk.real, gk.imag) - want)) <= 4.0 * ulp, (kind, wk)
+
+
+def _mp_log_map_u(z):
+    z = mp.mpc(z.real, z.imag)
+    return (z / mp.log(1 - z)) ** 2 / (1 - z) - 1
+
+
+# (order, radius) -> bound on the relative error of U of log_map.  At order 64
+# the quotient series' polynomial serves |z| < 0.05; at order 5 only |z| <
+# 1e-3, since a wider mask there read 1e-4 at |z| = 0.049.
+LOG_MAP_U_RTOL = {(64, 0.002): 2e-9, (64, 0.01): 1e-10, (64, 0.03): 1e-11,
+                  (5, 9e-4): 1e-8, (5, 0.002): 3e-6, (5, 0.01): 2e-8, (5, 0.03): 1e-9}
+
+
+@pytest.mark.parametrize("order, radius", sorted(LOG_MAP_U_RTOL))
+def test_log_map_u_keeps_relative_accuracy_near_the_origin(order, radius):
+    z = radius * np.exp(2j * np.pi * (np.arange(50) + 0.1) / 50)
+    got = u_operator(make_catalog("log_map", order=order))(z)
+    with mp.workdps(40):
+        worst = max(float(abs(mp.mpc(g.real, g.imag) / _mp_log_map_u(zk) - 1))
+                    for zk, g in zip(z, got))
+    assert worst <= LOG_MAP_U_RTOL[order, radius], worst
+
+
+def test_log_map_eval_reads_u_to_ten_digits():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["eval", "--id", "log_map", "0.01j", "--json"]) == 0
+    got = complex(*json.loads(out.getvalue())["deviation_u"])
+    with mp.workdps(40):
+        want = _mp_log_map_u(0.01j)
+        assert float(abs(mp.mpc(got) / want - 1)) <= 1e-10
 
 
 def _mp_reciprocal(c, order):
