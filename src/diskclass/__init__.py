@@ -13,6 +13,35 @@ from .operators import *
 from .serialize import *
 from .series import *
 
+
+def _keep_freed_memory():
+    """Let the C heap keep the pages numpy frees instead of returning them.
+
+    A circle scan allocates and frees the same few arrays call after call
+    (a 4096-point complex array is 64 KiB, 16 pages).  With glibc's default
+    thresholds, arrays above 128 KiB come from fresh mmaps and free memory
+    at the top of the heap is trimmed, so every scan faults its pages in
+    again: about 120 minor page faults per warm ``theorem2_grid`` call on
+    the campaign's alpha grid, and none with the pages kept.
+
+    Where the C library has ``mallopt`` (glibc; on musl it does nothing),
+    this sets M_MMAP_THRESHOLD to 32 MiB and M_TRIM_THRESHOLD to 64 MiB,
+    the values glibc's own dynamic rule reaches once a 32 MiB chunk has
+    been freed; forked workers inherit them.  Elsewhere (macOS, Windows) it
+    does nothing.  It runs once, at import."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory()
+
 __version__ = "0.1.0"
 
 # Each module's __all__ (every exception of errors); the imports also bind

@@ -240,6 +240,7 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser with one subcommand per ``_COMMANDS`` row."""
     p = argparse.ArgumentParser(
         prog="diskclass",
         description="Numerical toolkit for a class of non-vanishing "
@@ -261,6 +262,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand on ``argv`` (default: the process arguments),
+    print its report and return the exit code of the module docstring."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv[:1] == ["eval"]:
         # argparse takes a point such as -0.4j or -0.1-0.2j for an option; a

@@ -78,6 +78,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CampaignConfig:
+    """Everything a campaign report depends on, checked on construction:
+    the kind (one of CAMPAIGNS), ``samples`` random members after the
+    catalog rows, drawn with ``seed`` at series ``order`` (8 to MAX_ORDER)
+    and |a2| in ``a2_range``, the scan ``policy``, theorem 3's ``shrink``,
+    the conjecture's radius ``ladder`` and theorem 2's ``alpha_grid``."""
+
     campaign: str
     samples: int = 100
     seed: int = 0

@@ -44,6 +44,10 @@ def _det(m):
 
 @dataclass(frozen=True)
 class HankelReport:
+    """The q-th Hankel determinant at index n (``hankel_det``): its complex
+    ``value`` and ``modulus``, and the Taylor ``coefficients`` a_n through
+    a_{n+2q-2} it was expanded from."""
+
     q: int
     n: int
     value: complex

@@ -1,6 +1,8 @@
-"""Every name in the package's and each module's ``__all__`` resolves once,
-and the package exports exactly the pinned names."""
+"""Every name in the package's and each module's ``__all__`` resolves once
+and has a docstring, and the package exports exactly the pinned names."""
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -18,6 +20,19 @@ def test_all_names_resolve_once(name):
     exported = getattr(module, "__all__", [])
     assert len(exported) == len(set(exported)), name
     assert [n for n in exported if not hasattr(module, n)] == [], name
+
+
+@pytest.mark.parametrize("name", [f"diskclass.{m}" for m in MODULES])
+def test_exported_names_have_docstrings(name):
+    # Read from the source: a dataclass without one gets its signature as
+    # __doc__.  A module without __all__ (cli, errors) exports its public
+    # classes and functions.
+    module = importlib.import_module(name)
+    body = ast.parse(inspect.getsource(module)).body
+    defs = {node.name: ast.get_docstring(node) for node in body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    exported = getattr(module, "__all__", [n for n in defs if not n.startswith("_")])
+    assert exported and [n for n in exported if not defs.get(n)] == [], name
 
 
 # The package's names: the union of its modules' __all__.

@@ -183,6 +183,13 @@ class TestExtremalOnCircle:
         expected = np.argsort(-row, kind="stable")[:3]
         assert membership._top3(row).tolist() == expected.tolist()
 
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_top3_pick_matches_a_stable_sort_on_integer_rows(self, values):
+        row = np.array(values, dtype=float)  # seven values: every row is full of ties
+        expected = np.argsort(-row, kind="stable")[:3]
+        assert membership._top3(row).tolist() == expected.tolist()
+
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 7))
     @settings(max_examples=60, deadline=None)
     def test_top3_pick_matches_a_stable_sort_on_grid_rows(self, seed, distinct):

@@ -177,11 +177,14 @@ def _mp_log_map_u(z):
     return (z / mp.log(1 - z)) ** 2 / (1 - z) - 1
 
 
-# (order, radius) -> bound on the relative error of U of log_map.  At order 64
-# the quotient series' polynomial serves |z| < 0.05; at order 5 only |z| <
-# 1e-3, since a wider mask there read 1e-4 at |z| = 0.049.
+# (order, radius) -> bound on the relative error of U of log_map, on either
+# side of the mask where its kernel switches from the quotient series'
+# polynomial to the closed form: 0.05 at order 64, 4.5e-3 at order 5 (a
+# 0.05 mask there read 1e-4 at |z| = 0.049), 2.9e-4 at order 3 and 1.9e-5
+# at order 2, whose polynomial h = 1 - z/2 gives U = 0.
 LOG_MAP_U_RTOL = {(64, 0.002): 2e-9, (64, 0.01): 1e-10, (64, 0.03): 1e-11,
-                  (5, 9e-4): 1e-8, (5, 0.002): 3e-6, (5, 0.01): 2e-8, (5, 0.03): 1e-9}
+                  (5, 9e-4): 1e-8, (5, 0.002): 2e-8, (5, 0.01): 2e-8, (5, 0.03): 1e-9,
+                  (3, 2e-4): 3e-4, (3, 9e-4): 2e-5, (2, 2e-4): 2e-3, (2, 9e-4): 2e-5}
 
 
 @pytest.mark.parametrize("order, radius", sorted(LOG_MAP_U_RTOL))
