@@ -23,7 +23,7 @@ from .errors import (
     ParamOutOfRange,
     UnknownId,
 )
-from .series import DEFAULT_ORDER, MAX_ORDER, ComplexSeries, horner
+from .series import DEFAULT_ORDER, MAX_ORDER, ComplexSeries
 
 # Certification circle for zero-freeness of h.
 CERT_RADIUS = 1.0 - 2.0 ** -10
@@ -275,7 +275,7 @@ class _BlaschkeKernel(_Kernel):
         self.quo_int = npp.polyint(quo)
         self.conj_alphas = np.conj(alphas)
         poles = 1.0 / self.conj_alphas
-        self.residues = horner(poles, rem) / horner(poles, self.q1_poly)
+        self.residues = npp.polyval(poles, rem) / npp.polyval(poles, self.q1_poly)
 
     def winding_bounds(self, radius, part="pole"):
         """(lipschitz, slack) on |z| <= radius of what the winding count of
@@ -292,7 +292,7 @@ class _BlaschkeKernel(_Kernel):
         psi = p/q counts rho prod (1 + |alpha_k| radius)/(1 - |alpha_k| radius).
         """
         near = 1.0 - np.abs(self.conj_alphas) * radius
-        omega = horner(radius, np.abs(self.quo_int)) + np.abs(self.residues) @ (
+        omega = npp.polyval(radius, np.abs(self.quo_int)) + np.abs(self.residues) @ (
             np.pi - np.log(near) + 1.0 / near)
         if part == "pole":
             lipschitz, terms = (abs(self.a2) + 2.0 * self.rho * radius,
@@ -327,15 +327,16 @@ class _BlaschkeKernel(_Kernel):
         return fn, lambda radius: self.winding_bounds(radius, part)
 
     def omega_jet(self, z, n):
-        acc = horner(z, self.quo_int)
+        acc = npp.polyval(z, self.quo_int)
         for bk, ca in zip(self.residues, self.conj_alphas):
             acc += bk * _log(1.0 - ca * z)
         jet = [acc]
         if n > 0:
-            p, q = horner(z, self.p_poly), horner(z, self.q_poly)
+            p, q = npp.polyval(z, self.p_poly), npp.polyval(z, self.q_poly)
             jet.append(p / q)
         if n > 1:
-            jet.append((horner(z, self.p1_poly) * q - p * horner(z, self.q1_poly)) / q ** 2)
+            jet.append((npp.polyval(z, self.p1_poly) * q
+                        - p * npp.polyval(z, self.q1_poly)) / q ** 2)
         return jet
 
 
@@ -673,7 +674,7 @@ def _sample_generator(rng, kind, degree):
     if kind == "random_polynomial":
         deg = int(min(max(degree, 0), 16))
         raw = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        sup = float(np.abs(horner(_unit_circle(8192), raw)).max())
+        sup = float(np.abs(npp.polyval(_unit_circle(8192), raw)).max())
         amp = float(rng.uniform(0.0, 1.0))
         coeffs = raw * (amp / (sup * 1.001)) if sup > 0 else raw * 0.0
         return SchwarzGenerator.polynomial(coeffs)

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 from numbers import Integral, Real
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from .catalog import CERT_SAMPLES, DiskFunction, _RationalKernel, _unit_circle, zero_bracket
 from .errors import NonFiniteValue, ParamOutOfRange, PartCPrecondition, RadiusUnproven
@@ -28,7 +29,6 @@ from .operators import (
     turning_derivative,
     u_operator,
 )
-from .series import horner
 
 # Radius search ceiling (``radius_of``), tighter than the membership scan
 # radius so that radii equal to 1 are reported within 1e-4.
@@ -512,10 +512,10 @@ def _circle_proof(polys, r, grid):
     p, q = polys
     dp, dq = p.c.size - 1, q.c.size - 1
     z = r * _unit_circle(grid)
-    pv, qv = horner(z, p.c), horner(z, q.c)
+    pv, qv = npp.polyval(z, p.c), npp.polyval(z, q.c)
     t = -(pv.real * qv.real + pv.imag * qv.imag)
     count = p.u + q.u + 37 * (dp + dq) + 8
-    e = count * 2.0 ** -53 * horner(r, p.a) * horner(r, q.a) * (1.0 + 2.0 ** -20)
+    e = count * 2.0 ** -53 * npp.polyval(r, p.a) * npp.polyval(r, q.a) * (1.0 + 2.0 ** -20)
     if not (np.isfinite(t).all() and np.isfinite(e)) or count * 2.0 ** -53 > 2.0 ** -30:
         return None
     if np.any(t - e > 0.0):

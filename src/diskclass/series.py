@@ -13,6 +13,7 @@ series.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from .errors import NearZeroConstantTerm, ParamOutOfRange
 
@@ -26,26 +27,6 @@ MAX_ORDER = 2 ** 14
 EPS_DIV = 1e-12
 
 __all__ = ["ComplexSeries"]
-
-
-def horner(z, c):
-    """The polynomial with coefficients c (low to high) at z, a number or
-    an array of any shape, bit for bit ``numpy.polynomial.polynomial.polyval``
-    (whose steps c_k + acc z it repeats), but on two arrays for the whole
-    evaluation instead of two new ones per degree.  At degree 8 it takes
-    11 us against 14 us on 99 points, and 47 us against 50 us on 4096.
-    The product is not taken in place: numpy rounds an in-place product of
-    one-element arrays differently from a new one."""
-    acc = c[-1] + z * 0
-    if not isinstance(acc, np.ndarray):  # a number
-        for ck in c[-2::-1]:
-            acc = acc * z + ck
-        return acc
-    prod = np.empty_like(acc)
-    for ck in c[-2::-1]:
-        np.multiply(acc, z, out=prod)
-        np.add(prod, ck, out=acc)
-    return acc
 
 
 class ComplexSeries:
@@ -163,7 +144,7 @@ class ComplexSeries:
     def __call__(self, z):
         """Horner evaluation at a point or ndarray of points."""
         zz = np.asarray(z, dtype=np.complex128)
-        acc = horner(zz, self._c)
+        acc = npp.polyval(zz, self._c, tensor=False)
         return complex(acc) if zz.ndim == 0 else acc
 
     def to_json_dict(self) -> dict:

@@ -176,17 +176,10 @@ class TestExtremalOnCircle:
     # few distinct values, so rows repeat values, hold plateaus and mix +-0.0
     tied_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 2.5 + 2.0 ** -51, 1e-300])
 
-    @given(st.lists(tied_values, min_size=1, max_size=5))
+    @given(st.lists(tied_values, min_size=1, max_size=64))
     @settings(max_examples=300, deadline=None)
     def test_top3_pick_matches_a_stable_sort_on_short_rows(self, values):
         row = np.array(values)
-        expected = np.argsort(-row, kind="stable")[:3]
-        assert membership._top3(row).tolist() == expected.tolist()
-
-    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=64))
-    @settings(max_examples=300, deadline=None)
-    def test_top3_pick_matches_a_stable_sort_on_integer_rows(self, values):
-        row = np.array(values, dtype=float)  # seven values: every row is full of ties
         expected = np.argsort(-row, kind="stable")[:3]
         assert membership._top3(row).tolist() == expected.tolist()
 

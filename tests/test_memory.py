@@ -26,7 +26,17 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+GLIBC = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                           reason="mallopt thresholds are glibc's")
+
+
+@GLIBC
+@pytest.mark.skipif(sys.maxsize < 2 ** 32, reason="a 32-bit glibc refuses a 32 MiB mmap threshold")
+def test_the_c_library_takes_both_settings():
+    assert diskclass._HEAP_KEPT is True
+
+
+@GLIBC
 def test_warm_theorem2_scans_do_not_fault_pages_in():
     # With glibc's default thresholds a warm call takes about 120 minor faults.
     src = str(Path(diskclass.__file__).resolve().parents[1])

@@ -179,12 +179,13 @@ def _mp_log_map_u(z):
 
 # (order, radius) -> bound on the relative error of U of log_map, on either
 # side of the mask where its kernel switches from the quotient series'
-# polynomial to the closed form: 0.05 at order 64, 4.5e-3 at order 5 (a
-# 0.05 mask there read 1e-4 at |z| = 0.049), 2.9e-4 at order 3 and 1.9e-5
-# at order 2, whose polynomial h = 1 - z/2 gives U = 0.
+# polynomial to the closed form: 0.05 at orders 10 and 64, 4.5e-3 at order 5
+# (a 0.05 mask there read 1e-4 at |z| = 0.049), 2.9e-4 at order 3 and
+# 1.9e-5 at order 2, whose polynomial h = 1 - z/2 gives U = 0.
 LOG_MAP_U_RTOL = {(64, 0.002): 2e-9, (64, 0.01): 1e-10, (64, 0.03): 1e-11,
+                  (10, 0.04): 1e-11,
                   (5, 9e-4): 1e-8, (5, 0.002): 2e-8, (5, 0.01): 2e-8, (5, 0.03): 1e-9,
-                  (3, 2e-4): 3e-4, (3, 9e-4): 2e-5, (2, 2e-4): 2e-3, (2, 9e-4): 2e-5}
+                  (3, 5e-4): 1e-4, (3, 9e-4): 2e-5, (2, 2e-4): 2e-3, (2, 9e-4): 2e-5}
 
 
 @pytest.mark.parametrize("order, radius", sorted(LOG_MAP_U_RTOL))

@@ -3,10 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial import polynomial as npp
 
 from diskclass.errors import NearZeroConstantTerm
-from diskclass.series import ComplexSeries, horner
+from diskclass.series import ComplexSeries
 from oracles import rotate
 
 
@@ -91,34 +90,3 @@ class TestAlgebraicLaws:
     def test_rotation_preserves_coefficient_moduli(self, a, theta):
         rotated = rotate(a, theta)
         assert np.allclose(np.abs(rotated.coeffs), np.abs(a.coeffs), atol=1e-12)
-
-
-def _bits(x):
-    x = np.asarray(x)
-    return x.dtype, x.shape, x.tobytes()
-
-
-# the point shapes horner meets: a number, a 0-d array, one point (where
-# numpy rounds an in-place product differently), a scan's circle, a
-# row-batched probe array
-POINT_SHAPES = st.sampled_from(["number", (), (1,), (1, 1), (99,), (4096,), (3, 33), (7, 99)])
-
-
-class TestHorner:
-    @given(st.lists(coeff, min_size=1, max_size=20), POINT_SHAPES, st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_polyval_bit_for_bit(self, coeffs, shape, seed):
-        c = np.array(coeffs, dtype=np.complex128)
-        rng = np.random.default_rng(seed)
-        size = () if shape == "number" else shape
-        z = rng.uniform(0.0, 1.5, size) * np.exp(1j * rng.uniform(-np.pi, np.pi, size))
-        z = complex(z) if shape == "number" else z
-        assert np.array_equal(horner(z, c), npp.polyval(z, c))
-        assert _bits(horner(z, c)) == _bits(npp.polyval(z, c))
-
-    @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=20), st.floats(0.0, 1.0))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_polyval_on_a_real_radius(self, coeffs, r):
-        # the circle proof's rounding bounds: real moduli at a real radius
-        a = np.array(coeffs)
-        assert _bits(horner(r, a)) == _bits(npp.polyval(r, a))
