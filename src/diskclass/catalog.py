@@ -94,7 +94,8 @@ def _reciprocal(z, jet):
 
 
 class _Kernel:
-    """Jets of one representation of h = z/f on 1-d complex arrays.
+    """Jets of one representation of h = z/f on complex arrays of any
+    shape, elementwise.
 
     Three methods serve every pointwise value: ``h_jet(z, n)`` is
     [h, h', h''][:n+1], ``omega_jet(z, n)`` is [omega1, psi, psi'][:n+1]

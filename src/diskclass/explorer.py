@@ -29,7 +29,11 @@ status to "counterexample-candidate".
 """
 from __future__ import annotations
 
+import csv
 import os
+import pickle
+import signal
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
 from typing import Callable
@@ -470,8 +474,6 @@ def _run_chunk(cfg, prepends, chunk):
 def _fork_chunk(cfg, prepends, chunk):
     """Fork a child that pickles back what ``_run_chunk`` returns for
     ``chunk``; return its pid and the read end of its pipe."""
-    import pickle
-
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid:
@@ -496,12 +498,6 @@ def _run_rows(cfg, prepends, rows: int, workers: int) -> list:
     chunks = [range(k, rows, workers) for k in range(workers)]
     if len(chunks) == 1:
         return [_run_one(cfg, prepends, i) for i in chunks[0]]
-    # imported here: only forking needs them, and with them imported at the
-    # top, serial coefficient campaigns measured about 4% slower
-    import pickle
-    import signal
-    import sys
-
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()
@@ -599,8 +595,6 @@ def replay(cert: dict) -> dict:
 
 def write_rows_csv(report: dict, fileobj) -> int:
     """Flatten per-sample rows (run_campaign(..., keep_rows=True)) to CSV."""
-    import csv
-
     rows = report.get("per_sample") or []
     writer = csv.writer(fileobj)
     writer.writerow(["index", "source", "status", "error", "record"])

@@ -33,8 +33,6 @@ from .operators import (
 # Radius search ceiling (``radius_of``), tighter than the membership scan
 # radius so that radii equal to 1 are reported within 1e-4.
 RADIUS_CAP = 1.0 - 2.0 ** -14
-# The radius a search checks after a failing RADIUS_CAP (``radius_of``).
-_INNER = 0.01
 # One row per class tag: its operators factory F, whether its scan
 # maximizes |F| (the sup tag) or -Re F, the threshold that members keep
 # that maximum below, the factors of f at whose zeros F has its poles
@@ -251,52 +249,46 @@ def extremal_on_circle(functional, radius, policy: ScanPolicy | None = None,
 
     A scan has k rows, each resolved as a one-row scan would be, bit for
     bit, and then returns a pair of length-k arrays (values, witnesses).
-    Rows come from one of two sources.  ``radius`` may be a 1-d array of k
-    radii: row i scans a one-row functional on |z| = radius[i].  Or F may
-    be row-batched: k functionals sharing one evaluation, which map points
-    of shape (m,) or (k, m) to values of shape (k, m), row i holding
-    functional i, all scanned on one circle.  Either way the coarse grid is
-    evaluated once per circle and each refine evaluation is one call for
-    all 3k brackets.
+    Every functional follows one row contract: it maps points of shape (m,)
+    or (k, m) to values of shape (k, m), row i holding functional i at row
+    i's points (a row-batched F: k functionals sharing one evaluation), or
+    maps points of any shape elementwise (a one-row F, whose values on
+    (m,) points make one row).  ``radius`` is one circle for every row, or
+    a 1-d array of k radii with row i on |z| = radius[i].  The k circles'
+    coarse grids are evaluated as one (k, grid) batch, and each refine
+    evaluation is one (k, n) call for all 3k brackets.
 
     A NaN or infinite value anywhere on the grid or among the refine probes
-    raises NonFiniteValue; numpy's floating-point warnings are silenced
-    for the scan, since that check reports the same events.
+    raises NonFiniteValue, naming the radius of its row; numpy's
+    floating-point warnings are silenced for the scan, since that check
+    reports the same events.
     """
     policy = policy or ScanPolicy()
-    per_circle = np.ndim(radius) == 1
-    radii = np.atleast_1d(np.asarray(radius, dtype=float))
-    unit = _unit_circle(policy.grid)
+    radii = np.asarray(radius, dtype=float)
+    scale = radii[:, None] if radii.ndim else radii  # broadcasts to the rows
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        best, best_val, side = [], [], []
-        for r in radii:  # one circle at a time: no (k, grid) temporaries
-            coarse = _require_finite(functional, r * unit, r)
-            if per_circle and coarse.ndim != 1:
-                raise ValueError("a row-batched functional scans a single radius")
-            for row in np.atleast_2d(coarse):
-                top = _top3(row)
-                best.append(top)
-                best_val.append(row[top])
-                side.append(row[(top[:, None] + [-1, 1]) % policy.grid])
-        best, best_val, side = np.array(best), np.array(best_val), np.array(side)
+        coarse = _require_finite(functional, scale * _unit_circle(policy.grid), scale)
+        table = np.atleast_2d(coarse)  # (rows, grid)
+        rows = np.arange(len(table))
+        best = np.array([_top3(row) for row in table])
+        best_val = table[rows[:, None], best]
+        side = table[rows[:, None, None], (best[..., None] + [-1, 1]) % policy.grid]
         best_theta = 2.0 * np.pi * best / policy.grid  # the grid's own angles
         evals = policy.refine_iters
         if threshold is not None and np.all(best_val[:, 0] - 1e-12 >= threshold):
             evals = 0
-        scale = radii[:, None] if per_circle else radius  # broadcasts to the rows
         ref_theta, ref_val = _zoom_refine(
             lambda angles: _require_finite(functional, scale * np.exp(1j * angles), scale),
             best_theta, best_val, side, 2.0 * np.pi / policy.grid, evals)
 
-    rows = np.arange(len(best))
     cand_theta = np.concatenate((best_theta, ref_theta), axis=1) % (2.0 * np.pi)
     cand_val = np.concatenate((best_val, ref_val), axis=1)
     ties = cand_val >= cand_val.max(axis=1, keepdims=True) - 1e-12
     pick = np.argmin(np.where(ties, cand_theta, np.inf), axis=1)
     witness = radii * np.exp(1j * cand_theta[rows, pick])
     value = cand_val[rows, pick]
-    if per_circle or coarse.ndim == 2:
+    if coarse.ndim == 2:
         return value, witness
     return float(value[0]), complex(witness[0])
 
@@ -311,7 +303,7 @@ def class_functional(f: DiskFunction, class_tag: str, alpha=None):
         raise ParamOutOfRange(f"class {class_tag!r} takes no alpha, got {alpha}")
     if class_tag not in _CLASSES:
         raise ParamOutOfRange(f"unknown class tag {class_tag!r}; expected one of {CLASS_TAGS}")
-    if class_tag == "mocanu" and (alpha is None or np.ndim(alpha) or not np.isfinite(alpha)):
+    if class_tag == "mocanu" and not (_is_number(alpha) and np.isfinite(alpha)):
         raise ParamOutOfRange(f"mocanu test requires one finite alpha, got {alpha}")
     factory, sup, _, _, _ = _CLASSES[class_tag]
     fn = factory(f) if alpha is None else factory(f, alpha)
@@ -507,7 +499,7 @@ def _circle_proof(polys, r, grid):
     power-of-two grid are nodes of every larger one, bit for bit (2 pi k/n
     scales by powers of two exactly), so a circle failed on a coarse grid
     fails at the same node of the full grid.  koebe's convexity radius
-    decides 12 of its 16 circles on 64 nodes, 3 on 512 and 1 on 4096.
+    decides 11 of its 15 circles on 64 nodes, 3 on 512 and 1 on 4096.
     """
     p, q = polys
     dp, dq = p.c.size - 1, q.c.size - 1
@@ -535,15 +527,14 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     analytic, or raises RadiusUnproven.  On that disk the maximum principle
     (sup tags) and the minimum principle for the harmonic real parts make a
     circle's verdict monotone in the radius, so the first failure is
-    bracketed and bisected, one circle per decision.  With no pole below
-    RADIUS_CAP, RADIUS_CAP is checked first: if the property holds there
-    the radius is reported as 1.0 (error at most 2^-14).  Else r = 0.01 is
-    checked, and the bracket (0.01, RADIUS_CAP), or (0, 0.01) when the
-    property fails there, is bisected.  A proven pole is where the property
-    fails for sure, so the bracket is (0, hi) with hi an upper bound on the
-    pole's modulus, and no circle near the pole is scanned.  The bisection
-    stops at ``tol`` (positive and finite) or once the bracket can no
-    longer be split in floating point.
+    bracketed and bisected, one circle per decision.  A proven pole is
+    where the property fails for sure, so hi is an upper bound on the
+    pole's modulus, and no circle near the pole is scanned.  With no pole
+    below RADIUS_CAP, RADIUS_CAP is checked first: if the property holds
+    there the radius is reported as 1.0 (error at most 2^-14), else hi =
+    RADIUS_CAP.  The bracket (0, hi) is bisected until it is at most
+    ``tol`` (a positive finite number) wide, or can no longer be split in
+    floating point: at most 14 circles at the default 1e-4.
 
     A circle of a rational kernel is first decided by ``_circle_proof`` of
     ``_circle_polys``; a circle that leaves open, and every circle of any
@@ -552,7 +543,7 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
     rounding exceeds the proven margin, so on every search the tests
     compare the radius is the one scans alone give, bit for bit.
     """
-    if not 0.0 < tol < np.inf:
+    if not _is_number(tol) or not 0.0 < tol < np.inf:
         raise ParamOutOfRange(f"tol must be positive and finite, got {tol}")
     policy = policy or ScanPolicy()
     functional = class_functional(f, class_tag, alpha)
@@ -568,13 +559,9 @@ def radius_of(f: DiskFunction, class_tag: str, tol: float = 1e-4,
                 return proof
         return extremal_on_circle(functional, r, policy, threshold=threshold)[0] < threshold
 
-    pole = _first_pole(f, class_tag, alpha, tol)
-    if pole < RADIUS_CAP:
-        lo, hi = 0.0, pole
-    elif clears(RADIUS_CAP):
+    lo, hi = 0.0, _first_pole(f, class_tag, alpha, tol)
+    if hi == RADIUS_CAP and clears(hi):
         return RadiusResult(tag, 1.0, (RADIUS_CAP, 1.0), tol, policy.grid)
-    else:
-        lo, hi = (_INNER, RADIUS_CAP) if clears(_INNER) else (0.0, _INNER)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -593,18 +580,21 @@ def theorem3_check(f: DiskFunction, part: str, shrink=0.01,
     The sup of the modulus of each part ('a', 'b', 'c') of
     ``operators.theorem3_parts`` of g = g_transform(f) is compared against
     1.  Part 'c' is proved only for |a2| <= 1; probing beyond that needs
-    allow_large_a2=True.  ``shrink`` must lie in (0, 1).
+    allow_large_a2=True.  ``shrink`` is a number in (0, 1), or a 1-d array
+    of them.
 
     One part and one shrink give one MembershipReport.  Otherwise the check
     is one row-batched scan and returns a list of reports, one per row: a
     string of several parts (e.g. "abc") gives one row per part on one
-    circle, and a 1-d array of shrinks with one part gives one row per
-    circle; asking for both at once raises ParamOutOfRange.
+    circle, and an array of shrinks with one part gives one row per circle;
+    asking for both at once raises ParamOutOfRange.
     """
     policy = policy or ScanPolicy()
-    shrinks = np.asarray(shrink, dtype=float)
-    if shrinks.ndim > 1 or not np.all((shrinks > 0.0) & (shrinks < 1.0)) or not shrinks.size:
+    shrinks = np.asarray(shrink, dtype=object)
+    if shrinks.ndim > 1 or not shrinks.size or not all(
+            _is_number(s) and 0.0 < s < 1.0 for s in shrinks.flat):
         raise ParamOutOfRange(f"shrink must lie in (0, 1), got {shrink}")
+    shrinks = shrinks.astype(float)
     if not part or any(p not in "abc" for p in part):
         raise ParamOutOfRange(f"part must be made of 'a', 'b' and 'c', not {part!r}")
     if len(part) > 1 and shrinks.ndim:

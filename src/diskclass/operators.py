@@ -32,9 +32,11 @@ __all__ = [
 
 
 class PointFunctional:
-    """A vectorized map of complex points: ``fn`` takes a 1-d (or, row-batched,
-    a 2-d) array of points, and a scalar point gives a scalar (one per row).
-    Values keep the dtype ``fn`` gives them: a real-part map stays real."""
+    """A vectorized map of complex points: ``fn`` takes points of any shape,
+    elementwise or, row-batched, by the row contract that
+    ``membership.extremal_on_circle`` states; a scalar point gives a scalar
+    (one per row).  Values keep the dtype ``fn`` gives them: a real-part
+    map stays real."""
 
     def __init__(self, fn):
         self._fn = fn
